@@ -4,28 +4,34 @@ The canonical code of a triangulation is computed by flag traversal: a
 flag is an incident (vertex, edge, face) triple with a side, encoded here
 as an ordered face triple ``(a, b, c)``.  Starting from a flag, a
 breadth-first sweep over the faces relabels the vertices in discovery
-order; the serialised, relabelled face list depends only on the starting
-flag and the isomorphism class.  The code is the lexicographic minimum of
-that serialisation over starting flags, which makes it a complete
-isomorphism invariant, and comparing the per-flag serialisations against
-a fixed reference flag yields the full automorphism group.
+order; the sorted, relabelled face list depends only on the starting flag
+and the isomorphism class.  A key prefilter keeps only the flags whose
+vertices have the smallest (degree, on-boundary) keys, computed once per
+vertex.  The code is the lexicographic minimum over those flags, which
+makes it a complete isomorphism invariant.  The automorphism group comes
+from comparing each candidate flag's sweep with a reference flag's, face
+by face, abandoning the sweep at the first face that differs.
 
 Boundary participates automatically: boundary edges are exactly the
-edges on one face, so the face list determines them, and the code header
-records order, face count and boundary length for cheap comparison.
+edges on one face, so the face list determines them.  The code header
+records order, face count and boundary length in one byte each; at 256 or
+more of any of them the code is wide: a 0 byte, then the header and the
+labels as 2-byte big-endian numbers.
 
 All functions are pure; codes and labelings are cached per value.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .complex_core import Triangulation
 
 CanonicalCode = bytes
+Flag = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -62,91 +68,89 @@ class AutomorphismGroup:
         return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
-def _cross_map(tri: Triangulation) -> dict[tuple[int, int, int], int]:
-    """Map (edge u<v, apex) -> apex of the other face across the edge."""
-    cross: dict[tuple[int, int, int], int] = {}
+def _cross_map(tri: Triangulation) -> dict[Flag, tuple[int, int]]:
+    """Map (x, y, z), an edge x-y in either direction of a face with apex z,
+    to (apex, index) of the face across that edge; boundary edges are absent."""
+    index = {face: i for i, face in enumerate(tri.faces)}
+    cross: dict[Flag, tuple[int, int]] = {}
     for (u, v), incident in tri.edge_faces.items():
-        if len(incident) != 2:
-            continue
-        apexes = [next(x for x in face if x not in (u, v)) for face in incident]
-        cross[(u, v, apexes[0])] = apexes[1]
-        cross[(u, v, apexes[1])] = apexes[0]
+        if len(incident) == 2:
+            (p, i), (q, j) = ((sum(face) - u - v, index[face]) for face in incident)
+            cross[(u, v, p)] = cross[(v, u, p)] = (q, j)
+            cross[(u, v, q)] = cross[(v, u, q)] = (p, i)
     return cross
 
 
-def _serialise_from_flag(
-    tri: Triangulation,
-    cross: dict[tuple[int, int, int], int],
-    flag: tuple[int, int, int],
-) -> tuple[bytes, tuple[int, ...]]:
-    """Relabel by BFS from ``flag``; return (code bytes, old->new labeling)."""
-    n = tri.order
-    label = [-1] * n
+def _traverse(tri: Triangulation, cross: dict[Flag, tuple[int, int]], flag: Flag,
+              start: int, ref: list[Flag] | None = None):
+    """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
+    them as oriented triples in sweep order, and the old->new labeling.
+    Given ``ref``, another sweep's relabelled faces, stop with None at the
+    first face that differs."""
+    label = [-1] * tri.order
     a, b, c = flag
     label[a], label[b], label[c] = 0, 1, 2
     next_label = 3
-    seen = {tuple(sorted(flag))}
-    queue = deque([flag])
-    relabelled = []
-    while queue:
-        u, v, w = queue.popleft()
-        relabelled.append(tuple(sorted((label[u], label[v], label[w]))))
+    seen = bytearray(len(tri.faces))
+    seen[start] = 1
+    queue = [flag]
+    for k, (u, v, w) in enumerate(queue):
+        if ref is not None and ref[k] != (label[u], label[v], label[w]):
+            return None
         for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-            key = (x, y, z) if x < y else (y, x, z)
-            t = cross.get(key)
-            if t is None:
+            across = cross.get((x, y, z))
+            if across is None or seen[across[1]]:
                 continue
-            face = tuple(sorted((x, y, t)))
-            if face in seen:
-                continue
+            t, j = across
+            seen[j] = 1
             if label[t] < 0:
                 label[t] = next_label
                 next_label += 1
-            seen.add(face)
             # Enter the neighbour with the shared edge reversed so the
             # traversal keeps a consistent local orientation.
             queue.append((y, x, t))
-    relabelled.sort()
-    header = bytes((n, len(tri.faces), len(tri.boundary_edges)))
-    body = bytes(v for face in relabelled for v in face)
-    return header + body, tuple(label)
+    return queue, label
 
 
-def _vertex_key(tri: Triangulation, v: int) -> tuple[int, int]:
-    return (tri.degrees[v], 1 if v in tri.boundary_vertices else 0)
+def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
+    """(face index, flag) for the flags with the minimal key, in face order.
 
-
-def _flag_key(tri: Triangulation, flag: tuple[int, int, int]):
-    return tuple(_vertex_key(tri, v) for v in flag)
-
-
-def _all_flags(tri: Triangulation) -> list[tuple[int, int, int]]:
-    flags = []
-    for a, b, c in tri.faces:
-        flags.extend(
-            ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-        )
-    return flags
-
-
-def candidate_flags(tri: Triangulation) -> list[tuple[int, int, int]]:
-    """Flags with the minimal invariant key; the canonical code is the
-    minimum serialisation over exactly this set."""
-    flags = _all_flags(tri)
-    best = min(_flag_key(tri, f) for f in flags)
-    return [f for f in flags if _flag_key(tri, f) == best]
+    A flag's key lists its vertices' (degree, on-boundary) keys, which are
+    computed once per vertex.  The canonical code is the minimum over
+    exactly these flags, and automorphisms map them onto one another.
+    """
+    boundary = tri.boundary_vertices
+    key = [2 * d + (v in boundary) for v, d in enumerate(tri.degrees)]
+    best: list[int] | None = None
+    found: list[tuple[int, Flag]] = []
+    for i, (a, b, c) in enumerate(tri.faces):
+        face_key = sorted((key[a], key[b], key[c]))
+        if best is None or face_key < best:
+            best, found = face_key, []
+        if face_key == best:
+            flags = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+            found.extend((i, f) for f in flags if key[f[0]] <= key[f[1]] <= key[f[2]])
+    return found
 
 
 @lru_cache(maxsize=65536)
 def _canonical(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
+    # The relabelled face lists share a fixed-width byte encoding, so the
+    # list order is the code order; the first minimal flag wins ties.
     cross = _cross_map(tri)
-    best: tuple[bytes, tuple[int, ...]] | None = None
-    for flag in candidate_flags(tri):
-        result = _serialise_from_flag(tri, cross, flag)
-        if best is None or result[0] < best[0]:
-            best = result
-    assert best is not None
-    return best
+    best = None
+    for start, flag in _candidate_flags(tri):
+        queue, label = _traverse(tri, cross, flag, start)
+        faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
+        if best is None or faces < best[0]:
+            best = faces, label
+    faces, label = best
+    values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(faces))
+    if max(values[:3]) < 256:
+        return bytes(values), tuple(label)
+    # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
+    # big-endian header fields and labels.
+    return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(label)
 
 
 def canonical_code(tri: Triangulation) -> CanonicalCode:
@@ -184,22 +188,24 @@ def isomorphism(t1: Triangulation, t2: Triangulation) -> dict[int, int] | None:
 def automorphisms(tri: Triangulation) -> AutomorphismGroup:
     """Exhaustive face-preserving vertex permutations via flag traversal.
 
-    Each flag-to-flag map induces at most one automorphism, so comparing
-    every flag's serialisation with a fixed reference flag finds them all.
+    Each flag-to-flag map induces at most one automorphism, and does so
+    exactly when the two sweeps relabel every face alike.  The first
+    candidate flag is swept once as the reference.  Only flags with the
+    same vertex keys can be its images, and each of their sweeps stops at
+    the first face that relabels differently.
     """
     cross = _cross_map(tri)
-    flags = _all_flags(tri)
-    ref_code, ref_label = _serialise_from_flag(tri, cross, flags[0])
-    inverse_ref = {new: old for old, new in enumerate(ref_label)}
+    candidates = _candidate_flags(tri)
+    ref_start, ref_flag = candidates[0]
+    ref_queue, ref_label = _traverse(tri, cross, ref_flag, ref_start)
+    ref = [(ref_label[u], ref_label[v], ref_label[w]) for u, v, w in ref_queue]
     elements = []
-    for flag in flags:
-        code, label = _serialise_from_flag(tri, cross, flag)
-        if code != ref_code:
-            continue
-        inverse = {new: old for old, new in enumerate(label)}
-        perm = tuple(inverse[ref_label[v]] for v in range(tri.order))
-        elements.append(perm)
-    return AutomorphismGroup(order=tri.order, elements=tuple(sorted(set(elements))))
+    for start, flag in candidates:
+        swept = _traverse(tri, cross, flag, start, ref)
+        if swept is not None:
+            inverse = sorted(range(tri.order), key=swept[1].__getitem__)
+            elements.append(tuple(inverse[ref_label[v]] for v in range(tri.order)))
+    return AutomorphismGroup(order=tri.order, elements=tuple(sorted(elements)))
 
 
 def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:

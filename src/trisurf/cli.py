@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except TriangulationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return VERIFY_FAILED
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

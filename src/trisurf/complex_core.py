@@ -176,7 +176,11 @@ class Triangulation:
 
     @cached_property
     def links(self) -> tuple[VertexLink, ...]:
-        return tuple(_vertex_link(self, v) for v in range(self.order))
+        stars: list[list[Face]] = [[] for _ in range(self.order)]
+        for face in self.faces:
+            for v in face:
+                stars[v].append(face)
+        return tuple(_vertex_link(v, star) for v, star in enumerate(stars))
 
     def link(self, v: int) -> VertexLink:
         return self.links[v]
@@ -287,43 +291,40 @@ def _validate(tri: Triangulation) -> None:
         )
 
 
-def _vertex_link(tri: Triangulation, v: int) -> VertexLink:
-    """Assemble the link of ``v`` and verify it is one path or one cycle."""
-    adjacency: dict[int, list[int]] = {}
-    for face in tri.faces:
-        if v not in face:
-            continue
-        a, b = (x for x in face if x != v)
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if not adjacency:
+def _vertex_link(v: int, star: list[Face]) -> VertexLink:
+    """Assemble the link of ``v`` from the faces of its star and verify it
+    is one path or one cycle."""
+    # A link vertex's first and second neighbour; a third one is a branch.
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for a, b, c in star:
+        x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+        for p, q in ((x, y), (y, x)):
+            if p in second:
+                raise PinchedVertex(f"link of vertex {v} branches")
+            (second if p in first else first)[p] = q
+    if not first:
         raise PinchedVertex(f"vertex {v} has no incident faces")
-    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
-        raise PinchedVertex(f"link of vertex {v} branches")
 
-    endpoints = sorted(x for x, nbrs in adjacency.items() if len(nbrs) == 1)
+    endpoints = sorted(x for x in first if x not in second)
     if endpoints:
         if len(endpoints) != 2:
             raise PinchedVertex(f"link of vertex {v} has {len(endpoints)} loose ends")
         start, is_cycle = endpoints[0], False
+        current = first[start]
     else:
-        start, is_cycle = min(adjacency), True
+        # Both neighbours of a cycle's start are open; take the smaller
+        # one so the stored orientation is deterministic.
+        start, is_cycle = min(first), True
+        current = min(first[start], second[start])
 
     sequence = [start]
-    previous = None
-    current = start
-    while True:
-        options = [x for x in adjacency[current] if x != previous]
-        if not options:
-            break
-        # At the start of a cycle both neighbours are open; pick the
-        # smaller one so the stored orientation is deterministic.
-        nxt = min(options)
-        if is_cycle and nxt == start:
-            break
-        sequence.append(nxt)
-        previous, current = current, nxt
-    if len(sequence) != len(adjacency):
+    previous = start
+    while current is not None and current != start:
+        sequence.append(current)
+        nxt = first[current]
+        previous, current = current, second.get(current) if nxt == previous else nxt
+    if len(sequence) != len(first):
         raise PinchedVertex(f"link of vertex {v} is not a single path or cycle")
     return VertexLink(center=v, sequence=tuple(sequence), is_cycle=is_cycle)
 

@@ -46,6 +46,7 @@ from .errors import (
 from .moves import all_splits
 
 DEFAULT_CEILING = 9
+MAX_SEARCH_ORDER = 15
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,11 @@ def _face_id(u: int, v: int, w: int) -> int:
 def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     """All triangulations on exactly ``n`` vertices (closed, or with at
     most one boundary cycle when ``allow_boundary``), one per class."""
-    if n < 3 or n > 15:
+    if n > MAX_SEARCH_ORDER:
+        raise CeilingExceeded(
+            f"order {n} above the exhaustive search limit {MAX_SEARCH_ORDER}"
+        )
+    if n < 3:
         return []
 
     # Edge keys are (u << 4) | v with u < v; link keys (x << 8) | ((u<<4)|y)
@@ -536,10 +541,12 @@ def parse_catalog(text: str) -> Catalog:
         raise ParseError("catalog has no '---' separator")
     try:
         kind = SURFACE_BY_NAME[header["surface"]]
-        lo, hi = header["orders"].split("..")
+        lo, hi = (int(bound) for bound in header["orders"].split(".."))
         engine = header["engine"]
     except KeyError as exc:
         raise ParseError(f"catalog header missing field: {exc}") from None
+    except ValueError:
+        raise ParseError(f"catalog header: bad orders {header['orders']!r}") from None
 
     entries = []
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
@@ -547,6 +554,7 @@ def parse_catalog(text: str) -> Catalog:
             continue
         try:
             code_hex, order_text, face_text, provenance = line.split(" ", 3)
+            code, order = bytes.fromhex(code_hex), int(order_text)
             parsed = [
                 tuple(int(value) for value in face.split(","))
                 for face in face_text.split(";")
@@ -554,10 +562,12 @@ def parse_catalog(text: str) -> Catalog:
         except ValueError:
             raise ParseError(f"line {lineno}: bad catalog record") from None
         tri = build(parsed)
-        code = bytes.fromhex(code_hex)
         if canonical_code(tri) != code:
             raise ParseError(
                 f"line {lineno}: stored code does not match the face list"
             )
-        entries.append(CatalogEntry(code, int(order_text), tri, provenance))
-    return Catalog(kind, int(lo), int(hi), engine, tuple(entries))
+        entries.append(CatalogEntry(code, order, tri, provenance))
+    try:
+        return Catalog(kind, lo, hi, engine, tuple(entries))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 
@@ -13,6 +16,34 @@ def _shuffled(tri, rng):
     perm = list(tri.vertices)
     rng.shuffle(perm)
     return ts.relabel(tri, tuple(perm))
+
+
+def _torus_grid(k):
+    """The k x k grid on the torus, each square cut by the same diagonal."""
+    def v(i, j):
+        return (i % k) * k + j % k
+
+    return ts.build([
+        face
+        for i in range(k)
+        for j in range(k)
+        for face in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                     (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    ])
+
+
+@pytest.fixture(scope="module")
+def closures():
+    """Splitting closures of the sphere 4..8, projective plane 6..8 and
+    Moebius band 5..7."""
+    return {
+        str(kind): ts.generate_by_splitting(ts.irreducible_seeds(kind, top), top)
+        for kind, top in ((ts.SPHERE, 8), (ts.PROJECTIVE_PLANE, 8), (ts.MOEBIUS_BAND, 7))
+    }
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestCanonicalCode:
@@ -157,3 +188,78 @@ class TestBruteForceOracle:
             for b in members:
                 expected = ts.canonical_code(a) == ts.canonical_code(b)
                 assert ts.brute_force_isomorphic(a, _shuffled(b, rng)) == expected
+
+
+class TestWideCode:
+    def test_torus_grid_with_288_faces_codes_equal_under_relabelling(self):
+        # 144 vertices and 288 faces: beyond a one-byte header field.
+        tri = _torus_grid(12)
+        code = ts.canonical_code(tri)
+        assert ts.canonical_code(_shuffled(tri, random.Random(12))) == code
+        assert code[0] == 0
+        assert code[1:7] == bytes((0, 144, 1, 32, 0, 0))
+        assert len(code) == 1 + 2 * (3 + 3 * 288)
+
+
+# sha256 of the code list and of the canonical labelings of each closure.
+# Codes live in catalogs and certificates, so any faster traversal must
+# reproduce every byte and the tie-break between minimal flags.
+PINNED = {
+    "sphere": (
+        "afc13bbdf443ad4bc7cae018b42abd306dc2ce146630beb998cb645eff1e64ab",
+        "7e44b0f6d6b16693970fdd9731d99e096cad8841f574bca877af0b7832d8c14e",
+    ),
+    "projective-plane": (
+        "a7a977184c933cf2003ead4c0d759c1e31a8676a6996ce4eccf6daa4421a140f",
+        "ed1cfb14547641eda8c701c3e12a1662e30a8437ed72a1e20bfb9cffb541b508",
+    ),
+    "moebius-band": (
+        "b02ed096ed2d0fec105983019f532bd082f0983fad3c9a611b09848579f33bd2",
+        "f3b48403f275f4405596ebf9dc6bd418849c1db7ab7cf1d480d24e43c876d6d2",
+    ),
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("surface", sorted(PINNED))
+    def test_closure_codes_and_labelings_are_pinned(self, closures, surface):
+        catalog = closures[surface]
+        codes = [e.code.hex() for e in catalog.entries]
+        labelings = [
+            ",".join(map(str, ts.canonical_labeling(e.triangulation)))
+            for e in catalog.entries
+        ]
+        assert (_sha256(codes), _sha256(labelings)) == PINNED[surface]
+
+    def test_automorphisms_match_brute_force_up_to_order_seven(
+        self, closures, disk_catalog_3_5
+    ):
+        catalogs = [*closures.values(), disk_catalog_3_5]
+        checked = 0
+        for catalog in catalogs:
+            for entry in catalog.entries:
+                tri = entry.triangulation
+                if tri.order > 7:
+                    continue
+                faces = set(tri.faces)
+                expected = tuple(
+                    perm for perm in permutations(tri.vertices)
+                    if all(
+                        tuple(sorted((perm[a], perm[b], perm[c]))) in faces
+                        for a, b, c in tri.faces
+                    )
+                )
+                assert ts.automorphisms(tri).elements == expected
+                checked += 1
+        assert checked == 9 + 4 + 93 + len(disk_catalog_3_5)
+
+
+class TestRelabellingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_keeps_code_and_group_size(self, closures, data):
+        pool = [e.triangulation for c in closures.values() for e in c.entries]
+        tri = data.draw(st.sampled_from(pool))
+        other = ts.relabel(tri, tuple(data.draw(st.permutations(list(tri.vertices)))))
+        assert ts.canonical_code(other) == ts.canonical_code(tri)
+        assert ts.automorphisms(other).size == ts.automorphisms(tri).size

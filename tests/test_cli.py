@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import trisurf as ts
@@ -50,6 +52,33 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.tri")]) == 2
+
+    def test_directory_is_a_one_line_usage_error(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_unreadable_file_is_a_one_line_usage_error(
+        self, triangle_file, monkeypatch, capsys
+    ):
+        # File modes do not stop a root user, so the refusal is simulated.
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["validate", str(triangle_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Permission denied" in err
+
+    def test_non_utf8_file_is_a_one_line_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tri"
+        path.write_bytes(b"0 1 2 # caf\xe9\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode" in err
 
 
 class TestClassify:
@@ -115,6 +144,15 @@ class TestEnumerate:
         assert main(["enumerate", "--surface", "sphere", "--min-order", "4",
                      "--max-order", "12", "--engine", "exhaustive"]) == 2
         assert "CeilingExceeded" in capsys.readouterr().err
+
+    def test_order_beyond_the_search_limit_is_a_usage_error(self, capsys):
+        assert main(["enumerate", "--surface", "sphere", "--min-order", "16",
+                     "--max-order", "16", "--engine", "exhaustive",
+                     "--ceiling", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CeilingExceeded" in captured.err
+        assert "limit 15" in captured.err
 
     def test_bad_order_range(self, capsys):
         assert main(["enumerate", "--surface", "sphere", "--min-order", "6",

@@ -39,6 +39,10 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded):
             ts.enumerate_exhaustive(ts.SPHERE, 10)
 
+    def test_order_beyond_the_search_limit_is_refused(self):
+        with pytest.raises(errors.CeilingExceeded, match="limit 15"):
+            ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
+
     def test_min_order(self):
         assert ts.min_order(ts.DISK) == 3
         assert ts.min_order(ts.SPHERE) == 4
@@ -179,6 +183,28 @@ class TestCatalogFile:
     def test_missing_separator_rejected(self):
         with pytest.raises(errors.ParseError):
             ts.parse_catalog("surface: sphere\n")
+
+    def test_unsorted_records_are_a_parse_error(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        lines[7], lines[8] = lines[8], lines[7]
+        with pytest.raises(errors.ParseError, match="must be sorted"):
+            ts.parse_catalog("\n".join(lines))
+
+    def test_duplicated_record_is_a_parse_error(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        lines.insert(8, lines[7])
+        with pytest.raises(errors.ParseError, match="distinct codes"):
+            ts.parse_catalog("\n".join(lines))
+
+    def test_bad_order_range_header_is_a_parse_error(self):
+        with pytest.raises(errors.ParseError, match="bad orders '4-6'"):
+            ts.parse_catalog("surface: sphere\norders: 4-6\nengine: exhaustive\n---\n")
+
+    def test_bad_code_hex_is_a_parse_error(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        lines[7] = "zz" + lines[7][2:]
+        with pytest.raises(errors.ParseError, match="bad catalog record"):
+            ts.parse_catalog("\n".join(lines))
 
 
 class TestSeeds:
