@@ -27,13 +27,11 @@ from .complex_core import (  # noqa: F401
     loads,
     parse_face_lines,
     remove_vertex_star,
-    surface_kind,
 )
 from .canon import (  # noqa: F401
     AutomorphismGroup,
     CanonicalCode,
     automorphisms,
-    brute_force_isomorphic,
     canonical_code,
     canonical_faces,
     canonical_labeling,
@@ -68,8 +66,8 @@ from .enumeration import (  # noqa: F401
     compare_catalogs,
     enumerate_exhaustive,
     enumerate_exhaustive_range,
+    enumerate_splitting_range,
     generate_by_splitting,
-    min_order,
     parse_catalog,
     serialize_catalog,
 )
@@ -85,7 +83,6 @@ from .moebius_pipeline import (  # noqa: F401
     check_no_pylonic_creation,
     check_pylonicity_destroyed,
     derive_irreducible_moebius,
-    irreducible_seeds,
     pylonic_vertices,
     render_certificate,
     render_members_report,

@@ -219,61 +219,3 @@ def relabel(tri: Triangulation, perm: dict[int, int] | tuple[int, ...]) -> Trian
 
     mapping = perm if isinstance(perm, dict) else {i: p for i, p in enumerate(perm)}
     return build([(mapping[a], mapping[b], mapping[c]) for a, b, c in tri.faces])
-
-
-def brute_force_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
-    """Independent isomorphism oracle: backtracking over vertex bijections.
-
-    Used by the test suite to validate the canonical code; deliberately
-    shares no machinery with the flag traversal.
-    """
-    if t1.order != t2.order or len(t1.faces) != len(t2.faces):
-        return False
-    if t1.degree_sequence != t2.degree_sequence:
-        return False
-    n = t1.order
-    faces2 = set(t2.faces)
-
-    def key(tri: Triangulation, v: int) -> tuple[int, bool]:
-        return (tri.degrees[v], v in tri.boundary_vertices)
-
-    candidates = [
-        [w for w in range(n) if key(t2, w) == key(t1, v)] for v in range(n)
-    ]
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return all(
-                tuple(sorted((assignment[a], assignment[b], assignment[c]))) in faces2
-                for a, b, c in t1.faces
-            )
-        for w in candidates[v]:
-            if w in used:
-                continue
-            consistent = all(
-                t1.has_edge(v, u) == t2.has_edge(w, assignment[u])
-                for u in range(v)
-            )
-            if not consistent:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if extend(v + 1):
-                return True
-            used.discard(w)
-            del assignment[v]
-        return False
-
-    return extend(0)
-
-
-def nonisomorphic_representatives(
-    triangulations: list[Triangulation],
-) -> list[Triangulation]:
-    """One representative per canonical code, in code order."""
-    by_code: dict[bytes, Triangulation] = {}
-    for tri in triangulations:
-        by_code.setdefault(canonical_code(tri), tri)
-    return [by_code[code] for code in sorted(by_code)]

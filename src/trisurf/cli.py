@@ -9,6 +9,10 @@ Subcommands::
     trisurf enumerate ...            build catalogs (splitting | exhaustive | compare)
     trisurf verify-moebius ...       run the full classification certificate
 
+The splitting engine is seeded from the stored bases and never searches;
+``--ceiling`` and ``--jobs`` apply to the exhaustive engine (and to the
+certificate) only.
+
 Exit status: 0 on success, 1 when a verification fails (invalid complex,
 non-empty catalog diff, failed certificate clause), 2 on usage or parse
 errors.  All output is deterministic; ``--jobs`` only changes wall time.
@@ -18,41 +22,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .canon import canonical_code, canonical_faces
-from .complex_core import SURFACE_BY_NAME, SurfaceKind, Triangulation, dumps, loads
+from .complex_core import SURFACE_BY_NAME, Triangulation, dumps, loads
 from .enumeration import (
     DEFAULT_CEILING,
     compare_catalogs,
     enumerate_exhaustive_range,
-    generate_by_splitting,
-    min_order,
+    enumerate_splitting_range,
     serialize_catalog,
 )
 from .errors import CeilingExceeded, ParseError, TriangulationError
 from .moebius_pipeline import (
     build_certificate,
-    irreducible_seeds,
     render_certificate,
     render_members_report,
 )
 from .moves import apply_descriptor, classify_edge
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    surface: SurfaceKind
-    min_order: int
-    max_order: int
-    engine: str
-    ceiling: int
-    jobs: int
-    out: Path | None
 
 
 def _load(path: str) -> Triangulation:
@@ -111,56 +101,39 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        surface=SURFACE_BY_NAME[args.surface],
-        min_order=args.min_order,
-        max_order=args.max_order,
-        engine=args.engine,
-        ceiling=args.ceiling,
-        jobs=args.jobs,
-        out=Path(args.out) if args.out else None,
-    )
-    if config.min_order > config.max_order:
+    if args.min_order > args.max_order:
         print("error: --min-order exceeds --max-order", file=sys.stderr)
         return USAGE
-    tag = str(config.surface).replace("-", "_")
-
-    def exhaustive():
-        return enumerate_exhaustive_range(
-            config.surface, config.min_order, config.max_order,
-            config.ceiling, config.jobs,
+    kind = SURFACE_BY_NAME[args.surface]
+    out = Path(args.out) if args.out else None
+    tag = str(kind).replace("-", "_")
+    catalogs = {}
+    if args.engine in ("exhaustive", "compare"):
+        catalogs["exhaustive"] = enumerate_exhaustive_range(
+            kind, args.min_order, args.max_order, args.ceiling, args.jobs
         )
-
-    def splitting():
-        seeds = irreducible_seeds(
-            config.surface, config.max_order, config.ceiling, config.jobs
+    if args.engine in ("splitting", "compare"):
+        catalogs["splitting"] = enumerate_splitting_range(
+            kind, args.min_order, args.max_order
         )
-        catalog = generate_by_splitting(seeds, config.max_order)
-        return catalog.restricted(config.min_order, config.max_order)
-
-    if config.engine == "exhaustive":
-        _emit(config.out, f"{tag}_exhaustive.catalog", serialize_catalog(exhaustive()))
-        return OK
-    if config.engine == "splitting":
-        _emit(config.out, f"{tag}_splitting.catalog", serialize_catalog(splitting()))
+    for engine, catalog in catalogs.items():
+        _emit(out, f"{tag}_{engine}.catalog", serialize_catalog(catalog))
+    if args.engine != "compare":
         return OK
 
-    left = exhaustive()
-    right = splitting()
+    left, right = catalogs["exhaustive"], catalogs["splitting"]
     diff = compare_catalogs(left, right)
     lines = [
         "# trisurf catalog diff",
-        f"surface: {config.surface}",
-        f"orders: {config.min_order}..{config.max_order}",
+        f"surface: {kind}",
+        f"orders: {args.min_order}..{args.max_order}",
         f"exhaustive entries: {len(left)}",
         f"splitting entries: {len(right)}",
         f"only-exhaustive: {' '.join(e.code.hex() for e in diff.only_in_a) or '-'}",
         f"only-splitting: {' '.join(e.code.hex() for e in diff.only_in_b) or '-'}",
         f"result: {'EMPTY' if diff.is_empty else 'NONEMPTY'}",
     ]
-    _emit(config.out, f"{tag}_exhaustive.catalog", serialize_catalog(left))
-    _emit(config.out, f"{tag}_splitting.catalog", serialize_catalog(right))
-    _emit(config.out, f"{tag}_diff.txt", "\n".join(lines) + "\n")
+    _emit(out, f"{tag}_diff.txt", "\n".join(lines) + "\n")
     return OK if diff.is_empty else VERIFY_FAILED
 
 

@@ -362,11 +362,6 @@ def _is_orientable(tri: Triangulation) -> bool:
     return True
 
 
-def surface_kind(tri: Triangulation) -> SurfaceKind:
-    """Topological type (Euler characteristic, orientability, boundary count)."""
-    return tri.surface_kind
-
-
 def cone_boundary(tri: Triangulation, apex: int | None = None) -> Triangulation:
     """Close the unique boundary cycle with a fan of faces from a new vertex.
 

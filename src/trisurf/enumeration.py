@@ -3,8 +3,10 @@
 ``generate_by_splitting`` computes the breadth-first closure of a set of
 seed triangulations under all splitting moves, deduplicated by canonical
 code.  Because the irreducible triangulations of a surface form a basis
-under splitting, seeding with them yields every triangulation up to the
-requested order.
+under splitting (Barnette & Edelson 1989), seeding with them yields every
+triangulation up to the requested order.  ``BASES`` stores that basis as
+face lists for every named surface, and ``enumerate_splitting_range``
+seeds the closure from it, so the splitting engine never runs a search.
 
 ``enumerate_exhaustive`` is the anti-hallucination oracle: a backtracking
 search over face triples that constructs every triangulation with the
@@ -32,7 +34,12 @@ from functools import lru_cache
 from . import __version__
 from .canon import canonical_code
 from .complex_core import (
+    DISK,
+    MOEBIUS_BAND,
+    PROJECTIVE_PLANE,
+    SPHERE,
     SURFACE_BY_NAME,
+    Face,
     SurfaceKind,
     Triangulation,
     build,
@@ -47,6 +54,38 @@ from .moves import all_splits
 
 DEFAULT_CEILING = 9
 MAX_SEARCH_ORDER = 15
+
+# The irreducible triangulations of each named surface, a basis under
+# splitting.  Each member is the exhaustive search's representative of its
+# class, listed by (order, code), so seed names and catalog bytes do not
+# depend on which engine found them; the tests re-derive every basis by
+# search.
+BASES: dict[SurfaceKind, tuple[tuple[Face, ...], ...]] = {
+    SPHERE: (
+        ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+    ),
+    PROJECTIVE_PLANE: (
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5),
+         (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 6),
+         (1, 4, 5), (1, 4, 6), (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5)),
+    ),
+    DISK: (
+        ((0, 1, 2),),
+    ),
+    MOEBIUS_BAND: (
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4)),
+        ((0, 1, 2), (0, 1, 3), (1, 2, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5),
+         (2, 3, 5), (3, 4, 5)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 5), (1, 3, 4), (1, 4, 5),
+         (2, 3, 4), (2, 3, 5)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5),
+         (1, 3, 4), (1, 4, 5), (2, 3, 4)),
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 6),
+         (1, 4, 5), (1, 4, 6), (2, 3, 5), (2, 3, 6), (2, 4, 6)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -169,6 +208,23 @@ def generate_by_splitting(
                     )
     ordered = tuple(sorted(entries.values(), key=lambda e: (e.order, e.code)))
     return Catalog(kind, min_seed_order, max_order, "splitting", ordered)
+
+
+def enumerate_splitting_range(
+    kind: SurfaceKind, min_order: int, max_order: int
+) -> Catalog:
+    """Splitting closure of the stored basis of ``kind`` over an order range.
+
+    The counterpart of :func:`enumerate_exhaustive_range`; it never runs
+    the exhaustive search.  The catalog is empty when no basis member has
+    order at most ``max_order``.
+    """
+    if kind not in BASES:
+        raise ValueError(f"no stored splitting basis for {kind}")
+    seeds = [seed for seed in map(build, BASES[kind]) if seed.order <= max_order]
+    if not seeds:
+        return Catalog(kind, min_order, max_order, "splitting", ())
+    return generate_by_splitting(seeds, max_order).restricted(min_order, max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +547,6 @@ def _exhaustive_task(args: tuple[SurfaceKind, int, int]) -> Catalog:
     return enumerate_exhaustive(kind, order, ceiling)
 
 
-def min_order(kind: SurfaceKind) -> int:
-    """Smallest order admitting a triangulation of the kind (by search)."""
-    order = 3
-    while True:
-        if enumerate_exhaustive(kind, order).entries:
-            return order
-        order += 1
-
-
 # ---------------------------------------------------------------------------
 # Catalog text format
 # ---------------------------------------------------------------------------
@@ -540,13 +587,16 @@ def parse_catalog(text: str) -> Catalog:
     if body_start is None:
         raise ParseError("catalog has no '---' separator")
     try:
-        kind = SURFACE_BY_NAME[header["surface"]]
-        lo, hi = (int(bound) for bound in header["orders"].split(".."))
-        engine = header["engine"]
+        surface, orders, engine = header["surface"], header["orders"], header["engine"]
     except KeyError as exc:
         raise ParseError(f"catalog header missing field: {exc}") from None
+    if surface not in SURFACE_BY_NAME:
+        raise ParseError(f"catalog header: unknown surface {surface!r}")
+    kind = SURFACE_BY_NAME[surface]
+    try:
+        lo, hi = (int(bound) for bound in orders.split(".."))
     except ValueError:
-        raise ParseError(f"catalog header: bad orders {header['orders']!r}") from None
+        raise ParseError(f"catalog header: bad orders {orders!r}") from None
 
     entries = []
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):

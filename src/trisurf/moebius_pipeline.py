@@ -28,7 +28,6 @@ from .complex_core import (
     MOEBIUS_BAND,
     PROJECTIVE_PLANE,
     Edge,
-    SurfaceKind,
     Triangulation,
     cone_boundary,
     remove_vertex_star,
@@ -36,10 +35,10 @@ from .complex_core import (
 from .enumeration import (
     DEFAULT_CEILING,
     Catalog,
+    CatalogEntry,
     compare_catalogs,
     enumerate_exhaustive_range,
     generate_by_splitting,
-    min_order,
 )
 from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
 from .moves import all_splits, cable_subgraph, classify_edge, is_irreducible
@@ -223,19 +222,26 @@ def _pylonic_splits(tri: Triangulation) -> tuple[int, tuple[str, ...]]:
     return count, tuple(bad)
 
 
-def check_pylonicity_destroyed(catalog: Catalog, jobs: int = 1) -> SplitScanReport:
-    """Every split of every pylonic member must yield a non-pylonic result."""
-    members = [
-        entry for entry in catalog.entries
-        if analyze_pylonic(entry.triangulation).is_pylonic
-    ]
+def _scan_splits(
+    members: list[CatalogEntry], skipped: list[tuple[bytes, str]], jobs: int
+) -> SplitScanReport:
+    """Check every split of the members for pylonic results."""
     results = pmap(_pylonic_splits, [e.triangulation for e in members], jobs)
     checked = []
     violations = []
     for entry, (count, bad) in zip(members, results):
         checked.append((entry.code, count))
         violations.extend((entry.code, descriptor) for descriptor in bad)
-    return SplitScanReport(tuple(checked), (), tuple(violations))
+    return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))
+
+
+def check_pylonicity_destroyed(catalog: Catalog, jobs: int = 1) -> SplitScanReport:
+    """Every split of every pylonic member must yield a non-pylonic result."""
+    members = [
+        entry for entry in catalog.entries
+        if analyze_pylonic(entry.triangulation).is_pylonic
+    ]
+    return _scan_splits(members, [], jobs)
 
 
 def check_no_pylonic_creation(catalog: Catalog, jobs: int = 1) -> SplitScanReport:
@@ -252,35 +258,7 @@ def check_no_pylonic_creation(catalog: Catalog, jobs: int = 1) -> SplitScanRepor
             skipped.append((entry.code, "fewer than 2 cables"))
         else:
             members.append(entry)
-    results = pmap(_pylonic_splits, [e.triangulation for e in members], jobs)
-    checked = []
-    violations = []
-    for entry, (count, bad) in zip(members, results):
-        checked.append((entry.code, count))
-        violations.extend((entry.code, descriptor) for descriptor in bad)
-    return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))
-
-
-def irreducible_seeds(
-    kind: SurfaceKind,
-    max_order: int,
-    ceiling: int = DEFAULT_CEILING,
-    jobs: int = 1,
-) -> list[Triangulation]:
-    """The splitting basis of a surface, found by exhaustive scan.
-
-    Members of the minimum order are included unconditionally: shrinking
-    lowers the order, so they are irreducible by minimality (this also
-    sidesteps the 4-vertex sphere, which the impediment conditions
-    misreport).  Larger members are included when they are free of cables.
-    """
-    lowest = min_order(kind)
-    catalog = enumerate_exhaustive_range(kind, lowest, max_order, ceiling, jobs)
-    return [
-        entry.triangulation
-        for entry in catalog.entries
-        if entry.order == lowest or is_irreducible(entry.triangulation)
-    ]
+    return _scan_splits(members, skipped, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and the brute-force isomorphism oracle.
 
 The heavyweight catalogs are session-scoped: the exhaustive searches are
 cached per process, so the Moebius order-8 run happens exactly once for
@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 import trisurf as ts
+from trisurf import Triangulation, enumeration
 
 # A standard combinatorial icosahedron: apex 0, upper ring 1..5, lower
 # ring 6..10, apex 11.
@@ -30,6 +31,54 @@ OCTAHEDRON_FACES = [
     (0, 1, 2), (0, 2, 4), (0, 4, 3), (0, 3, 1),
     (5, 1, 2), (5, 2, 4), (5, 4, 3), (5, 3, 1),
 ]
+
+
+def brute_force_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
+    """Independent isomorphism oracle: backtracking over vertex bijections.
+
+    Used by the test suite to validate the canonical code; deliberately
+    shares no machinery with the flag traversal.
+    """
+    if t1.order != t2.order or len(t1.faces) != len(t2.faces):
+        return False
+    if t1.degree_sequence != t2.degree_sequence:
+        return False
+    n = t1.order
+    faces2 = set(t2.faces)
+
+    def key(tri: Triangulation, v: int) -> tuple[int, bool]:
+        return (tri.degrees[v], v in tri.boundary_vertices)
+
+    candidates = [
+        [w for w in range(n) if key(t2, w) == key(t1, v)] for v in range(n)
+    ]
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return all(
+                tuple(sorted((assignment[a], assignment[b], assignment[c]))) in faces2
+                for a, b, c in t1.faces
+            )
+        for w in candidates[v]:
+            if w in used:
+                continue
+            consistent = all(
+                t1.has_edge(v, u) == t2.has_edge(w, assignment[u])
+                for u in range(v)
+            )
+            if not consistent:
+                continue
+            assignment[v] = w
+            used.add(w)
+            if extend(v + 1):
+                return True
+            used.discard(w)
+            del assignment[v]
+        return False
+
+    return extend(0)
 
 
 def antipodal_quotient() -> ts.Triangulation:
@@ -101,3 +150,13 @@ def disk_catalog_3_5():
 @pytest.fixture(scope="session")
 def certificate(projective_catalog):
     return ts.build_certificate(projective_catalog=projective_catalog)
+
+
+@pytest.fixture()
+def no_search(monkeypatch):
+    """Make any exhaustive search fail, to prove a path never enters one."""
+    def refuse(*args):
+        raise AssertionError("the exhaustive search was entered")
+
+    monkeypatch.setattr(enumeration, "_search_cached", refuse)
+    monkeypatch.setattr(enumeration, "_search", refuse)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 
+from conftest import brute_force_isomorphic
+
 
 def _shuffled(tri, rng):
     perm = list(tri.vertices)
@@ -37,8 +39,10 @@ def closures():
     """Splitting closures of the sphere 4..8, projective plane 6..8 and
     Moebius band 5..7."""
     return {
-        str(kind): ts.generate_by_splitting(ts.irreducible_seeds(kind, top), top)
-        for kind, top in ((ts.SPHERE, 8), (ts.PROJECTIVE_PLANE, 8), (ts.MOEBIUS_BAND, 7))
+        str(kind): ts.enumerate_splitting_range(kind, low, top)
+        for kind, low, top in (
+            (ts.SPHERE, 4, 8), (ts.PROJECTIVE_PLANE, 6, 8), (ts.MOEBIUS_BAND, 5, 7)
+        )
     }
 
 
@@ -174,12 +178,12 @@ class TestAutomorphisms:
 class TestBruteForceOracle:
     def test_accepts_relabelings(self, proj_plane):
         rng = random.Random(3)
-        assert ts.brute_force_isomorphic(proj_plane, _shuffled(proj_plane, rng))
+        assert brute_force_isomorphic(proj_plane, _shuffled(proj_plane, rng))
 
     def test_rejects_distinct_members(self, projective_catalog):
         order7 = projective_catalog.of_order(7)
         for a, b in combinations(order7, 2):
-            assert not ts.brute_force_isomorphic(a.triangulation, b.triangulation)
+            assert not brute_force_isomorphic(a.triangulation, b.triangulation)
 
     def test_agrees_with_codes_on_order_seven(self, projective_catalog):
         rng = random.Random(17)
@@ -187,7 +191,7 @@ class TestBruteForceOracle:
         for a in members:
             for b in members:
                 expected = ts.canonical_code(a) == ts.canonical_code(b)
-                assert ts.brute_force_isomorphic(a, _shuffled(b, rng)) == expected
+                assert brute_force_isomorphic(a, _shuffled(b, rng)) == expected
 
 
 class TestWideCode:

@@ -154,6 +154,26 @@ class TestEnumerate:
         assert "CeilingExceeded" in captured.err
         assert "limit 15" in captured.err
 
+    def test_splitting_below_the_basis_is_an_empty_catalog(self, tmp_path, capsys):
+        argv = ["enumerate", "--surface", "sphere", "--min-order", "3",
+                "--max-order", "3"]
+        assert main(argv + ["--engine", "splitting"]) == 0
+        catalog = ts.parse_catalog(capsys.readouterr().out)
+        assert (catalog.engine, len(catalog)) == ("splitting", 0)
+        out = tmp_path / "cmp"
+        assert main(argv + ["--engine", "compare", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert "result: EMPTY" in (out / "sphere_diff.txt").read_text()
+
+    def test_splitting_has_no_ceiling(self, no_search, capsys):
+        # Sphere counts 1/1/2/5/14/50/233 at orders 4..10 (OEIS A000109),
+        # past the exhaustive engine's default ceiling of 9.
+        assert main(["enumerate", "--surface", "sphere", "--min-order", "4",
+                     "--max-order", "10", "--engine", "splitting"]) == 0
+        catalog = ts.parse_catalog(capsys.readouterr().out)
+        counts = [len(catalog.of_order(n)) for n in range(4, 11)]
+        assert counts == [1, 1, 2, 5, 14, 50, 233]
+
     def test_bad_order_range(self, capsys):
         assert main(["enumerate", "--surface", "sphere", "--min-order", "6",
                      "--max-order", "4"]) == 2

@@ -6,7 +6,9 @@ import pytest
 
 import trisurf as ts
 from trisurf import errors
-from trisurf.enumeration import Catalog
+from trisurf.enumeration import BASES, Catalog
+
+from conftest import brute_force_isomorphic
 
 
 class TestExhaustive:
@@ -43,12 +45,6 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded, match="limit 15"):
             ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
 
-    def test_min_order(self):
-        assert ts.min_order(ts.DISK) == 3
-        assert ts.min_order(ts.SPHERE) == 4
-        assert ts.min_order(ts.MOEBIUS_BAND) == 5
-        assert ts.min_order(ts.PROJECTIVE_PLANE) == 6
-
     def test_range_merges_orders(self, sphere_catalog_4_6):
         assert len(sphere_catalog_4_6) == 4
         assert (sphere_catalog_4_6.min_order, sphere_catalog_4_6.max_order) == (4, 6)
@@ -84,18 +80,34 @@ class TestSplittingClosure:
         assert ts.compare_catalogs(disk_catalog_3_5, closure).is_empty
 
     def test_moebius_closure_matches_exhaustive(self, moebius_catalog_5_7):
-        seeds = ts.irreducible_seeds(ts.MOEBIUS_BAND, 7)
+        closure = ts.enumerate_splitting_range(ts.MOEBIUS_BAND, 5, 7)
+        seeds = [e for e in closure.entries if e.provenance.startswith("seed:")]
         assert len(seeds) == 6
-        closure = ts.generate_by_splitting(seeds, 7)
         assert ts.compare_catalogs(moebius_catalog_5_7, closure).is_empty
 
-    def test_moebius_closure_matches_exhaustive_at_order_8(self, moebius_catalog_5_8):
+    def test_moebius_closure_matches_exhaustive_at_order_8(
+        self, moebius_catalog_5_8, no_search
+    ):
         # The strongest engine cross-check in the suite: both routes must
-        # agree on all 1058 moebius-band classes up to order 8.
-        seeds = ts.irreducible_seeds(ts.MOEBIUS_BAND, 8)
-        closure = ts.generate_by_splitting(seeds, 8)
+        # agree on all 1058 moebius-band classes up to order 8, and the
+        # splitting route must get there without entering the search.
+        closure = ts.enumerate_splitting_range(ts.MOEBIUS_BAND, 5, 8)
         assert len(closure) == len(moebius_catalog_5_8) == 1058
         assert ts.compare_catalogs(moebius_catalog_5_8, closure).is_empty
+
+    def test_projective_counts_by_splitting_alone(self, no_search):
+        # Sulanke & Lutz, Eur. J. Combin. 30 (2009).
+        closure = ts.enumerate_splitting_range(ts.PROJECTIVE_PLANE, 6, 9)
+        assert [len(closure.of_order(n)) for n in range(6, 10)] == [1, 3, 16, 134]
+
+    def test_range_below_the_basis_is_empty(self, no_search):
+        closure = ts.enumerate_splitting_range(ts.SPHERE, 3, 3)
+        assert (closure.engine, closure.min_order, closure.max_order) == ("splitting", 3, 3)
+        assert len(closure) == 0
+
+    def test_surface_without_a_stored_basis_is_refused(self):
+        with pytest.raises(ValueError, match="no stored splitting basis"):
+            ts.enumerate_splitting_range(ts.SurfaceKind(0, True, 0), 7, 7)
 
     def test_seed_order_above_max_rejected(self, tetrahedron):
         with pytest.raises(ValueError):
@@ -200,6 +212,14 @@ class TestCatalogFile:
         with pytest.raises(errors.ParseError, match="bad orders '4-6'"):
             ts.parse_catalog("surface: sphere\norders: 4-6\nengine: exhaustive\n---\n")
 
+    def test_unknown_surface_is_a_parse_error(self):
+        with pytest.raises(errors.ParseError, match="catalog header: unknown surface 'foo'"):
+            ts.parse_catalog("surface: foo\norders: 4..6\nengine: exhaustive\n---\n")
+
+    def test_missing_header_field_is_named(self):
+        with pytest.raises(errors.ParseError, match="missing field: 'engine'"):
+            ts.parse_catalog("surface: sphere\norders: 4..6\n---\n")
+
     def test_bad_code_hex_is_a_parse_error(self, sphere_catalog_4_6):
         lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
         lines[7] = "zz" + lines[7][2:]
@@ -207,15 +227,41 @@ class TestCatalogFile:
             ts.parse_catalog("\n".join(lines))
 
 
-class TestSeeds:
-    def test_sphere_basis_is_the_tetrahedron(self, tetrahedron):
-        seeds = ts.irreducible_seeds(ts.SPHERE, 6)
-        assert len(seeds) == 1
-        assert ts.isomorphic(seeds[0], tetrahedron)
+class TestBasis:
+    """Each stored basis is re-derived by exhaustive search: no order below
+    its minimum has a member, and the irreducible members together with
+    those of minimum order (irreducible by minimality; the tetrahedron's
+    edges pass the impediment test) are exactly the stored members."""
 
-    def test_projective_basis_has_two_members(self):
-        seeds = ts.irreducible_seeds(ts.PROJECTIVE_PLANE, 8)
-        assert sorted(seed.order for seed in seeds) == [6, 7]
+    @staticmethod
+    def _derive(kind, catalog):
+        stored = [ts.build(faces) for faces in BASES[kind]]
+        lowest = min(tri.order for tri in stored)
+        for order in range(1, lowest):
+            assert len(ts.enumerate_exhaustive(kind, order)) == 0
+        assert catalog.min_order == lowest
+        derived = [
+            e.code for e in catalog.entries
+            if e.order == lowest or ts.is_irreducible(e.triangulation)
+        ]
+        assert derived == [ts.canonical_code(tri) for tri in stored]
+        return derived
+
+    def test_sphere_basis_is_the_tetrahedron(self, tetrahedron):
+        derived = self._derive(ts.SPHERE, ts.enumerate_exhaustive_range(ts.SPHERE, 4, 7))
+        assert derived == [ts.canonical_code(tetrahedron)]
+
+    def test_disk_basis_is_the_triangle(self, triangle):
+        derived = self._derive(ts.DISK, ts.enumerate_exhaustive_range(ts.DISK, 3, 6))
+        assert derived == [ts.canonical_code(triangle)]
+
+    def test_projective_basis_has_two_members(self, projective_catalog):
+        derived = self._derive(ts.PROJECTIVE_PLANE, projective_catalog)
+        assert [projective_catalog.get(code).order for code in derived] == [6, 7]
+
+    def test_moebius_basis_is_the_certified_six(self, moebius_catalog_5_8, certificate):
+        derived = self._derive(ts.MOEBIUS_BAND, moebius_catalog_5_8)
+        assert derived == [record.code for record in certificate.derivations]
 
 
 class TestSubsetOracle:
@@ -246,7 +292,7 @@ class TestSubsetOracle:
                 if tri.surface_kind != kind:
                     continue
                 if not any(
-                    ts.brute_force_isomorphic(tri, seen) for seen in representatives
+                    brute_force_isomorphic(tri, seen) for seen in representatives
                 ):
                     representatives.append(tri)
         return representatives

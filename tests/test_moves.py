@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
@@ -173,6 +174,22 @@ class TestShrinkEdge:
             for descriptor, child in ts.all_splits(tri)[:15]:
                 fresh = (descriptor.v, tri.order)
                 assert ts.shrink_edge(child, fresh).faces == tri.faces
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_shrinking_fresh_edges_in_reverse_undoes_splits(
+        self, proj_plane, k5_moebius, tetrahedron, data
+    ):
+        tri = data.draw(st.sampled_from([proj_plane, k5_moebius, tetrahedron]))
+        current = tri
+        fresh = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            descriptor, child = data.draw(st.sampled_from(ts.all_splits(current)))
+            fresh.append((descriptor.v, current.order))
+            current = child
+        for edge in reversed(fresh):
+            current = ts.shrink_edge(current, edge)
+        assert current.faces == tri.faces
 
     def test_shrink_preserves_surface_kind(self, projective_catalog):
         entry = projective_catalog.of_order(8)[0]
