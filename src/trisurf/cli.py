@@ -10,12 +10,13 @@ Subcommands::
     trisurf verify-moebius ...       run the full classification certificate
 
 The splitting engine is seeded from the stored bases and never searches;
-``--ceiling`` and ``--jobs`` apply to the exhaustive engine (and to the
-certificate) only.
+``--ceiling`` applies to the exhaustive engine (and to the certificate)
+only.  ``--jobs N`` is accepted for compatibility and has no effect:
+everything runs in one process.
 
 Exit status: 0 on success, 1 when a verification fails (invalid complex,
 non-empty catalog diff, failed certificate clause), 2 on usage or parse
-errors.  All output is deterministic; ``--jobs`` only changes wall time.
+errors.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .moebius_pipeline import (
 from .moves import apply_descriptor, classify_edge
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
+JOBS_HELP = "accepted for compatibility; has no effect"
 
 
 def _load(path: str) -> Triangulation:
@@ -110,7 +112,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     catalogs = {}
     if args.engine in ("exhaustive", "compare"):
         catalogs["exhaustive"] = enumerate_exhaustive_range(
-            kind, args.min_order, args.max_order, args.ceiling, args.jobs
+            kind, args.min_order, args.max_order, args.ceiling
         )
     if args.engine in ("splitting", "compare"):
         catalogs["splitting"] = enumerate_splitting_range(
@@ -141,7 +143,6 @@ def cmd_verify_moebius(args: argparse.Namespace) -> int:
     certificate = build_certificate(
         max_cross_check_order=args.max_order,
         ceiling=args.ceiling,
-        jobs=args.jobs,
     )
     out = Path(args.out) if args.out else None
     _emit(out, "moebius_certificate.txt", render_certificate(certificate))
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["splitting", "exhaustive", "compare"],
     )
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None, help="output directory (default: stdout)")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -205,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="top order for the exhaustive cross-check (default 8)",
     )
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_moebius)
 

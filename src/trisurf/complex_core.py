@@ -293,18 +293,19 @@ def _validate(tri: Triangulation) -> None:
 
 def _vertex_link(v: int, star: list[Face]) -> VertexLink:
     """Assemble the link of ``v`` from the faces of its star and verify it
-    is one path or one cycle."""
-    # A link vertex's first and second neighbour; a third one is a branch.
+    is one path or one cycle.
+
+    ``star`` is non-empty (every label comes from a face) and no link
+    vertex has a third neighbour (that edge would lie in three faces,
+    which :func:`_validate` rejects before any link is built).
+    """
+    # A link vertex's first and second neighbour.
     first: dict[int, int] = {}
     second: dict[int, int] = {}
     for a, b, c in star:
         x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
         for p, q in ((x, y), (y, x)):
-            if p in second:
-                raise PinchedVertex(f"link of vertex {v} branches")
             (second if p in first else first)[p] = q
-    if not first:
-        raise PinchedVertex(f"vertex {v} has no incident faces")
 
     endpoints = sorted(x for x in first if x not in second)
     if endpoints:

@@ -531,20 +531,14 @@ def enumerate_exhaustive_range(
     min_order: int,
     max_order: int,
     ceiling: int = DEFAULT_CEILING,
-    jobs: int = 1,
 ) -> Catalog:
     """Union of :func:`enumerate_exhaustive` over an order range."""
-    from ._parallel import pmap
-
-    tasks = [(kind, order, ceiling) for order in range(min_order, max_order + 1)]
-    catalogs = pmap(_exhaustive_task, tasks, jobs)
-    entries = tuple(entry for catalog in catalogs for entry in catalog.entries)
+    entries = tuple(
+        entry
+        for order in range(min_order, max_order + 1)
+        for entry in enumerate_exhaustive(kind, order, ceiling).entries
+    )
     return Catalog(kind, min_order, max_order, "exhaustive", entries)
-
-
-def _exhaustive_task(args: tuple[SurfaceKind, int, int]) -> Catalog:
-    kind, order, ceiling = args
-    return enumerate_exhaustive(kind, order, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +567,15 @@ def serialize_catalog(catalog: Catalog) -> str:
 
 
 def parse_catalog(text: str) -> Catalog:
+    """Read a catalog written by :func:`serialize_catalog`.
+
+    Every record is rebuilt and checked against its stored code, order and
+    the header's surface and order range, and the header's ``entries``
+    count (when present) against the records; any mismatch is a
+    :class:`ParseError` naming the line.
+    """
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     lines = text.splitlines()
     body_start = None
     for i, line in enumerate(lines):
@@ -584,6 +586,7 @@ def parse_catalog(text: str) -> Catalog:
             continue
         key, _, value = line.partition(":")
         header[key.strip()] = value.strip()
+        header_line[key.strip()] = i + 1
     if body_start is None:
         raise ParseError("catalog has no '---' separator")
     try:
@@ -616,8 +619,28 @@ def parse_catalog(text: str) -> Catalog:
             raise ParseError(
                 f"line {lineno}: stored code does not match the face list"
             )
+        if order != tri.order:
+            raise ParseError(
+                f"line {lineno}: order {order} but the face list has "
+                f"{tri.order} vertices"
+            )
+        if not lo <= order <= hi:
+            raise ParseError(
+                f"line {lineno}: order {order} outside the header's {lo}..{hi}"
+            )
+        if tri.surface_kind != kind:
+            raise ParseError(
+                f"line {lineno}: face list triangulates the "
+                f"{tri.surface_kind}, header says {kind}"
+            )
         entries.append(CatalogEntry(code, order, tri, provenance))
     try:
-        return Catalog(kind, lo, hi, engine, tuple(entries))
+        catalog = Catalog(kind, lo, hi, engine, tuple(entries))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if "entries" in header and header["entries"] != str(len(entries)):
+        raise ParseError(
+            f"line {header_line['entries']}: header says {header['entries']} "
+            f"entries, found {len(entries)} records"
+        )
+    return catalog

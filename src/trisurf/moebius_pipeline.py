@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._parallel import pmap
 from .canon import canonical_code, vertex_orbits
 from .complex_core import (
     MOEBIUS_BAND,
@@ -211,40 +210,32 @@ class SplitScanReport:
         return not self.violations
 
 
-def _pylonic_splits(tri: Triangulation) -> tuple[int, tuple[str, ...]]:
-    """Count the splits of a closed member and list the pylonic results."""
-    bad = []
-    count = 0
-    for descriptor, child in all_splits(tri):
-        count += 1
-        if analyze_pylonic(child).is_pylonic:
-            bad.append(descriptor.descriptor())
-    return count, tuple(bad)
-
-
 def _scan_splits(
-    members: list[CatalogEntry], skipped: list[tuple[bytes, str]], jobs: int
+    members: list[CatalogEntry], skipped: list[tuple[bytes, str]]
 ) -> SplitScanReport:
     """Check every split of the members for pylonic results."""
-    results = pmap(_pylonic_splits, [e.triangulation for e in members], jobs)
     checked = []
     violations = []
-    for entry, (count, bad) in zip(members, results):
+    for entry in members:
+        count = 0
+        for descriptor, child in all_splits(entry.triangulation):
+            count += 1
+            if analyze_pylonic(child).is_pylonic:
+                violations.append((entry.code, descriptor.descriptor()))
         checked.append((entry.code, count))
-        violations.extend((entry.code, descriptor) for descriptor in bad)
     return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))
 
 
-def check_pylonicity_destroyed(catalog: Catalog, jobs: int = 1) -> SplitScanReport:
+def check_pylonicity_destroyed(catalog: Catalog) -> SplitScanReport:
     """Every split of every pylonic member must yield a non-pylonic result."""
     members = [
         entry for entry in catalog.entries
         if analyze_pylonic(entry.triangulation).is_pylonic
     ]
-    return _scan_splits(members, [], jobs)
+    return _scan_splits(members, [])
 
 
-def check_no_pylonic_creation(catalog: Catalog, jobs: int = 1) -> SplitScanReport:
+def check_no_pylonic_creation(catalog: Catalog) -> SplitScanReport:
     """No split of a >= 2-cable non-pylonic member may create a pylonic vertex."""
     members = []
     skipped = []
@@ -258,7 +249,7 @@ def check_no_pylonic_creation(catalog: Catalog, jobs: int = 1) -> SplitScanRepor
             skipped.append((entry.code, "fewer than 2 cables"))
         else:
             members.append(entry)
-    return _scan_splits(members, skipped, jobs)
+    return _scan_splits(members, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +299,14 @@ def build_certificate(
     ``projective_catalog`` may inject a prebuilt (or deliberately
     corrupted) order 6..8 exhaustive catalog; by default it is computed
     here.  The certificate is always returned; failed clauses are marked,
-    never raised.
+    never raised.  ``jobs`` is accepted for compatibility and ignored: the
+    pipeline runs in one process.
     """
     clauses: list[Clause] = []
 
     if projective_catalog is None:
         projective_catalog = enumerate_exhaustive_range(
-            PROJECTIVE_PLANE, 6, 8, ceiling, jobs
+            PROJECTIVE_PLANE, 6, 8, ceiling
         )
     catalog = projective_catalog
 
@@ -401,7 +393,7 @@ def build_certificate(
         + " ".join(entry.code.hex() for entry in pylonic_entries),
     ))
 
-    destroyed = check_pylonicity_destroyed(catalog, jobs)
+    destroyed = check_pylonicity_destroyed(catalog)
     clauses.append(Clause(
         "pylonicity-destroyed",
         "every split of each pylonic member is non-pylonic",
@@ -410,7 +402,7 @@ def build_certificate(
         f"members; violations: {len(destroyed.violations)}",
     ))
 
-    creation = check_no_pylonic_creation(catalog, jobs)
+    creation = check_no_pylonic_creation(catalog)
     clauses.append(Clause(
         "no-pylonic-creation",
         "no split of a >=2-cable non-pylonic member creates a pylonic vertex",
@@ -490,7 +482,7 @@ def build_certificate(
     ))
 
     cross = enumerate_exhaustive_range(
-        MOEBIUS_BAND, 5, max_cross_check_order, ceiling, jobs
+        MOEBIUS_BAND, 5, max_cross_check_order, ceiling
     )
     cross_irreducible = [
         entry for entry in cross.entries if is_irreducible(entry.triangulation)

@@ -1,0 +1,33 @@
+"""The benchmark's certificate pass still runs against the current API.
+
+``bench/worker.py`` calls ``build_certificate(..., jobs=1)`` and checks the
+certificate texts against stored sha256 digests, so this catches API drift
+and output changes that would otherwise only show in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_certificate_workload_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"),
+         "--workload", "certificate", "--seed", "0"],
+        cwd=ROOT, env={**os.environ, "PYTHONHASHSEED": "0"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result_lines = [
+        line for line in proc.stdout.splitlines() if line.startswith("RESULT ")
+    ]
+    assert len(result_lines) == 1, proc.stdout
+    result = json.loads(result_lines[0][len("RESULT "):])
+    assert result["failures"] == []
+    assert result["known_defects"] == []

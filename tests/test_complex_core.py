@@ -5,10 +5,26 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
+from trisurf.enumeration import BASES
 from tests.conftest import ANTIPODAL, ICOSAHEDRON_FACES
+
+# Face soups over a small label range: random triples, short lists of
+# label lists of any length, and subsets of a sphere and of a projective
+# plane, which also give disks, Moebius bands, pinched vertices and
+# disconnected complexes.
+LABELS = st.integers(0, 6)
+FACE_SOUPS = st.one_of(
+    st.lists(st.lists(LABELS, min_size=3, max_size=3, unique=True), max_size=12),
+    st.lists(st.lists(LABELS, max_size=4), max_size=3),
+    *(
+        st.lists(st.sampled_from(faces), max_size=len(faces), unique=True)
+        for faces in (ICOSAHEDRON_FACES, BASES[ts.PROJECTIVE_PLANE][0])
+    ),
+)
 
 
 class TestBuild:
@@ -163,6 +179,26 @@ class TestConeAndRemove:
         assert ts.isomorphic(ts.cone_boundary(k5_moebius), proj_plane)
         coned = ts.cone_boundary(k5_moebius, apex=9)
         assert ts.isomorphic(ts.remove_vertex_star(coned, 5), k5_moebius)
+
+    def test_remove_missing_vertex_is_not_a_surface(self, tetrahedron):
+        with pytest.raises(errors.ResultNotSurface, match="vertex 4 does not exist"):
+            ts.remove_vertex_star(tetrahedron, tetrahedron.order)
+
+
+class TestFaceSoupProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(soup=FACE_SOUPS)
+    def test_build_gives_a_surface_or_a_named_error(self, soup):
+        try:
+            tri = ts.build(soup)
+        except errors.TriangulationError:
+            return
+        assert all(len(faces) <= 2 for faces in tri.edge_faces.values())
+        for v in tri.vertices:
+            link = tri.link(v)
+            assert len(link.sequence) == tri.degrees[v]
+            assert link.is_cycle == (v not in tri.boundary_vertices)
+        assert tri.surface_kind.euler_characteristic == tri.euler_characteristic
 
 
 class TestFaceListFormat:

@@ -49,10 +49,6 @@ class TestExhaustive:
         assert len(sphere_catalog_4_6) == 4
         assert (sphere_catalog_4_6.min_order, sphere_catalog_4_6.max_order) == (4, 6)
 
-    def test_parallel_run_is_identical(self, sphere_catalog_4_6):
-        parallel = ts.enumerate_exhaustive_range(ts.SPHERE, 4, 6, jobs=2)
-        assert parallel.codes() == sphere_catalog_4_6.codes()
-
     def test_unique_torus_triangulation_of_order_7(self):
         # Classical fact: the complete graph K7 triangulates the torus,
         # uniquely at order 7.
@@ -224,6 +220,54 @@ class TestCatalogFile:
         lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
         lines[7] = "zz" + lines[7][2:]
         with pytest.raises(errors.ParseError, match="bad catalog record"):
+            ts.parse_catalog("\n".join(lines))
+
+    # A serialized sphere 4..6 catalog: header lines 1-7 ("orders" on line 3,
+    # "entries: 4" on line 6), then records of orders 4, 5, 6, 6 on lines 8-11.
+
+    def test_order_field_must_match_the_face_list(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        lines[2] = "orders: 4..7"
+        code, _, rest = lines[10].split(" ", 2)
+        lines[10] = f"{code} 7 {rest}"
+        with pytest.raises(
+            errors.ParseError, match="line 11: order 7 but the face list has 6 vertices"
+        ):
+            ts.parse_catalog("\n".join(lines))
+
+    def test_order_must_lie_in_the_header_range(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        lines[2] = "orders: 4..5"
+        with pytest.raises(
+            errors.ParseError, match="line 10: order 6 outside the header's 4..5"
+        ):
+            ts.parse_catalog("\n".join(lines))
+
+    def test_record_surface_must_match_the_header(
+        self, sphere_catalog_4_6, projective_catalog
+    ):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        spliced = ts.serialize_catalog(projective_catalog).splitlines()[7]
+        assert spliced.split(" ")[1] == "6"
+        records = sorted(
+            lines[7:] + [spliced], key=lambda r: (int(r.split(" ")[1]), r)
+        )
+        lines[5] = "entries: 5"
+        at = 8 + records.index(spliced)
+        with pytest.raises(
+            errors.ParseError,
+            match=f"line {at}: face list triangulates the projective-plane, "
+                  "header says sphere",
+        ):
+            ts.parse_catalog("\n".join(lines[:7] + records))
+
+    def test_entries_count_must_match_the_records(self, sphere_catalog_4_6):
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        assert lines[5] == "entries: 4"
+        lines[5] = "entries: 7"
+        with pytest.raises(
+            errors.ParseError, match="line 6: header says 7 entries, found 4 records"
+        ):
             ts.parse_catalog("\n".join(lines))
 
 
