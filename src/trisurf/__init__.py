@@ -51,7 +51,6 @@ from .moves import (  # noqa: F401
     classify_edge,
     corners,
     is_irreducible,
-    nonfacial_triangles,
     parse_descriptor,
     shrink_edge,
     split_corner,

@@ -18,17 +18,16 @@ records order, face count and boundary length in one byte each; at 256 or
 more of any of them the code is wide: a 0 byte, then the header and the
 labels as 2-byte big-endian numbers.
 
-All functions are pure; codes and labelings are cached per value.
+All functions are pure; codes and labelings are cached on the value.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
-from .complex_core import Triangulation
+from .complex_core import Triangulation, build
 
 CanonicalCode = bytes
 Flag = tuple[int, int, int]
@@ -133,8 +132,7 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     return found
 
 
-@lru_cache(maxsize=65536)
-def _canonical(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
+def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
     # The relabelled face lists share a fixed-width byte encoding, so the
     # list order is the code order; the first minimal flag wins ties.
     cross = _cross_map(tri)
@@ -155,12 +153,12 @@ def _canonical(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
 
 def canonical_code(tri: Triangulation) -> CanonicalCode:
     """Byte key uniquely identifying the isomorphism class."""
-    return _canonical(tri)[0]
+    return tri._canonical[0]
 
 
 def canonical_labeling(tri: Triangulation) -> tuple[int, ...]:
     """A vertex relabelling realising the canonical code."""
-    return _canonical(tri)[1]
+    return tri._canonical[1]
 
 
 def canonical_faces(tri: Triangulation) -> tuple[tuple[int, int, int], ...]:
@@ -215,7 +213,5 @@ def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
 
 def relabel(tri: Triangulation, perm: dict[int, int] | tuple[int, ...]) -> Triangulation:
     """Apply a vertex permutation and rebuild (test helper and witness checker)."""
-    from .complex_core import build
-
     mapping = perm if isinstance(perm, dict) else {i: p for i, p in enumerate(perm)}
     return build([(mapping[a], mapping[b], mapping[c]) for a, b, c in tri.faces])

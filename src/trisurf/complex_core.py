@@ -11,6 +11,8 @@ circulation is a genuine triangulation of a (possibly bordered) surface:
 * the complex is connected.
 
 Instances are immutable and hashable; all operations return new values.
+Derived data, the canonical code included, is cached on the instance on
+first use, so it lives exactly as long as the value.
 Vertex ids are always the dense range ``0..order-1``: arbitrary input
 labels are remapped by :func:`build` and the original labels are kept in
 ``source_labels`` for reporting.
@@ -161,6 +163,33 @@ class Triangulation:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.neighbors)
+
+    @cached_property
+    def nonfacial_triangles(self) -> frozenset[Face]:
+        """All 3-cliques of the graph that are not faces."""
+        face_set = set(self.faces)
+        found = set()
+        for u, v in self.edges:
+            for w in set(self.neighbors[u]).intersection(self.neighbors[v]):
+                triple = tuple(sorted((u, v, w)))
+                if triple not in face_set:
+                    found.add(triple)
+        return frozenset(found)
+
+    @cached_property
+    def nonfacial_edges(self) -> frozenset[Edge]:
+        """The edges that lie in a nonfacial 3-cycle."""
+        return frozenset(
+            edge for a, b, c in self.nonfacial_triangles
+            for edge in ((a, b), (a, c), (b, c))
+        )
+
+    @cached_property
+    def _canonical(self) -> tuple[bytes, tuple[int, ...]]:
+        # A local import: canon imports this module.
+        from .canon import _canonical_form
+
+        return _canonical_form(self)
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:

@@ -190,6 +190,8 @@ def generate_by_splitting(
             code, CatalogEntry(code, seed.order, seed, f"seed:{name}")
         )
 
+    # Equal children recur: a face is subdivided from each of its three vertices.
+    seen: set[tuple[Face, ...]] = set()
     min_seed_order = min(seed.order for seed in seeds)
     for order in range(min_seed_order, max_order):
         layer = sorted(
@@ -198,6 +200,9 @@ def generate_by_splitting(
         )
         for entry in layer:
             for descriptor, child in all_splits(entry.triangulation):
+                if child.faces in seen:
+                    continue
+                seen.add(child.faces)
                 child_code = canonical_code(child)
                 if child_code not in entries:
                     entries[child_code] = CatalogEntry(
@@ -487,6 +492,8 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     return [found[code] for code in sorted(found)]
 
 
+# Keyed on the query, not on a complex: the Moebius catalog, the certificate
+# and the cross-check share one order-8 search (about 24 s).
 @lru_cache(maxsize=64)
 def _search_cached(
     n: int, allow_boundary: bool, face_cap: int

@@ -56,25 +56,15 @@ class PylonicAnalysis:
 
 def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
     """Vertices incident with every cable (empty when there are no cables)."""
-    if not tri.is_closed:
-        raise NotClosed("pylonic vertices are defined for closed complexes")
-    cables = cable_subgraph(tri)
-    if not cables:
-        return frozenset()
-    common = set(range(tri.order))
-    for edge in cables:
-        common.intersection_update(edge)
-        if not common:
-            break
-    return frozenset(common)
+    return analyze_pylonic(tri).pylonic_vertices
 
 
 def analyze_pylonic(tri: Triangulation) -> PylonicAnalysis:
-    return PylonicAnalysis(
-        triangulation=tri,
-        cables=cable_subgraph(tri),
-        pylonic_vertices=pylonic_vertices(tri),
-    )
+    if not tri.is_closed:
+        raise NotClosed("pylonic vertices are defined for closed complexes")
+    cables = cable_subgraph(tri)
+    common = set(range(tri.order)).intersection(*cables) if cables else set()
+    return PylonicAnalysis(tri, cables, frozenset(common))
 
 
 @dataclass(frozen=True)

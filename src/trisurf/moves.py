@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complex_core import Edge, Triangulation, build
 from .errors import (
@@ -81,35 +80,13 @@ class TruncatedCorner:
         return f"spt {self.v} {self.u}"
 
 
-@lru_cache(maxsize=65536)
-def nonfacial_triangles(tri: Triangulation) -> frozenset[tuple[int, int, int]]:
-    """All 3-cliques of the graph that are not faces."""
-    face_set = set(tri.faces)
-    found = set()
-    for u, v in tri.edges:
-        common = set(tri.neighbors[u]).intersection(tri.neighbors[v])
-        for w in common:
-            triple = tuple(sorted((u, v, w)))
-            if triple not in face_set:
-                found.add(triple)
-    return frozenset(found)
-
-
-@lru_cache(maxsize=65536)
-def _edges_in_nonfacial(tri: Triangulation) -> frozenset[Edge]:
-    hit: set[Edge] = set()
-    for a, b, c in nonfacial_triangles(tri):
-        hit.update(((a, b), (a, c), (b, c)))
-    return frozenset(hit)
-
-
 def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
     """Apply the three shrinkability impediments to one edge."""
     e = (min(edge), max(edge))
     if e not in tri.edge_faces:
         raise UnknownEdge(f"{e[0]}-{e[1]} is not an edge")
     impediments = set()
-    if e in _edges_in_nonfacial(tri):
+    if e in tri.nonfacial_edges:
         impediments.add(Impediment.NONFACIAL_TRIANGLE)
     if e in tri.boundary_edges:
         cycle = next(c for c in tri.boundary_cycles if e[0] in c and e[1] in c)
@@ -120,7 +97,6 @@ def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
     return EdgeClassification(edge=e, impediments=frozenset(impediments))
 
 
-@lru_cache(maxsize=65536)
 def cable_subgraph(tri: Triangulation) -> frozenset[Edge]:
     """The set of shrinkable edges."""
     return frozenset(e for e in tri.edges if classify_edge(tri, e).is_cable)
@@ -279,7 +255,7 @@ def parse_descriptor(text: str) -> Corner | TruncatedCorner | Edge:
             return TruncatedCorner(v=int(tokens[1]), u=int(tokens[2]))
         if tokens[0] == "sh" and len(tokens) == 3:
             return (int(tokens[1]), int(tokens[2]))
-    except ValueError:
+    except (IndexError, ValueError):
         pass
     raise ParseError(f"bad operation descriptor: {text!r}")
 

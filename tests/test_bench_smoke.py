@@ -1,8 +1,10 @@
-"""The benchmark's certificate pass still runs against the current API.
+"""Every benchmark workload still runs against the current API.
 
-``bench/worker.py`` calls ``build_certificate(..., jobs=1)`` and checks the
-certificate texts against stored sha256 digests, so this catches API drift
-and output changes that would otherwise only show in a benchmark run.
+``bench/worker.py`` runs one pass of a workload and checks its outputs
+against stored sha256 digests: the certificate texts (``certificate``),
+the closure code lists (``closure``) and the ``kernel-large`` code list.
+This catches API drift and output changes that would otherwise only show
+in a benchmark run.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_certificate_workload_passes():
+@pytest.mark.parametrize("workload", ["certificate", "closure", "kernel-large"])
+def test_workload_passes(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"),
-         "--workload", "certificate", "--seed", "0"],
+         "--workload", workload, "--seed", "0"],
         cwd=ROOT, env={**os.environ, "PYTHONHASHSEED": "0"},
         capture_output=True, text=True, timeout=300,
     )

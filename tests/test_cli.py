@@ -118,6 +118,11 @@ class TestApply:
     def test_bad_descriptor_is_usage_error(self, quotient_file, capsys):
         assert main(["apply", str(quotient_file), "flip 0 1"]) == 2
 
+    def test_empty_descriptor_is_usage_error(self, quotient_file, capsys):
+        assert main(["apply", str(quotient_file), ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_compare_sphere_is_empty_and_deterministic(self, tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,23 @@ class TestConeAndRemove:
     def test_remove_missing_vertex_is_not_a_surface(self, tetrahedron):
         with pytest.raises(errors.ResultNotSurface, match="vertex 4 does not exist"):
             ts.remove_vertex_star(tetrahedron, tetrahedron.order)
+
+
+class TestDerivedDataLifetime:
+    def test_value_with_computed_data_is_freed(self, proj_plane):
+        # Derived data is cached on the value itself; no module-level cache
+        # may keep a short-lived complex alive.
+        child = ts.split_corner(proj_plane, ts.corners(proj_plane)[0])
+        ts.canonical_code(child)
+        ts.cable_subgraph(child)
+        ts.classify_edge(child, child.edges[0])
+        ts.is_irreducible(child)
+        ts.vertex_orbits(child)
+        ts.analyze_pylonic(child)
+        ref = weakref.ref(child)
+        del child
+        gc.collect()
+        assert ref() is None
 
 
 class TestFaceSoupProperty:

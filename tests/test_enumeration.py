@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
@@ -167,7 +168,58 @@ class TestCompare:
             )
 
 
+# Small splitting catalogs: a surface and an order range from one below its
+# basis up to a cheap closure, so empty catalogs occur too.
+SMALL_RANGES = {
+    ts.SPHERE: (3, 7), ts.PROJECTIVE_PLANE: (5, 7),
+    ts.DISK: (2, 6), ts.MOEBIUS_BAND: (4, 6),
+}
+
+
+@st.composite
+def splitting_catalogs(draw):
+    kind = draw(st.sampled_from(list(SMALL_RANGES)))
+    low, high = SMALL_RANGES[kind]
+    max_order = draw(st.integers(low, high))
+    min_order = draw(st.integers(low, max_order))
+    return ts.enumerate_splitting_range(kind, min_order, max_order)
+
+
+# One character edit: cut 0 or 1 characters, insert 0 or 1; never a no-op.
+CHARACTER_EDITS = st.tuples(
+    st.integers(0, 1), st.sampled_from(["", *"0123456789abcdef,;:.- \n#x"])
+).filter(lambda edit: edit[0] or edit[1])
+
+
+@pytest.fixture(scope="module")
+def small_catalog_texts():
+    return [
+        ts.serialize_catalog(ts.enumerate_splitting_range(kind, low + 1, high))
+        for kind, (low, high) in SMALL_RANGES.items()
+    ]
+
+
 class TestCatalogFile:
+    @settings(max_examples=40, deadline=None)
+    @given(catalog=splitting_catalogs())
+    def test_round_trip_property(self, catalog):
+        assert ts.parse_catalog(ts.serialize_catalog(catalog)) == catalog
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_edited_catalog_parses_or_raises_a_named_error(
+        self, small_catalog_texts, data
+    ):
+        text = data.draw(st.sampled_from(small_catalog_texts))
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(text)))
+            cut, inserted = data.draw(CHARACTER_EDITS)
+            text = text[:i] + inserted + text[i + cut:]
+        try:
+            ts.parse_catalog(text)
+        except errors.TriangulationError:
+            pass
+
     def test_round_trip(self, projective_catalog):
         text = ts.serialize_catalog(projective_catalog)
         again = ts.parse_catalog(text)

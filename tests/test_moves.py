@@ -23,18 +23,18 @@ def _clique_triangles(tri):
 
 class TestNonfacialTriangles:
     def test_triangle_has_none(self, triangle):
-        assert ts.nonfacial_triangles(triangle) == frozenset()
+        assert triangle.nonfacial_triangles == frozenset()
 
     def test_octahedron_has_none(self, octahedron):
         expected = _clique_triangles(octahedron) - set(octahedron.faces)
         assert expected == set()
-        assert ts.nonfacial_triangles(octahedron) == frozenset()
+        assert octahedron.nonfacial_triangles == frozenset()
 
     def test_quotient_has_ten(self, proj_plane):
         # K6 carries C(6,3) = 20 triangles and the complex uses 10 as faces.
         expected = _clique_triangles(proj_plane) - set(proj_plane.faces)
         assert len(expected) == 10
-        assert ts.nonfacial_triangles(proj_plane) == frozenset(expected)
+        assert proj_plane.nonfacial_triangles == frozenset(expected)
 
 
 class TestClassifyEdge:
@@ -218,6 +218,11 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             ts.parse_descriptor("flip 0 1")
 
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_descriptor(self, text):
+        with pytest.raises(errors.ParseError):
+            ts.parse_descriptor(text)
+
 
 class TestBoundaryTriangleSubsumption:
     def test_rim_edges_of_short_boundaries_hit_nonfacial_cycles_after_coning(
@@ -235,7 +240,7 @@ class TestBoundaryTriangleSubsumption:
         for tri in corpus:
             coned = ts.cone_boundary(tri)
             assert coned.surface_kind != ts.SPHERE
-            nonfacial = ts.nonfacial_triangles(coned)
+            nonfacial = coned.nonfacial_triangles
             for edge in tri.boundary_edges:
                 assert any(
                     edge[0] in triple and edge[1] in triple for triple in nonfacial
