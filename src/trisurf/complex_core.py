@@ -10,6 +10,11 @@ circulation is a genuine triangulation of a (possibly bordered) surface:
 * the link of every vertex is a single cycle or a single simple path,
 * the complex is connected.
 
+:func:`build` checks all three in a single sweep over the faces, which
+also yields the edges, their faces and the sorted neighbour lists that
+most callers read next; vertex links are built on first use, since only
+complexes that are split further need them.
+
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code included, is cached on the instance on
 first use, so it lives exactly as long as the value.
@@ -23,6 +28,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -205,6 +212,7 @@ class Triangulation:
 
     @cached_property
     def links(self) -> tuple[VertexLink, ...]:
+        # Built on first use: build checks the links without them.
         stars: list[list[Face]] = [[] for _ in range(self.order)]
         for face in self.faces:
             for v in face:
@@ -271,11 +279,22 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
 
     Input labels may be any non-negative integers; they are remapped to
     ``0..order-1`` (in increasing label order) and the original labels are
-    retained in ``source_labels``.
+    retained in ``source_labels``.  Labels that already are the ints
+    ``0..order-1`` are kept as they are.
 
-    Raises :class:`InvalidFace`, :class:`DuplicateFace`,
-    :class:`NonSurfaceEdge`, :class:`PinchedVertex` or
-    :class:`Disconnected` when the input is not a surface complex.
+    Validation takes one sweep over the faces.  It files every face under
+    its three edges and, per vertex, joins the face's link edge to the
+    partial link paths seen so far, counting the pieces.  Then every edge
+    must lie in at most two faces, every link must be one piece (a single
+    path or cycle), and the graph, whose sorted neighbour lists come from
+    the sorted edges, must be connected.  Edges, edge faces and neighbours
+    stay cached on the result; vertex links are built on first use.
+
+    Raises :class:`InvalidFace`, :class:`EmptyComplex`,
+    :class:`DuplicateFace`, :class:`NonSurfaceEdge` (on the smallest bad
+    edge), :class:`PinchedVertex` (on the lowest bad vertex) or
+    :class:`Disconnected`, checked in that order, when the input is not a
+    surface complex.
     """
     normalised = [_normalise_face(face) for face in faces]
     if not normalised:
@@ -288,36 +307,95 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
         dup = sorted(f for f, k in counts.items() if k > 1)[0]
         raise DuplicateFace(f"face {dup} occurs more than once")
 
-    labels = sorted({v for face in unique for v in face})
-    index = {label: i for i, label in enumerate(labels)}
-    dense = tuple(sorted(
-        tuple(sorted((index[a], index[b], index[c]))) for a, b, c in unique
-    ))
-    tri = Triangulation(faces=dense, source_labels=tuple(labels))
-    _validate(tri)
+    labels = set(chain.from_iterable(unique))
+    n = len(labels)
+    # Exact ints only: True == 1 and 1.0 == 1, but neither may be stored.
+    if (
+        set(map(type, chain.from_iterable(normalised))) == {int}
+        and min(labels) == 0
+        and max(labels) == n - 1
+    ):
+        dense = tuple(sorted(unique))
+        source_labels = tuple(range(n))
+    else:
+        source_labels = tuple(sorted(labels))
+        index = {label: i for i, label in enumerate(source_labels)}
+        # The remap preserves order, so each remapped face stays sorted.
+        dense = tuple(sorted((index[a], index[b], index[c]) for a, b, c in unique))
+
+    edge_map: dict[Edge, tuple[Face, ...]] = {}
+    get = edge_map.get
+    ends: list[dict[int, int]] = [{} for _ in range(n)]
+    pieces = [0] * n
+    for face in dense:
+        a, b, c = face
+        for edge in ((a, b), (a, c), (b, c)):
+            edge_map[edge] = get(edge, ()) + (face,)
+        pieces[a] += _join_link_edge(ends[a], b, c)
+        pieces[b] += _join_link_edge(ends[b], a, c)
+        pieces[c] += _join_link_edge(ends[c], a, b)
+
+    if max(map(len, edge_map.values())) > 2:
+        u, v = min(e for e, inc in edge_map.items() if len(inc) > 2)
+        raise NonSurfaceEdge(f"edge {u}-{v} lies in {len(edge_map[u, v])} faces")
+    if pieces.count(1) != n:
+        v = next(v for v, k in enumerate(pieces) if k != 1)
+        _vertex_link(v, [face for face in dense if v in face])
+        raise AssertionError(f"the link of vertex {v} is in {pieces[v]} pieces")
+
+    # Sorting on the edge alone keeps the comparisons off the face tuples.
+    edge_faces = dict(sorted(edge_map.items(), key=itemgetter(0)))
+    edges = tuple(edge_faces)
+    # Edges are sorted, so each list gets its smaller neighbours in order,
+    # then its larger ones: sorted without a sort.
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    reached = bytearray(n)
+    reached[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if not reached[w]:
+                reached[w] = 1
+                count += 1
+                stack.append(w)
+    if count != n:
+        raise Disconnected(f"complex has {n - count} unreachable vertices")
+
+    tri = Triangulation(faces=dense, source_labels=source_labels)
+    # Seed the cached properties with what validation already computed.
+    cache = tri.__dict__
+    cache["edge_faces"] = edge_faces
+    cache["edges"] = edges
+    cache["neighbors"] = tuple(map(tuple, adjacency))
     return tri
 
 
-def _validate(tri: Triangulation) -> None:
-    for edge, incident in tri.edge_faces.items():
-        if len(incident) > 2:
-            raise NonSurfaceEdge(
-                f"edge {edge[0]}-{edge[1]} lies in {len(incident)} faces"
-            )
-    # Computing every link performs the pinched-vertex check.
-    _ = tri.links
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in tri.neighbors[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != tri.order:
-        raise Disconnected(
-            f"complex has {tri.order - len(reached)} unreachable vertices"
-        )
+def _join_link_edge(ends: dict[int, int], x: int, y: int) -> int:
+    """Add link edge ``x-y`` to a vertex's partial link; return the change
+    in its number of pieces.
+
+    ``ends`` maps each end of an open path piece to the path's other end.
+    A link vertex is an end until its second link edge arrives; a third
+    would put an edge in three faces, which :func:`build` reports first.
+    """
+    ex = ends.pop(x, None)
+    ey = ends.pop(y, None)
+    if ex is None and ey is None:
+        ends[x], ends[y] = y, x
+        return 1
+    if ex is None:
+        ends[ey], ends[x] = x, ey
+    elif ey is None:
+        ends[ex], ends[y] = y, ex
+    elif ex != y:
+        # Two paths merge; ex == y would close one path into a cycle.
+        ends[ex], ends[ey] = ey, ex
+        return -1
+    return 0
 
 
 def _vertex_link(v: int, star: list[Face]) -> VertexLink:
@@ -326,7 +404,7 @@ def _vertex_link(v: int, star: list[Face]) -> VertexLink:
 
     ``star`` is non-empty (every label comes from a face) and no link
     vertex has a third neighbour (that edge would lie in three faces,
-    which :func:`_validate` rejects before any link is built).
+    which :func:`build` rejects before any link is checked).
     """
     # A link vertex's first and second neighbour.
     first: dict[int, int] = {}

@@ -533,13 +533,30 @@ def enumerate_exhaustive(
     return Catalog(kind, order, order, "exhaustive", entries)
 
 
+def _check_ceiling(min_order: int, max_order: int, ceiling: int) -> None:
+    """Raise :class:`CeilingExceeded` if the search would refuse an order of
+    the range, naming the first order it would refuse, before any search."""
+    first = max(min_order, min(ceiling, MAX_SEARCH_ORDER) + 1)
+    if first > max_order:
+        return
+    if first > ceiling:
+        raise CeilingExceeded(f"order {first} above ceiling {ceiling}")
+    raise CeilingExceeded(
+        f"order {first} above the exhaustive search limit {MAX_SEARCH_ORDER}"
+    )
+
+
 def enumerate_exhaustive_range(
     kind: SurfaceKind,
     min_order: int,
     max_order: int,
     ceiling: int = DEFAULT_CEILING,
 ) -> Catalog:
-    """Union of :func:`enumerate_exhaustive` over an order range."""
+    """Union of :func:`enumerate_exhaustive` over an order range.
+
+    An order above the ceiling is refused before any order is searched.
+    """
+    _check_ceiling(min_order, max_order, ceiling)
     entries = tuple(
         entry
         for order in range(min_order, max_order + 1)

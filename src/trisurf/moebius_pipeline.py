@@ -35,6 +35,7 @@ from .enumeration import (
     DEFAULT_CEILING,
     Catalog,
     CatalogEntry,
+    _check_ceiling,
     compare_catalogs,
     enumerate_exhaustive_range,
     generate_by_splitting,
@@ -288,10 +289,15 @@ def build_certificate(
 
     ``projective_catalog`` may inject a prebuilt (or deliberately
     corrupted) order 6..8 exhaustive catalog; by default it is computed
-    here.  The certificate is always returned; failed clauses are marked,
-    never raised.  ``jobs`` is accepted for compatibility and ignored: the
+    here.  Failed clauses are marked, never raised.  An order to search
+    above ``ceiling`` raises :class:`CeilingExceeded` before any step
+    runs.  ``jobs`` is accepted for compatibility and ignored: the
     pipeline runs in one process.
     """
+    # Refuse an order above the ceiling before running any step.
+    if projective_catalog is None:
+        _check_ceiling(6, 8, ceiling)
+    _check_ceiling(5, max_cross_check_order, ceiling)
     clauses: list[Clause] = []
 
     if projective_catalog is None:

@@ -1,16 +1,27 @@
-"""Shared fixtures and the brute-force isomorphism oracle.
+"""Shared fixtures, the brute-force isomorphism oracle and the reference
+build.
 
-The heavyweight catalogs are session-scoped: the exhaustive searches are
-cached per process, so the Moebius order-8 run happens exactly once for
-the whole suite.
+The heavyweight catalogs and the split scans over them are
+session-scoped: the exhaustive searches are cached per process, so the
+Moebius order-8 run happens exactly once for the whole suite.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
 import trisurf as ts
 from trisurf import Triangulation, enumeration
+from trisurf.complex_core import Face
+from trisurf.errors import (
+    Disconnected,
+    DuplicateFace,
+    EmptyComplex,
+    InvalidFace,
+    NonSurfaceEdge,
+)
 
 # A standard combinatorial icosahedron: apex 0, upper ring 1..5, lower
 # ring 6..10, apex 11.
@@ -81,6 +92,62 @@ def brute_force_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
     return extend(0)
 
 
+def _reference_normalise_face(face) -> Face:
+    values = tuple(face)
+    if len(values) != 3 or len(set(values)) != 3:
+        raise InvalidFace(f"face {values!r} must have 3 distinct vertices")
+    a, b, c = sorted(values)
+    return (a, b, c)
+
+
+def reference_build(faces) -> Triangulation:
+    """Independent oracle for :func:`trisurf.build`: the staged pipeline.
+
+    It normalises every face, always remaps the labels, and then validates
+    through the value's cached properties, one after another: edge faces,
+    every vertex link (built eagerly) and a breadth-first connectivity
+    sweep over the neighbours.  ``build`` must agree with it on every
+    field and on every error type and message.
+    """
+    normalised = [_reference_normalise_face(face) for face in faces]
+    if not normalised:
+        raise EmptyComplex("a triangulation needs at least one face")
+    unique = set(normalised)
+    if len(unique) != len(normalised):
+        counts: dict[Face, int] = {}
+        for face in normalised:
+            counts[face] = counts.get(face, 0) + 1
+        dup = sorted(f for f, k in counts.items() if k > 1)[0]
+        raise DuplicateFace(f"face {dup} occurs more than once")
+
+    labels = sorted({v for face in unique for v in face})
+    index = {label: i for i, label in enumerate(labels)}
+    dense = tuple(sorted(
+        tuple(sorted((index[a], index[b], index[c]))) for a, b, c in unique
+    ))
+    tri = Triangulation(faces=dense, source_labels=tuple(labels))
+    for edge, incident in tri.edge_faces.items():
+        if len(incident) > 2:
+            raise NonSurfaceEdge(
+                f"edge {edge[0]}-{edge[1]} lies in {len(incident)} faces"
+            )
+    # Computing every link performs the pinched-vertex check.
+    _ = tri.links
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in tri.neighbors[v]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) != tri.order:
+        raise Disconnected(
+            f"complex has {tri.order - len(reached)} unreachable vertices"
+        )
+    return tri
+
+
 def antipodal_quotient() -> ts.Triangulation:
     """Identify antipodal vertex pairs of the icosahedron."""
     rep = {v: min(v, ANTIPODAL[v]) for v in range(12)}
@@ -145,6 +212,16 @@ def sphere_catalog_4_6():
 @pytest.fixture(scope="session")
 def disk_catalog_3_5():
     return ts.enumerate_exhaustive_range(ts.DISK, 3, 5)
+
+
+@pytest.fixture(scope="session")
+def pylonicity_destroyed(projective_catalog):
+    return ts.check_pylonicity_destroyed(projective_catalog)
+
+
+@pytest.fixture(scope="session")
+def no_pylonic_creation(projective_catalog):
+    return ts.check_no_pylonic_creation(projective_catalog)
 
 
 @pytest.fixture(scope="session")

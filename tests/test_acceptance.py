@@ -254,9 +254,11 @@ def test_criterion_09_property_suites(
     )
 
 
-def test_criterion_10_proof_step_checks(projective_catalog, certificate):
-    destroyed = ts.check_pylonicity_destroyed(projective_catalog)
-    creation = ts.check_no_pylonic_creation(projective_catalog)
+def test_criterion_10_proof_step_checks(
+    pylonicity_destroyed, no_pylonic_creation, certificate
+):
+    destroyed = pylonicity_destroyed
+    creation = no_pylonic_creation
     confinement_ok = all(report.passed for report in certificate.confinement_reports)
     skip_reasons = Counter(reason for _, reason in creation.skipped)
     ok = (

@@ -145,10 +145,18 @@ class TestEnumerate:
         assert len(catalog) == 1
         assert catalog.kind == ts.MOEBIUS_BAND
 
-    def test_ceiling_violation(self, capsys):
+    def test_ceiling_violation(self, no_search, capsys):
+        # Refused before any order below the ceiling is searched.
         assert main(["enumerate", "--surface", "sphere", "--min-order", "4",
                      "--max-order", "12", "--engine", "exhaustive"]) == 2
         assert "CeilingExceeded" in capsys.readouterr().err
+
+    def test_moebius_ceiling_violation_searches_nothing(self, no_search, capsys):
+        assert main(["enumerate", "--surface", "moebius", "--min-order", "5",
+                     "--max-order", "10", "--engine", "compare"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CeilingExceeded: order 10 above ceiling 9" in captured.err
 
     def test_order_beyond_the_search_limit_is_a_usage_error(self, capsys):
         assert main(["enumerate", "--surface", "sphere", "--min-order", "16",
@@ -194,6 +202,13 @@ class TestVerifyMoebius:
         members = (out / "moebius_members.txt").read_text()
         assert "result: PASS" in certificate
         assert members.count("member M") == 6
+
+    def test_ceiling_violation_runs_no_step(self, no_search, tmp_path, capsys):
+        out = tmp_path / "cert"
+        assert main(["verify-moebius", "--max-order", "10",
+                     "--out", str(out)]) == 2
+        assert "CeilingExceeded: order 10 above ceiling 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_face_list_round_trip_of_written_members(self, tmp_path, capsys):
         # Face lists embedded in the members report rebuild to the same codes.

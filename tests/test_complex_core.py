@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import trisurf as ts
 from trisurf import errors
 from trisurf.enumeration import BASES
-from tests.conftest import ANTIPODAL, ICOSAHEDRON_FACES
+from tests.conftest import ANTIPODAL, ICOSAHEDRON_FACES, reference_build
 
 # Face soups over a small label range: random triples, short lists of
 # label lists of any length, and subsets of a sphere and of a projective
@@ -27,6 +27,59 @@ FACE_SOUPS = st.one_of(
         for faces in (ICOSAHEDRON_FACES, BASES[ts.PROJECTIVE_PLANE][0])
     ),
 )
+
+# Every split child of every stored basis member, as dense face lists.
+SPLIT_CHILDREN = [
+    child.faces
+    for bases in BASES.values()
+    for faces in bases
+    for _, child in ts.all_splits(ts.build(faces))
+]
+
+
+@st.composite
+def relabelled_children(draw):
+    """A split child with shuffled faces and corners under an injective
+    relabelling, the identity included."""
+    faces = draw(st.sampled_from(SPLIT_CHILDREN))
+    order = 1 + max(face[2] for face in faces)
+    labels = draw(st.one_of(
+        st.just(list(range(order))),
+        st.permutations(range(order)),
+        st.lists(st.integers(0, 3 * order), min_size=order, max_size=order, unique=True),
+    ))
+    return [
+        tuple(labels[v] for v in draw(st.permutations(face)))
+        for face in draw(st.permutations(faces))
+    ]
+
+
+@st.composite
+def mixed_label_soups(draw):
+    """A face soup or relabelled child in which labels may become floats,
+    and 0 and 1 may become booleans (equal, but not the same labels)."""
+    soup = draw(st.one_of(FACE_SOUPS, relabelled_children()))
+    convert = {
+        "int": lambda v: v,
+        "float": float,
+        "bool": lambda v: bool(v) if v in (0, 1) else v,
+    }
+    return [
+        [convert[draw(st.sampled_from(sorted(convert)))](v) for v in face]
+        for face in soup
+    ]
+
+
+def _outcome(build, soup) -> str:
+    """Every field build stores or derives, or the error, with types shown."""
+    try:
+        tri = build(soup)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((
+        tri.faces, tri.source_labels, tri.edges, tri.neighbors, tri.links,
+        tri.surface_kind,
+    ))
 
 
 class TestBuild:
@@ -203,6 +256,20 @@ class TestDerivedDataLifetime:
         gc.collect()
         assert ref() is None
 
+    def test_child_with_unread_links_is_freed(self, proj_plane):
+        child = ts.split_corner(proj_plane, ts.corners(proj_plane)[0])
+        ts.canonical_code(child)
+        assert "links" not in vars(child)
+        ref = weakref.ref(child)
+        del child
+        gc.collect()
+        assert ref() is None
+
+    def test_links_read_after_build_match_the_reference(self, proj_plane):
+        for _, child in ts.all_splits(proj_plane):
+            assert "links" not in vars(child)
+            assert child.links == reference_build(child.faces).links
+
 
 class TestFaceSoupProperty:
     @settings(max_examples=300, deadline=None)
@@ -218,6 +285,25 @@ class TestFaceSoupProperty:
             assert len(link.sequence) == tri.degrees[v]
             assert link.is_cycle == (v not in tri.boundary_vertices)
         assert tri.surface_kind.euler_characteristic == tri.euler_characteristic
+
+
+class TestReferenceBuild:
+    @settings(max_examples=400, deadline=None)
+    @given(soup=st.one_of(FACE_SOUPS, relabelled_children(), mixed_label_soups()))
+    def test_build_matches_the_reference_pipeline(self, soup):
+        assert _outcome(ts.build, soup) == _outcome(reference_build, soup)
+
+    @pytest.mark.parametrize("soup", [
+        [(0, 1, 2), (True, 2, 3)],
+        [(1, 0.0, 2), (1, 2, 3)],
+        [(0, 1, 2), (1, 2, 3), (1, 2, 4)],
+        # Vertex 0's link: two cycles, then a cycle and a path.
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5), (0, 5, 6), (0, 6, 4)],
+        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5)],
+        [(0, 1, 2), (3, 4, 5)],
+    ])
+    def test_named_corner_cases(self, soup):
+        assert _outcome(ts.build, soup) == _outcome(reference_build, soup)
 
 
 class TestFaceListFormat:

@@ -46,6 +46,18 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded, match="limit 15"):
             ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
 
+    @pytest.mark.parametrize("min_order, max_order, ceiling, message", [
+        (4, 12, 9, "order 10 above ceiling 9"),
+        (11, 12, 9, "order 11 above ceiling 9"),
+        (10, 16, 15, "order 16 above ceiling 15"),
+        (4, 17, 20, "order 16 above the exhaustive search limit 15"),
+    ])
+    def test_range_is_refused_before_any_search(
+        self, no_search, min_order, max_order, ceiling, message
+    ):
+        with pytest.raises(errors.CeilingExceeded, match=f"^{message}$"):
+            ts.enumerate_exhaustive_range(ts.SPHERE, min_order, max_order, ceiling)
+
     def test_range_merges_orders(self, sphere_catalog_4_6):
         assert len(sphere_catalog_4_6) == 4
         assert (sphere_catalog_4_6.min_order, sphere_catalog_4_6.max_order) == (4, 6)

@@ -114,21 +114,23 @@ class TestDerivation:
 
 
 class TestSplitScans:
-    def test_pylonicity_destroyed(self, projective_catalog):
-        report = ts.check_pylonicity_destroyed(projective_catalog)
+    def test_pylonicity_destroyed(self, pylonicity_destroyed):
+        report = pylonicity_destroyed
         assert report.passed
         assert len(report.checked) == 3
         assert report.split_count > 200
 
-    def test_no_pylonic_creation_skips_and_counts(self, projective_catalog):
-        report = ts.check_no_pylonic_creation(projective_catalog)
+    def test_no_pylonic_creation_skips_and_counts(self, no_pylonic_creation):
+        report = no_pylonic_creation
         assert report.passed
         assert len(report.checked) == 15
         reasons = Counter(reason for _, reason in report.skipped)
         assert reasons == Counter({"irreducible": 2, "pylonic": 3})
 
-    def test_split_counts_match_corner_counts(self, projective_catalog):
-        report = ts.check_no_pylonic_creation(projective_catalog)
+    def test_split_counts_match_corner_counts(
+        self, projective_catalog, no_pylonic_creation
+    ):
+        report = no_pylonic_creation
         by_code = {e.code: e.triangulation for e in projective_catalog.entries}
         for code, count in report.checked:
             assert count == len(ts.corners(by_code[code]))
@@ -165,6 +167,10 @@ class TestCertificate:
         failed = {clause.ident for clause in certificate.failures}
         assert "census-counts" in failed
         assert "engine-agreement" in failed
+
+    def test_ceiling_is_checked_before_any_step(self, no_search):
+        with pytest.raises(errors.CeilingExceeded, match="^order 8 above ceiling 7$"):
+            ts.build_certificate(max_cross_check_order=7, ceiling=7)
 
     def test_lower_cross_check_order_still_passes(self, projective_catalog):
         certificate = ts.build_certificate(
