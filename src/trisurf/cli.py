@@ -27,8 +27,16 @@ from pathlib import Path
 
 from . import __version__
 from .canon import canonical_code, canonical_faces
-from .complex_core import SURFACE_BY_NAME, Triangulation, dumps, loads
+from .complex_core import (
+    MOEBIUS_BAND,
+    SURFACE_BY_NAME,
+    Triangulation,
+    build,
+    dumps,
+    loads,
+)
 from .enumeration import (
+    BASES,
     DEFAULT_CEILING,
     compare_catalogs,
     enumerate_exhaustive_range,
@@ -140,6 +148,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_moebius(args: argparse.Namespace) -> int:
+    # The cross-check must reach every irreducible member to pass.
+    top = max(build(faces).order for faces in BASES[MOEBIUS_BAND])
+    if args.max_order < top:
+        print(
+            f"error: --max-order {args.max_order} is below {top}, the largest "
+            "order of an irreducible moebius-band member",
+            file=sys.stderr,
+        )
+        return USAGE
     certificate = build_certificate(
         max_cross_check_order=args.max_order,
         ceiling=args.ceiling,

@@ -21,6 +21,16 @@ isomorphism class down to one per flag.  A final invariant filter keeps
 only leaves whose identity labelling starts at a minimal flag, so only a
 handful of labelled copies per class are ever validated and coded.
 
+That filter rejects every labelling in which some vertex has a smaller
+(degree, on-boundary) key than vertex 0, and vertex 0's key only grows
+along a branch.  So the search cuts a branch as soon as a vertex other
+than 0 is finished (its link is a closed cycle, or one path whose two end
+edges are declared boundary) with a key below vertex 0's: every leaf below
+would fail the filter.  The cut removes only such leaves and subtrees that
+hold no leaf at all, and it leaves the traversal order alone, so the first
+copy reached of each class, and with it every catalog, ``BASES`` and the
+certificate, stays the same.
+
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
 check of the package.
@@ -237,11 +247,6 @@ def enumerate_splitting_range(
 # ---------------------------------------------------------------------------
 
 
-def _face_id(u: int, v: int, w: int) -> int:
-    a, b, c = sorted((u, v, w))
-    return (a << 8) | (b << 4) | c
-
-
 def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     """All triangulations on exactly ``n`` vertices (closed, or with at
     most one boundary cycle when ``allow_boundary``), one per class."""
@@ -264,7 +269,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     bdeg = [0] * n                 # declared boundary edges per vertex
     bend = [-1] * n                # boundary path endpoint -> opposite end
     faces: list[tuple[int, int, int]] = []
-    face_set: set[int] = set()
+    face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
     found: dict[bytes, Triangulation] = {}
 
@@ -287,11 +292,12 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             return lcomp[x] == 1 and bdeg[x] == 0
         return True
 
-    def link_commit(x: int, p: int, q: int, trail: list) -> None:
+    def link_commit(x: int, p: int, q: int) -> tuple[int, int]:
+        """Add link edge p-q at x; return the ends p and q had before, for
+        :func:`link_undo`.  The link of x was open (``link_ok``)."""
         kp = (x << 8) | p
         kq = (x << 8) | q
         ep, eq = lend[kp], lend[kq]
-        trail.append((x, p, q, ep, eq, lclosed[x]))
         dp, dq = ldeg[kp], ldeg[kq]
         ldeg[kp] = dp + 1
         ldeg[kq] = dq + 1
@@ -318,16 +324,17 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             lend[(x << 8) | eq] = p
             lend[kp] = eq
             lend[kq] = -1
+        return ep, eq
 
-    def link_undo(entry: tuple) -> None:
-        x, p, q, ep, eq, closed = entry
+    def link_undo(x: int, p: int, q: int, ends: tuple[int, int]) -> None:
+        ep, eq = ends
         kp = (x << 8) | p
         kq = (x << 8) | q
         dp = ldeg[kp] - 1
         dq = ldeg[kq] - 1
         ldeg[kp] = dp
         ldeg[kq] = dq
-        lclosed[x] = closed
+        lclosed[x] = 0
         lend[kp] = ep
         lend[kq] = eq
         if dp == 0 and dq == 0:
@@ -340,6 +347,21 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             lend[(x << 8) | ep] = p
         if eq >= 0 and eq != p:
             lend[(x << 8) | eq] = q
+
+    def beats_root(x: int) -> bool:
+        """Is the key of ``x`` final and smaller than vertex 0's?
+
+        A vertex is finished when its link is a closed cycle, or when it
+        is one path whose two end edges are declared boundary: a further
+        face at such a vertex starts a second link piece, which can
+        neither close nor end on the boundary, so no leaf lies below it.
+        Vertex 0's key never shrinks, so then ``leaf`` rejects every leaf
+        below this node.  For ``x == 0`` the answer is always False.
+        """
+        if lclosed[x] or (bdeg[x] == 2 and lcomp[x] == 1):
+            d, d0 = vdeg[x], vdeg[0]
+            return d < d0 or (d == d0 and not bdeg[x] and bdeg[0] > 0)
+        return False
 
     def leaf() -> None:
         if used != n:
@@ -368,13 +390,14 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             return
         e = min(open_set)
         u, v = e >> 4, e & 15
+        uv = (1 << u) | (1 << v)
 
         if len(faces) < face_cap:
             top = used + 1 if used < n else used
             for w in range(top):
                 if w == u or w == v:
                     continue
-                fid = _face_id(u, v, w)
+                fid = uv | (1 << w)
                 if fid in face_set:
                     continue
                 ew = ((u << 4) | w) if u < w else ((w << 4) | u)
@@ -386,43 +409,51 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
                 if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
                     continue
 
-                trail: list = []
-                link_commit(u, v, w, trail)
-                link_commit(v, u, w, trail)
-                link_commit(w, u, v, trail)
-                touched = []
-                for ek in (e, ew, ev):
-                    ecount[ek] += 1
-                    if ecount[ek] == 1:
+                ends_u = link_commit(u, v, w)
+                ends_v = link_commit(v, u, w)
+                ends_w = link_commit(w, u, v)
+                # e had one face; ew and ev get their first or second.
+                ecount[e] = 2
+                open_set.discard(e)
+                for ek in (ew, ev):
+                    if ecount[ek]:
+                        ecount[ek] = 2
+                        open_set.discard(ek)
+                    else:
+                        ecount[ek] = 1
                         open_set.add(ek)
                         vdeg[ek >> 4] += 1
                         vdeg[ek & 15] += 1
-                        touched.append((ek, True))
-                    else:
-                        open_set.discard(ek)
-                        touched.append((ek, False))
                 grew = w == used
                 if grew:
                     used += 1
-                faces.append(tuple(sorted((u, v, w))))
+                # Unsorted: leaf()'s filter tries all six orders and
+                # build() normalises.
+                faces.append((u, v, w))
                 face_set.add(fid)
 
-                rec()
+                if not (beats_root(u) or beats_root(v) or beats_root(w)):
+                    rec()
 
                 face_set.discard(fid)
                 faces.pop()
                 if grew:
                     used -= 1
-                for ek, was_new in reversed(touched):
-                    ecount[ek] -= 1
-                    if was_new:
+                # An edge now on two faces had one before the commit.
+                for ek in (ew, ev):
+                    if ecount[ek] == 2:
+                        ecount[ek] = 1
+                        open_set.add(ek)
+                    else:
+                        ecount[ek] = 0
                         open_set.discard(ek)
                         vdeg[ek >> 4] -= 1
                         vdeg[ek & 15] -= 1
-                    else:
-                        open_set.add(ek)
-                for entry in reversed(trail):
-                    link_undo(entry)
+                ecount[e] = 1
+                open_set.add(e)
+                link_undo(w, u, v, ends_w)
+                link_undo(v, u, w, ends_v)
+                link_undo(u, v, w, ends_u)
 
         if (
             allow_boundary
@@ -460,7 +491,8 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
                 bend[u] = v
                 bend[v] = u
 
-            rec()
+            if not (beats_root(u) or beats_root(v)):
+                rec()
 
             if closing:
                 boundary_closed = False
@@ -477,11 +509,10 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     # Root: every triangulation has a labelling in which (0, 1, 2) is a
     # face, so it is fixed as the first face.
     faces.append((0, 1, 2))
-    face_set.add(_face_id(0, 1, 2))
-    root_trail: list = []
-    link_commit(0, 1, 2, root_trail)
-    link_commit(1, 0, 2, root_trail)
-    link_commit(2, 0, 1, root_trail)
+    face_set.add(0b111)
+    link_commit(0, 1, 2)
+    link_commit(1, 0, 2)
+    link_commit(2, 0, 1)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         ek = (a << 4) | b
         ecount[ek] = 1
@@ -493,7 +524,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
 
 
 # Keyed on the query, not on a complex: the Moebius catalog, the certificate
-# and the cross-check share one order-8 search (about 24 s).
+# and the cross-check share one order-8 search (about 8 s).
 @lru_cache(maxsize=64)
 def _search_cached(
     n: int, allow_boundary: bool, face_cap: int

@@ -210,6 +210,23 @@ class TestVerifyMoebius:
         assert "CeilingExceeded: order 10 above ceiling 9" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_order", [4, 5, 6])
+    def test_max_order_below_the_members_is_a_usage_error(
+        self, no_search, tmp_path, capsys, max_order
+    ):
+        # The six members reach order 7; a lower cross-check is a usage
+        # error, refused before any step, not a failed clause.
+        out = tmp_path / "cert"
+        assert main(["verify-moebius", "--max-order", str(max_order),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --max-order {max_order} is below 7, the largest order "
+            "of an irreducible moebius-band member\n"
+        )
+        assert not out.exists()
+
     def test_face_list_round_trip_of_written_members(self, tmp_path, capsys):
         # Face lists embedded in the members report rebuild to the same codes.
         out = tmp_path / "cert"

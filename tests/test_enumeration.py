@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
-from trisurf import errors
+from trisurf import enumeration, errors
 from trisurf.enumeration import BASES, Catalog
 
 from conftest import brute_force_isomorphic
@@ -73,6 +75,55 @@ class TestExhaustive:
         assert member.degree_sequence == (6,) * 7
 
 
+# (order, bordered, face cap, build calls, classes, sha256 of the
+# representatives' face lists), taken from the search before any cut inside
+# its tree: closed queries at the projective-plane cap, bordered ones at the
+# Moebius-band cap.
+SEARCH_PINS = [
+    (4, False, 6, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
+    (5, False, 8, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
+    (6, False, 10, 3, 3, "8f53a4ce430806004dc885a1898a9a109dafdc6ca9914e2540ca4a169d712857"),
+    (7, False, 12, 8, 8, "5c4638f30a7969885f7342c4bc14c85472289bae28abae9c9c47f45303cb2226"),
+    (8, False, 14, 37, 30, "d36d2874b97c81aa1855ebcf72f6ed802f5f3891857bf54b4b11c945c9301a5e"),
+    (3, True, 3, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
+    (4, True, 5, 3, 3, "3ae10a7c235680f9f77b260c4f54c639d6f1d23d6d8a1d59231c3d7adeb34062"),
+    (5, True, 7, 8, 6, "b499e85f097e89054022da2b4512ec713c2f2a4d4ac373f12c31965f4c794e09"),
+    (6, True, 9, 41, 28, "801fd82382fe3864435d47041e4c9ee25da713ba8a08e245b7bb43d5a6770740"),
+    (7, True, 11, 306, 201, "a0951af814d27195fe18615cdef5886ac2752583b6919dc5a70efde672fcebfc"),
+]
+
+
+class TestSearchContract:
+    """The search keeps the first labelled copy it reaches of each class,
+    and catalogs, ``BASES`` and the certificate store those copies.  A cut
+    inside the tree may remove only leaves that the leaf filter rejects:
+    then both the representatives and the number of leaves that pass the
+    filter (one ``build`` each) stay as pinned."""
+
+    @pytest.mark.parametrize(
+        "n, bordered, cap, builds, classes, digest",
+        [
+            pytest.param(*pin, id=f"{'bordered' if pin[1] else 'closed'}-{pin[0]}")
+            for pin in SEARCH_PINS
+        ],
+    )
+    def test_search_output_and_leaf_count_are_pinned(
+        self, monkeypatch, n, bordered, cap, builds, classes, digest
+    ):
+        calls = []
+        real_build = enumeration.build
+
+        def counting_build(faces):
+            calls.append(None)
+            return real_build(faces)
+
+        monkeypatch.setattr(enumeration, "build", counting_build)
+        found = enumeration._search(n, bordered, cap)
+        text = repr([tri.faces for tri in found])
+        assert (len(found), len(calls)) == (classes, builds)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestSplittingClosure:
     def test_sphere_closure_matches_exhaustive(self, tetrahedron, sphere_catalog_4_6):
         closure = ts.generate_by_splitting([tetrahedron], 6, ["tetrahedron"])
@@ -108,6 +159,21 @@ class TestSplittingClosure:
         # Sulanke & Lutz, Eur. J. Combin. 30 (2009).
         closure = ts.enumerate_splitting_range(ts.PROJECTIVE_PLANE, 6, 9)
         assert [len(closure.of_order(n)) for n in range(6, 10)] == [1, 3, 16, 134]
+
+    @pytest.mark.parametrize(
+        "kind, min_order, counts",
+        [
+            # OEIS A000109; Sulanke & Lutz, Eur. J. Combin. 30 (2009).
+            pytest.param(ts.SPHERE, 4, [1, 1, 2, 5, 14, 50], id="sphere"),
+            pytest.param(ts.PROJECTIVE_PLANE, 6, [1, 3, 16, 134], id="projective"),
+        ],
+    )
+    def test_engines_agree_through_order_9(self, kind, min_order, counts):
+        # Both closed surfaces share the cap-16 search at order 9.
+        exhaustive = ts.enumerate_exhaustive_range(kind, min_order, 9)
+        splitting = ts.enumerate_splitting_range(kind, min_order, 9)
+        assert [len(exhaustive.of_order(n)) for n in range(min_order, 10)] == counts
+        assert ts.compare_catalogs(exhaustive, splitting).is_empty
 
     def test_range_below_the_basis_is_empty(self, no_search):
         closure = ts.enumerate_splitting_range(ts.SPHERE, 3, 3)
