@@ -75,9 +75,7 @@ from .moebius_pipeline import (  # noqa: F401
     CompletenessCertificate,
     DerivationRecord,
     PatchConfinementReport,
-    PylonicAnalysis,
     SplitScanReport,
-    analyze_pylonic,
     build_certificate,
     check_no_pylonic_creation,
     check_pylonicity_destroyed,

@@ -16,8 +16,8 @@ most callers read next; vertex links are built on first use, since only
 complexes that are split further need them.
 
 Instances are immutable and hashable; all operations return new values.
-Derived data, the canonical code included, is cached on the instance on
-first use, so it lives exactly as long as the value.
+Derived data, the canonical code and the cables included, is cached on
+the instance on first use, so it lives exactly as long as the value.
 Vertex ids are always the dense range ``0..order-1``: arbitrary input
 labels are remapped by :func:`build` and the original labels are kept in
 ``source_labels`` for reporting.
@@ -43,7 +43,6 @@ from .errors import (
     ParseError,
     PinchedVertex,
     ResultNotSurface,
-    VertexClash,
 )
 
 Face = tuple[int, int, int]
@@ -197,6 +196,14 @@ class Triangulation:
         from .canon import _canonical_form
 
         return _canonical_form(self)
+
+    @cached_property
+    def cables(self) -> frozenset[Edge]:
+        """The shrinkable edges, as :func:`trisurf.moves.classify_edge` rules."""
+        # A local import: moves imports this module.
+        from .moves import classify_edge
+
+        return frozenset(e for e in self.edges if classify_edge(self, e).is_cable)
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
@@ -470,20 +477,17 @@ def _is_orientable(tri: Triangulation) -> bool:
     return True
 
 
-def cone_boundary(tri: Triangulation, apex: int | None = None) -> Triangulation:
+def cone_boundary(tri: Triangulation) -> Triangulation:
     """Close the unique boundary cycle with a fan of faces from a new vertex.
 
-    Returns the closed complex obtained by joining ``apex`` to every
-    boundary vertex.  ``apex`` defaults to the smallest unused id.
+    Returns the closed complex obtained by joining the fresh vertex
+    ``tri.order`` to every boundary vertex.
     """
     if len(tri.boundary_cycles) != 1:
         raise NotBordered(
             f"expected exactly 1 boundary cycle, found {len(tri.boundary_cycles)}"
         )
-    if apex is None:
-        apex = tri.order
-    elif 0 <= apex < tri.order:
-        raise VertexClash(f"vertex {apex} already exists")
+    apex = tri.order
     cycle = tri.boundary_cycles[0]
     new_faces = [
         (apex, cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))

@@ -189,6 +189,8 @@ def generate_by_splitting(
         raise ValueError("max_order must cover every seed")
     if seed_names is None:
         seed_names = [f"seed-{i}" for i in range(len(seeds))]
+    elif len(seed_names) != len(seeds):
+        raise ValueError(f"{len(seed_names)} seed names for {len(seeds)} seeds")
 
     entries: dict[bytes, CatalogEntry] = {}
     for name, seed in sorted(

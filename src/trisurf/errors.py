@@ -48,10 +48,6 @@ class NotClosed(TriangulationError):
     """Operation requires a closed complex (no boundary)."""
 
 
-class VertexClash(TriangulationError):
-    """A supposedly fresh vertex id is already in use."""
-
-
 class ResultNotSurface(TriangulationError):
     """A star removal would leave a complex violating the invariants."""
 

@@ -2,14 +2,19 @@
 
 A vertex of a closed triangulation is *pylonic* when it is incident with
 every cable; a triangulation with at least one cable and a pylonic vertex
-is a *pylonic triangulation*.  Restoring the puncture of an irreducible
-bordered triangulation by coning a fresh vertex over the boundary yields
-a closed triangulation whose cables, if any, all run through the cone
-apex, which is then its only pylonic vertex once there are at least two
-cables.  Consequently every irreducible triangulation of the Moebius band
-arises by removing a vertex star from a projective-plane triangulation of
-order at most 8: from an irreducible one (any vertex, one per orbit), or
-from a pylonic one (its pylonic vertex).
+is a *pylonic triangulation*.  So a complex is pylonic exactly when
+:func:`pylonic_vertices` is non-empty: with no cables that set is empty.
+The cables themselves are derived data cached on the ``Triangulation``
+value, so each complex's cables are computed once.
+
+Restoring the puncture of an irreducible bordered triangulation by coning
+a fresh vertex over the boundary yields a closed triangulation whose
+cables, if any, all run through the cone apex, which is then its only
+pylonic vertex once there are at least two cables.  Consequently every
+irreducible triangulation of the Moebius band arises by removing a vertex
+star from a projective-plane triangulation of order at most 8: from an
+irreducible one (any vertex, one per orbit), or from a pylonic one (its
+pylonic vertex).
 
 :func:`build_certificate` runs the whole argument mechanically - both
 catalog engines, the pylonic scan, the two splitting arguments, the
@@ -26,7 +31,6 @@ from .canon import canonical_code, vertex_orbits
 from .complex_core import (
     MOEBIUS_BAND,
     PROJECTIVE_PLANE,
-    Edge,
     Triangulation,
     cone_boundary,
     remove_vertex_star,
@@ -41,40 +45,23 @@ from .enumeration import (
     generate_by_splitting,
 )
 from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
-from .moves import all_splits, cable_subgraph, classify_edge, is_irreducible
-
-
-@dataclass(frozen=True)
-class PylonicAnalysis:
-    triangulation: Triangulation
-    cables: frozenset[Edge]
-    pylonic_vertices: frozenset[int]
-
-    @property
-    def is_pylonic(self) -> bool:
-        return bool(self.cables) and bool(self.pylonic_vertices)
+from .moves import all_splits, cable_subgraph, is_irreducible
 
 
 def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
     """Vertices incident with every cable (empty when there are no cables)."""
-    return analyze_pylonic(tri).pylonic_vertices
-
-
-def analyze_pylonic(tri: Triangulation) -> PylonicAnalysis:
     if not tri.is_closed:
         raise NotClosed("pylonic vertices are defined for closed complexes")
     cables = cable_subgraph(tri)
-    common = set(range(tri.order)).intersection(*cables) if cables else set()
-    return PylonicAnalysis(tri, cables, frozenset(common))
+    common = set(range(tri.order)).intersection(*cables) if cables else ()
+    return frozenset(common)
 
 
 @dataclass(frozen=True)
 class PatchConfinementReport:
     """Checks on the cone over an irreducible bordered triangulation."""
 
-    bordered_code: bytes
     coned_code: bytes
-    apex: int
     cable_count: int
     checks: tuple[tuple[str, bool], ...]
 
@@ -97,7 +84,7 @@ def verify_patch_confinement(tri: Triangulation) -> PatchConfinementReport:
     if not is_irreducible(tri):
         raise NotIrreducible("the bordered triangulation must be irreducible")
     apex = tri.order
-    coned = cone_boundary(tri, apex)
+    coned = cone_boundary(tri)
     cables = cable_subgraph(coned)
     boundary = tri.boundary_vertices
     boundary_edge_set = tri.boundary_edges
@@ -113,15 +100,13 @@ def verify_patch_confinement(tri: Triangulation) -> PatchConfinementReport:
         if edge[0] in boundary and edge[1] in boundary
         and edge not in boundary_edge_set
     ]
-    chords_are_rods = all(not classify_edge(coned, e).is_cable for e in chords)
+    chords_are_rods = all(edge not in cables for edge in chords)
     if len(cables) >= 2:
         unique_pylon = pylonic_vertices(coned) == {apex}
     else:
         unique_pylon = True
     return PatchConfinementReport(
-        bordered_code=canonical_code(tri),
         coned_code=canonical_code(coned),
-        apex=apex,
         cable_count=len(cables),
         checks=(
             ("cables-confined-to-patch", in_patch),
@@ -158,13 +143,12 @@ def derive_irreducible_moebius(catalog: Catalog) -> list[DerivationRecord]:
 
     records: dict[bytes, DerivationRecord] = {}
     for entry in catalog.entries:
-        analysis = analyze_pylonic(entry.triangulation)
         removals: list[tuple[int, str]] = []
-        if not analysis.cables:
+        if is_irreducible(entry.triangulation):
             for orbit in vertex_orbits(entry.triangulation):
                 removals.append((min(orbit), "irreducible-orbit"))
-        elif analysis.is_pylonic:
-            for v in sorted(analysis.pylonic_vertices):
+        else:
+            for v in sorted(pylonic_vertices(entry.triangulation)):
                 removals.append((v, "pylonic-vertex"))
         for vertex, reason in removals:
             candidate = remove_vertex_star(entry.triangulation, vertex)
@@ -211,7 +195,7 @@ def _scan_splits(
         count = 0
         for descriptor, child in all_splits(entry.triangulation):
             count += 1
-            if analyze_pylonic(child).is_pylonic:
+            if pylonic_vertices(child):
                 violations.append((entry.code, descriptor.descriptor()))
         checked.append((entry.code, count))
     return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))
@@ -220,8 +204,7 @@ def _scan_splits(
 def check_pylonicity_destroyed(catalog: Catalog) -> SplitScanReport:
     """Every split of every pylonic member must yield a non-pylonic result."""
     members = [
-        entry for entry in catalog.entries
-        if analyze_pylonic(entry.triangulation).is_pylonic
+        entry for entry in catalog.entries if pylonic_vertices(entry.triangulation)
     ]
     return _scan_splits(members, [])
 
@@ -231,12 +214,12 @@ def check_no_pylonic_creation(catalog: Catalog) -> SplitScanReport:
     members = []
     skipped = []
     for entry in catalog.entries:
-        analysis = analyze_pylonic(entry.triangulation)
-        if not analysis.cables:
+        cables = cable_subgraph(entry.triangulation)
+        if not cables:
             skipped.append((entry.code, "irreducible"))
-        elif analysis.is_pylonic:
+        elif pylonic_vertices(entry.triangulation):
             skipped.append((entry.code, "pylonic"))
-        elif len(analysis.cables) < 2:
+        elif len(cables) < 2:
             skipped.append((entry.code, "fewer than 2 cables"))
         else:
             members.append(entry)
@@ -260,15 +243,9 @@ class Clause:
 class CompletenessCertificate:
     max_cross_check_order: int
     catalog: Catalog
-    splitting_catalog: Catalog
     derivations: tuple[DerivationRecord, ...]
     confinement_reports: tuple[PatchConfinementReport, ...]
-    cross_check_codes: tuple[bytes, ...]
     clauses: tuple[Clause, ...]
-
-    @property
-    def members(self) -> tuple[Triangulation, ...]:
-        return tuple(record.triangulation for record in self.derivations)
 
     @property
     def passed(self) -> bool:
@@ -339,7 +316,6 @@ def build_certificate(
             f"diff size {len(diff.only_in_a) + len(diff.only_in_b)}",
         ))
     else:
-        splitting_catalog = Catalog(PROJECTIVE_PLANE, 6, 8, "splitting", ())
         clauses.append(Clause(
             "engine-agreement",
             "splitting closure of the irreducible members reproduces the catalog",
@@ -362,21 +338,17 @@ def build_certificate(
         "; ".join(orbit_evidence) or "no irreducible members",
     ))
 
-    analyses = {
-        entry.code: analyze_pylonic(entry.triangulation)
-        for entry in catalog.entries
-    }
     pylonic_entries = [
-        entry for entry in catalog.entries if analyses[entry.code].is_pylonic
+        entry for entry in catalog.entries if pylonic_vertices(entry.triangulation)
     ]
     pylonic_orders = sorted(entry.order for entry in pylonic_entries)
     unique_pylons = all(
-        len(analyses[entry.code].pylonic_vertices) == 1 for entry in pylonic_entries
+        len(pylonic_vertices(entry.triangulation)) == 1 for entry in pylonic_entries
     )
     multi_cable_unique = all(
-        len(analysis.pylonic_vertices) <= 1
-        for analysis in analyses.values()
-        if len(analysis.cables) >= 2
+        len(pylonic_vertices(entry.triangulation)) <= 1
+        for entry in catalog.entries
+        if len(cable_subgraph(entry.triangulation)) >= 2
     )
     clauses.append(Clause(
         "pylonic-scan",
@@ -425,9 +397,13 @@ def build_certificate(
         f"derived {len(derivations)} members with orders {orders}",
     ))
 
+    # One coning per member serves both the round trip and the confinement.
+    confinement_reports = tuple(
+        verify_patch_confinement(record.triangulation) for record in derivations
+    )
     round_trip = all(
-        canonical_code(cone_boundary(record.triangulation)) == record.parent_code
-        for record in derivations
+        report.coned_code == record.parent_code
+        for report, record in zip(confinement_reports, derivations)
     )
     clauses.append(Clause(
         "cone-round-trip",
@@ -436,9 +412,6 @@ def build_certificate(
         f"verified {len(derivations)} cone round trips",
     ))
 
-    confinement_reports = tuple(
-        verify_patch_confinement(record.triangulation) for record in derivations
-    )
     confinement_ok = all(report.passed for report in confinement_reports)
     substantive = sum(1 for report in confinement_reports if report.cable_count >= 2)
     clauses.append(Clause(
@@ -502,10 +475,8 @@ def build_certificate(
     return CompletenessCertificate(
         max_cross_check_order=max_cross_check_order,
         catalog=catalog,
-        splitting_catalog=splitting_catalog,
         derivations=derivations,
         confinement_reports=confinement_reports,
-        cross_check_codes=cross_codes,
         clauses=tuple(clauses),
     )
 
@@ -533,12 +504,13 @@ def render_certificate(certificate: CompletenessCertificate) -> str:
     lines.append("---")
     lines.append("catalog members (code order irreducible cables pylonic-vertices):")
     for entry in certificate.catalog.entries:
-        analysis = analyze_pylonic(entry.triangulation)
+        cables = cable_subgraph(entry.triangulation)
+        pylons = pylonic_vertices(entry.triangulation)
         lines.append(
             f"  {entry.code.hex()} {entry.order} "
-            f"{'yes' if not analysis.cables else 'no'} "
-            f"{len(analysis.cables)} "
-            f"{sorted(analysis.pylonic_vertices) if analysis.is_pylonic else '-'}"
+            f"{'yes' if not cables else 'no'} "
+            f"{len(cables)} "
+            f"{sorted(pylons) if pylons else '-'}"
         )
     lines.append("derivations (parent vertex reason -> member):")
     for record in certificate.derivations:

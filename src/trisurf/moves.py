@@ -98,8 +98,8 @@ def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
 
 
 def cable_subgraph(tri: Triangulation) -> frozenset[Edge]:
-    """The set of shrinkable edges."""
-    return frozenset(e for e in tri.edges if classify_edge(tri, e).is_cable)
+    """The set of shrinkable edges, cached on the value as ``tri.cables``."""
+    return tri.cables
 
 
 def is_irreducible(tri: Triangulation) -> bool:

@@ -11,7 +11,6 @@ from collections import Counter
 from itertools import combinations
 
 import trisurf as ts
-from trisurf.moebius_pipeline import analyze_pylonic
 
 from conftest import brute_force_isomorphic
 
@@ -79,11 +78,9 @@ def test_criterion_05_pylonic_scan(projective_catalog):
         e for e in projective_catalog.entries
         if not ts.is_irreducible(e.triangulation)
     ]
-    pylonic = [e for e in reducible if analyze_pylonic(e.triangulation).is_pylonic]
+    pylonic = [e for e in reducible if ts.pylonic_vertices(e.triangulation)]
     orders = sorted(e.order for e in pylonic)
-    unique = all(
-        len(analyze_pylonic(e.triangulation).pylonic_vertices) == 1 for e in pylonic
-    )
+    unique = all(len(ts.pylonic_vertices(e.triangulation)) == 1 for e in pylonic)
     _report(
         5,
         f"pylonic members among {len(reducible)} reducible: orders {orders} "

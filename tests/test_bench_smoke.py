@@ -20,11 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["certificate", "closure", "kernel-large"])
-def test_workload_passes(workload):
+def _run_worker(workload, *flags):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"),
-         "--workload", workload, "--seed", "0"],
+         "--workload", workload, "--seed", "0", *flags],
         cwd=ROOT, env={**os.environ, "PYTHONHASHSEED": "0"},
         capture_output=True, text=True, timeout=300,
     )
@@ -33,6 +32,22 @@ def test_workload_passes(workload):
         line for line in proc.stdout.splitlines() if line.startswith("RESULT ")
     ]
     assert len(result_lines) == 1, proc.stdout
-    result = json.loads(result_lines[0][len("RESULT "):])
+    return json.loads(result_lines[0][len("RESULT "):])
+
+
+@pytest.mark.parametrize("workload", ["certificate", "closure", "kernel-large"])
+def test_workload_passes(workload):
+    result = _run_worker(workload)
     assert result["failures"] == []
     assert result["known_defects"] == []
+
+
+def test_traced_certificate_sees_every_required_span():
+    # The bench still traces the deleted ``_parallel.pmap``; this list
+    # shrinks to empty when ROADMAP item 3 removes that span from the bench.
+    # Any other entry means a traced layer is no longer reached, e.g. a
+    # pipeline that stopped calling ``moves.cable_subgraph``.
+    result = _run_worker("certificate", "--trace")
+    assert result["untraced"] == [
+        "_parallel.pmap (not found)", "_parallel.pmap (never called)",
+    ]

@@ -192,6 +192,12 @@ class TestSplittingClosure:
         with pytest.raises(errors.MixedSurfaceKinds):
             ts.generate_by_splitting([tetrahedron, proj_plane], 8)
 
+    def test_seed_names_must_match_the_seeds(self):
+        # zip would silently drop the seeds without a name.
+        seeds = [ts.build(faces) for faces in BASES[ts.PROJECTIVE_PLANE]]
+        with pytest.raises(ValueError, match="1 seed names for 2 seeds"):
+            ts.generate_by_splitting(seeds, 8, ["only-one"])
+
     def test_layers_grow_by_one(self, tetrahedron):
         closure = ts.generate_by_splitting([tetrahedron], 7, ["tetrahedron"])
         by_code = {e.code: e for e in closure.entries}

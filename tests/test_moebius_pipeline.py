@@ -9,15 +9,12 @@ import pytest
 import trisurf as ts
 from trisurf import errors
 from trisurf.enumeration import Catalog
-from trisurf.moebius_pipeline import analyze_pylonic
 
 
 class TestPylonicAnalysis:
     def test_irreducible_member_is_not_pylonic(self, proj_plane):
-        analysis = analyze_pylonic(proj_plane)
-        assert analysis.cables == frozenset()
-        assert analysis.pylonic_vertices == frozenset()
-        assert not analysis.is_pylonic
+        assert proj_plane.cables == frozenset()
+        assert ts.pylonic_vertices(proj_plane) == frozenset()
 
     def test_requires_closed(self, k5_moebius):
         with pytest.raises(errors.NotClosed):
@@ -26,21 +23,19 @@ class TestPylonicAnalysis:
     def test_scan_finds_three_pylonic_members(self, projective_catalog):
         pylonic = [
             entry for entry in projective_catalog.entries
-            if analyze_pylonic(entry.triangulation).is_pylonic
+            if ts.pylonic_vertices(entry.triangulation)
         ]
         assert sorted(e.order for e in pylonic) == [7, 7, 8]
         for entry in pylonic:
-            analysis = analyze_pylonic(entry.triangulation)
             # Observed on this catalog: every pylonic member has at least
             # two cables, hence a unique pylonic vertex.
-            assert len(analysis.cables) >= 2
-            assert len(analysis.pylonic_vertices) == 1
+            assert len(entry.triangulation.cables) >= 2
+            assert len(ts.pylonic_vertices(entry.triangulation)) == 1
 
     def test_uniqueness_for_two_or_more_cables(self, projective_catalog):
         for entry in projective_catalog.entries:
-            analysis = analyze_pylonic(entry.triangulation)
-            if len(analysis.cables) >= 2:
-                assert len(analysis.pylonic_vertices) <= 1
+            if len(entry.triangulation.cables) >= 2:
+                assert len(ts.pylonic_vertices(entry.triangulation)) <= 1
 
 
 class TestPatchConfinement:
