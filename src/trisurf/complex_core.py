@@ -18,6 +18,9 @@ complexes that are split further need them.
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
 the instance on first use, so it lives exactly as long as the value.
+The cables are set algebra on it: the edges minus the three impediment
+sets ``nonfacial_edges``, ``chords`` and ``boundary_triangle_edges``,
+each one pass over the edges (see :mod:`trisurf.moves` for the rule).
 Vertex ids are always the dense range ``0..order-1``: arbitrary input
 labels are remapped by :func:`build` and the original labels are kept in
 ``source_labels`` for reporting.
@@ -172,7 +175,11 @@ class Triangulation:
 
     @cached_property
     def nonfacial_triangles(self) -> frozenset[Face]:
-        """All 3-cliques of the graph that are not faces."""
+        """All 3-cliques of the graph that are not faces.
+
+        The definition itself, off every hot path; the tests check
+        ``nonfacial_edges`` against it.
+        """
         face_set = set(self.faces)
         found = set()
         for u, v in self.edges:
@@ -184,11 +191,41 @@ class Triangulation:
 
     @cached_property
     def nonfacial_edges(self) -> frozenset[Edge]:
-        """The edges that lie in a nonfacial 3-cycle."""
+        """The edges that lie in a nonfacial 3-cycle.
+
+        Edge ``uv`` lies in one exactly when ``u`` and ``v`` have more
+        common neighbours than ``uv`` has faces: each face ``uvw`` gives
+        one common neighbour ``w``, and a common neighbour ``w`` closes a
+        facial 3-cycle exactly when ``uvw`` is one of those faces.
+        Neighbourhoods are bit sets, so a count is one popcount.
+        """
+        bits = [0] * self.order
+        for u, v in self.edge_faces:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         return frozenset(
-            edge for a, b, c in self.nonfacial_triangles
-            for edge in ((a, b), (a, c), (b, c))
+            (u, v) for (u, v), inc in self.edge_faces.items()
+            if (bits[u] & bits[v]).bit_count() > len(inc)
         )
+
+    @cached_property
+    def chords(self) -> frozenset[Edge]:
+        """Interior edges with both ends on the boundary."""
+        ends = self.boundary_vertices
+        return frozenset(
+            (u, v) for (u, v), inc in self.edge_faces.items()
+            if len(inc) == 2 and u in ends and v in ends
+        )
+
+    @cached_property
+    def boundary_triangle_edges(self) -> frozenset[Edge]:
+        """The edges of every boundary cycle of length 3."""
+        found: list[Edge] = []
+        for cycle in self.boundary_cycles:
+            if len(cycle) == 3:
+                a, b, c = sorted(cycle)
+                found += ((a, b), (a, c), (b, c))
+        return frozenset(found)
 
     @cached_property
     def _canonical(self) -> tuple[bytes, tuple[int, ...]]:
@@ -199,11 +236,11 @@ class Triangulation:
 
     @cached_property
     def cables(self) -> frozenset[Edge]:
-        """The shrinkable edges, as :func:`trisurf.moves.classify_edge` rules."""
-        # A local import: moves imports this module.
-        from .moves import classify_edge
-
-        return frozenset(e for e in self.edges if classify_edge(self, e).is_cable)
+        """The shrinkable edges: those in none of the three impediment
+        sets."""
+        return frozenset(self.edge_faces).difference(
+            self.nonfacial_edges, self.chords, self.boundary_triangle_edges
+        )
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:

@@ -31,6 +31,7 @@ from .canon import canonical_code, vertex_orbits
 from .complex_core import (
     MOEBIUS_BAND,
     PROJECTIVE_PLANE,
+    Face,
     Triangulation,
     cone_boundary,
     remove_vertex_star,
@@ -188,14 +189,23 @@ class SplitScanReport:
 def _scan_splits(
     members: list[CatalogEntry], skipped: list[tuple[bytes, str]]
 ) -> SplitScanReport:
-    """Check every split of the members for pylonic results."""
+    """Check every split of the members for pylonic results.
+
+    Different corners of one member can give the same child face list;
+    each is tested once per member, and every descriptor still counts and
+    is reported.
+    """
     checked = []
     violations = []
     for entry in members:
         count = 0
+        pylonic: dict[tuple[Face, ...], bool] = {}
         for descriptor, child in all_splits(entry.triangulation):
             count += 1
-            if pylonic_vertices(child):
+            found = pylonic.get(child.faces)
+            if found is None:
+                found = pylonic[child.faces] = bool(pylonic_vertices(child))
+            if found:
                 violations.append((entry.code, descriptor.descriptor()))
         checked.append((entry.code, count))
     return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))

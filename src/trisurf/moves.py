@@ -11,6 +11,16 @@ Three impediments characterise the rods:
 * ``BOUNDARY_TRIANGLE`` - the edge is a boundary edge and its boundary
   cycle is a 3-cycle (collapsing would squash the boundary to a digon).
 
+Each impediment is one edge set cached on the ``Triangulation`` value:
+``nonfacial_edges``, ``chords`` and ``boundary_triangle_edges``.  The
+cables are the edges outside all three (``tri.cables``), and
+:func:`classify_edge` reports an edge's membership in each.  Edge ``uv``
+lies in a nonfacial 3-cycle exactly when ``u`` and ``v`` have more common
+neighbours than ``uv`` has faces, since each face ``uvw`` accounts for
+exactly one common neighbour ``w``; on a closed complex this is the link
+condition for edge contraction (Dey, Edelsbrunner, Guha & Nekhayev,
+1999).
+
 Splitting is the inverse construction: a corner split cuts the star of a
 vertex open along two edges and closes the slit with two new faces; a
 truncated split cuts along one edge of a boundary vertex, letting the cut
@@ -27,9 +37,15 @@ from dataclasses import dataclass
 from .complex_core import Edge, Triangulation, build
 from .errors import (
     AmbiguousArc,
+    Disconnected,
+    DuplicateFace,
+    EmptyComplex,
+    NonSurfaceEdge,
     NotACorner,
     NotBoundaryVertex,
     ParseError,
+    PinchedVertex,
+    ResultNotSurface,
     RodEdge,
     UnknownEdge,
 )
@@ -81,20 +97,25 @@ class TruncatedCorner:
 
 
 def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
-    """Apply the three shrinkability impediments to one edge."""
+    """The impediments that make one edge a rod (none for a cable).
+
+    Each impediment is a membership test on an edge set cached on the
+    value (``tri.nonfacial_edges``, ``tri.chords``,
+    ``tri.boundary_triangle_edges``); ``tri.cables`` is the edges outside
+    all three, so this and the cables never disagree.
+    """
     e = (min(edge), max(edge))
     if e not in tri.edge_faces:
         raise UnknownEdge(f"{e[0]}-{e[1]} is not an edge")
-    impediments = set()
-    if e in tri.nonfacial_edges:
-        impediments.add(Impediment.NONFACIAL_TRIANGLE)
-    if e in tri.boundary_edges:
-        cycle = next(c for c in tri.boundary_cycles if e[0] in c and e[1] in c)
-        if len(cycle) == 3:
-            impediments.add(Impediment.BOUNDARY_TRIANGLE)
-    elif e[0] in tri.boundary_vertices and e[1] in tri.boundary_vertices:
-        impediments.add(Impediment.CHORD)
-    return EdgeClassification(edge=e, impediments=frozenset(impediments))
+    rods = (
+        (Impediment.NONFACIAL_TRIANGLE, tri.nonfacial_edges),
+        (Impediment.CHORD, tri.chords),
+        (Impediment.BOUNDARY_TRIANGLE, tri.boundary_triangle_edges),
+    )
+    return EdgeClassification(
+        edge=e,
+        impediments=frozenset(imp for imp, edges in rods if e in edges),
+    )
 
 
 def cable_subgraph(tri: Triangulation) -> frozenset[Edge]:
@@ -214,7 +235,9 @@ def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
 
     The one or two faces incident with the edge collapse to edges.
     Raises :class:`RodEdge` with the blocking impediments when the edge
-    is unshrinkable.
+    is unshrinkable, and :class:`ResultNotSurface` when the collapse is
+    not a surface complex (every edge of the 4-vertex sphere is a cable,
+    yet collapsing one folds two faces onto one).
     """
     verdict = classify_edge(tri, edge)
     if not verdict.is_cable:
@@ -225,7 +248,12 @@ def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
         if a in face and b in face:
             continue
         new_faces.append(tuple(a if x == b else x for x in face))
-    return build(new_faces)
+    try:
+        return build(new_faces)
+    except (
+        DuplicateFace, EmptyComplex, PinchedVertex, Disconnected, NonSurfaceEdge
+    ) as exc:
+        raise ResultNotSurface(f"shrinking {a}-{b}: {exc}") from exc
 
 
 def all_splits(

@@ -38,6 +38,8 @@ ANTIPODAL = {0: 11, 11: 0, 1: 8, 8: 1, 2: 9, 9: 2, 3: 10, 10: 3, 4: 6, 6: 4, 5: 
 
 TETRAHEDRON_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
+ANNULUS_FACES = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (2, 0, 5), (0, 5, 3)]
+
 OCTAHEDRON_FACES = [
     (0, 1, 2), (0, 2, 4), (0, 4, 3), (0, 3, 1),
     (5, 1, 2), (5, 2, 4), (5, 4, 3), (5, 3, 1),
@@ -164,6 +166,13 @@ def triangle():
 @pytest.fixture(scope="session")
 def tetrahedron():
     return ts.build(TETRAHEDRON_FACES)
+
+
+@pytest.fixture(scope="session")
+def annulus():
+    """A 6-vertex annulus whose two boundary cycles are both 3-cycles
+    (the complex of ``demos/data/annulus_6.tri``)."""
+    return ts.build(ANNULUS_FACES)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,66 @@ import pytest
 import trisurf as ts
 from trisurf.cli import main
 
+# Pinned `trisurf classify` output: the rows, verdicts and impediment
+# order are part of the command's byte-identical contract.
+CLASSIFY_OUTPUT = {
+    "k5_moebius": (
+        "edge verdict impediments\n"
+        "0-1 rod nonfacial-triangle\n"
+        "0-2 rod chord,nonfacial-triangle\n"
+        "0-3 rod chord,nonfacial-triangle\n"
+        "0-4 rod nonfacial-triangle\n"
+        "1-2 rod nonfacial-triangle\n"
+        "1-3 rod chord,nonfacial-triangle\n"
+        "1-4 rod chord,nonfacial-triangle\n"
+        "2-3 rod nonfacial-triangle\n"
+        "2-4 rod chord,nonfacial-triangle\n"
+        "3-4 rod nonfacial-triangle\n"
+    ),
+    "proj_plane": (
+        "edge verdict impediments\n"
+        "0-1 rod nonfacial-triangle\n"
+        "0-2 rod nonfacial-triangle\n"
+        "0-3 rod nonfacial-triangle\n"
+        "0-4 rod nonfacial-triangle\n"
+        "0-5 rod nonfacial-triangle\n"
+        "1-2 rod nonfacial-triangle\n"
+        "1-3 rod nonfacial-triangle\n"
+        "1-4 rod nonfacial-triangle\n"
+        "1-5 rod nonfacial-triangle\n"
+        "2-3 rod nonfacial-triangle\n"
+        "2-4 rod nonfacial-triangle\n"
+        "2-5 rod nonfacial-triangle\n"
+        "3-4 rod nonfacial-triangle\n"
+        "3-5 rod nonfacial-triangle\n"
+        "4-5 rod nonfacial-triangle\n"
+    ),
+    "annulus": (
+        "edge verdict impediments\n"
+        "0-1 rod boundary-triangle,nonfacial-triangle\n"
+        "0-2 rod boundary-triangle,nonfacial-triangle\n"
+        "0-3 rod chord\n"
+        "0-5 rod chord\n"
+        "1-2 rod boundary-triangle,nonfacial-triangle\n"
+        "1-3 rod chord\n"
+        "1-4 rod chord\n"
+        "2-4 rod chord\n"
+        "2-5 rod chord\n"
+        "3-4 rod boundary-triangle,nonfacial-triangle\n"
+        "3-5 rod boundary-triangle,nonfacial-triangle\n"
+        "4-5 rod boundary-triangle,nonfacial-triangle\n"
+    ),
+    "tetrahedron": (
+        "edge verdict impediments\n"
+        "0-1 cable -\n"
+        "0-2 cable -\n"
+        "0-3 cable -\n"
+        "1-2 cable -\n"
+        "1-3 cable -\n"
+        "2-3 cable -\n"
+    ),
+}
+
 
 @pytest.fixture()
 def triangle_file(tmp_path):
@@ -98,6 +158,14 @@ class TestClassify:
         assert any("cable" in line for line in out.splitlines())
 
 
+    @pytest.mark.parametrize("name", sorted(CLASSIFY_OUTPUT))
+    def test_output_is_pinned(self, name, request, tmp_path, capsys):
+        path = tmp_path / f"{name}.tri"
+        path.write_text(ts.dumps(request.getfixturevalue(name)), encoding="utf-8")
+        assert main(["classify", str(path)]) == 0
+        assert capsys.readouterr().out == CLASSIFY_OUTPUT[name]
+
+
 class TestCanon:
     def test_code_matches_library(self, quotient_file, proj_plane, capsys):
         assert main(["canon", str(quotient_file)]) == 0
@@ -114,6 +182,16 @@ class TestApply:
     def test_shrinking_a_rod_fails(self, quotient_file, capsys):
         assert main(["apply", str(quotient_file), "sh 0 1"]) == 1
         assert "RodEdge" in capsys.readouterr().err
+
+    def test_shrinking_the_4_vertex_sphere_is_not_a_surface(
+        self, tmp_path, tetrahedron, capsys
+    ):
+        path = tmp_path / "tetrahedron.tri"
+        path.write_text(ts.dumps(tetrahedron), encoding="utf-8")
+        assert main(["apply", str(path), "sh 0 1"]) == 1
+        assert capsys.readouterr().err == (
+            "ResultNotSurface: shrinking 0-1: face (0, 2, 3) occurs more than once\n"
+        )
 
     def test_bad_descriptor_is_usage_error(self, quotient_file, capsys):
         assert main(["apply", str(quotient_file), "flip 0 1"]) == 2

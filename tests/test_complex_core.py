@@ -155,10 +155,7 @@ class TestSurfaceKind:
         assert len(icosahedron.faces) == 20
         assert icosahedron.surface_kind == ts.SPHERE
 
-    def test_annulus_has_two_boundary_cycles(self):
-        annulus = ts.build([
-            (0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (2, 0, 5), (0, 5, 3),
-        ])
+    def test_annulus_has_two_boundary_cycles(self, annulus):
         kind = annulus.surface_kind
         assert kind == ts.SurfaceKind(0, True, 2)
         assert len(annulus.boundary_cycles) == 2
@@ -200,10 +197,7 @@ class TestConeAndRemove:
         with pytest.raises(errors.NotBordered):
             ts.cone_boundary(tetrahedron)
 
-    def test_cone_raises_on_two_boundary_cycles(self):
-        annulus = ts.build([
-            (0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (2, 0, 5), (0, 5, 3),
-        ])
+    def test_cone_raises_on_two_boundary_cycles(self, annulus):
         with pytest.raises(errors.NotBordered):
             ts.cone_boundary(annulus)
 

@@ -71,6 +71,76 @@ class TestClassifyEdge:
                 assert ts.Impediment.BOUNDARY_TRIANGLE not in impediments
 
 
+def _reference_impediments(tri):
+    """Each edge's impediments, from the definitions: a nonfacial 3-cycle
+    from the clique scan, a chord from the boundary vertices, a boundary
+    triangle from the boundary cycle through the edge."""
+    nonfacial = {e for t in tri.nonfacial_triangles for e in combinations(t, 2)}
+    result = {}
+    for a, b in tri.edges:
+        found = set()
+        if (a, b) in nonfacial:
+            found.add(ts.Impediment.NONFACIAL_TRIANGLE)
+        if (a, b) in tri.boundary_edges:
+            cycle = next(c for c in tri.boundary_cycles if a in c and b in c)
+            if len(cycle) == 3:
+                found.add(ts.Impediment.BOUNDARY_TRIANGLE)
+        elif a in tri.boundary_vertices and b in tri.boundary_vertices:
+            found.add(ts.Impediment.CHORD)
+        result[a, b] = frozenset(found)
+    return result
+
+
+def _assert_cable_rule_holds(tri):
+    reference = _reference_impediments(tri)
+    for edge, impediments in reference.items():
+        assert ts.classify_edge(tri, edge).impediments == impediments, edge
+    assert tri.cables == {e for e in tri.edges if ts.classify_edge(tri, e).is_cable}
+    assert tri.cables == {e for e, found in reference.items() if not found}
+    assert tri.nonfacial_edges == {
+        e for t in tri.nonfacial_triangles for e in combinations(t, 2)
+    }
+
+
+class TestCableRule:
+    """The impediment edge sets on the value against the rule stated edge
+    by edge, over the catalog members and every split child of each."""
+
+    @pytest.fixture(scope="class")
+    def catalogs(self, projective_catalog, moebius_catalog_5_7):
+        return {
+            "projective-6..8": projective_catalog,
+            "moebius-5..7": moebius_catalog_5_7,
+            "disk-3..6": ts.enumerate_exhaustive_range(ts.DISK, 3, 6),
+        }
+
+    @pytest.mark.parametrize("name", ["projective-6..8", "moebius-5..7", "disk-3..6"])
+    def test_members_and_split_children(self, catalogs, name):
+        checked = 0
+        for entry in catalogs[name].entries:
+            _assert_cable_rule_holds(entry.triangulation)
+            for _, child in ts.all_splits(entry.triangulation):
+                _assert_cable_rule_holds(child)
+                checked += 1
+        assert checked > 100
+
+    def test_both_three_cycle_holes_of_the_annulus(self, annulus):
+        # Every rim edge bounds a 3-cycle hole; the six spokes are chords.
+        assert annulus.boundary_triangle_edges == annulus.boundary_edges
+        assert annulus.chords == set(annulus.edges) - annulus.boundary_edges
+        assert len(annulus.chords) == 6
+        _assert_cable_rule_holds(annulus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_split_chains(self, triangle, tetrahedron, annulus, data):
+        current = data.draw(st.sampled_from([triangle, tetrahedron, annulus]))
+        _assert_cable_rule_holds(current)
+        for _ in range(data.draw(st.integers(1, 5))):
+            _, current = data.draw(st.sampled_from(ts.all_splits(current)))
+            _assert_cable_rule_holds(current)
+
+
 class TestIrreducibility:
     def test_triangle_is_irreducible(self, triangle):
         assert ts.is_irreducible(triangle)
@@ -190,6 +260,15 @@ class TestShrinkEdge:
         for edge in reversed(fresh):
             current = ts.shrink_edge(current, edge)
         assert current.faces == tri.faces
+
+    def test_collapse_that_is_no_surface_is_refused(self, tetrahedron):
+        # Every edge of the 4-vertex sphere is a cable, yet collapsing one
+        # folds two faces onto one.
+        with pytest.raises(errors.ResultNotSurface) as excinfo:
+            ts.shrink_edge(tetrahedron, (0, 1))
+        assert str(excinfo.value) == (
+            "shrinking 0-1: face (0, 2, 3) occurs more than once"
+        )
 
     def test_shrink_preserves_surface_kind(self, projective_catalog):
         entry = projective_catalog.of_order(8)[0]
