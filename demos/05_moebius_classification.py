@@ -8,7 +8,7 @@ an independent exhaustive search over Moebius-band triangulations of
 orders 5..8 confirms the resulting list of six.
 
 The full run (including the order-8 cross-check, about a thousand
-triangulations) takes on the order of a minute.
+triangulations) takes about 7 s on a 2-vCPU Xeon virtual machine.
 """
 
 import trisurf as ts

@@ -13,9 +13,13 @@ search over face triples that constructs every triangulation with the
 requested vertex count from scratch, sharing nothing with the splitting
 engine.  The search grows a complex one face at a time, always completing
 the lexicographically smallest open edge (an edge on one face that has
-not been committed to the boundary), so each labelled complex is reached
-along exactly one path.  Partial-link feasibility, edge multiplicities
-and a single-boundary-cycle discipline prune the tree; new vertices must
+not been declared boundary), so each labelled complex is reached along
+exactly one path.  The boundary is the link of an apex: the extra vertex
+``n`` that ``cone_boundary`` would add.  Declaring an edge boundary adds
+it to the apex's link, and the edge counts that cone face as its second
+face, so the boundary obeys the same partial-link rules as every vertex
+link and closes only as the apex's one link piece.  Partial-link
+feasibility and edge multiplicities prune the tree; new vertices must
 appear in discovery order, which cuts the labelled duplicates per
 isomorphism class down to one per flag.  A final invariant filter keeps
 only leaves whose identity labelling starts at a minimal flag, so only a
@@ -24,10 +28,10 @@ handful of labelled copies per class are ever validated and coded.
 That filter rejects every labelling in which some vertex has a smaller
 (degree, on-boundary) key than vertex 0, and vertex 0's key only grows
 along a branch.  So the search cuts a branch as soon as a vertex other
-than 0 is finished (its link is a closed cycle, or one path whose two end
-edges are declared boundary) with a key below vertex 0's: every leaf below
-would fail the filter.  The cut removes only such leaves and subtrees that
-hold no leaf at all, and it leaves the traversal order alone, so the first
+than 0 is finished (its link is a closed cycle, or one path whose two ends
+lie on the boundary) with a key below vertex 0's: every leaf below would
+fail the filter.  The cut removes only such leaves and subtrees that hold
+no leaf at all, and it leaves the traversal order alone, so the first
 copy reached of each class, and with it every catalog, ``BASES`` and the
 certificate, stays the same.
 
@@ -259,24 +263,25 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     if n < 3:
         return []
 
-    # Edge keys are (u << 4) | v with u < v; link keys (x << 8) | ((u<<4)|y)
-    # would overflow nothing at n <= 15.
-    ecount = bytearray(256)        # edge key -> number of incident faces
-    declared = bytearray(256)      # edge key -> committed to the boundary
+    # Vertex n is the apex of the cone over the boundary, the vertex
+    # ``cone_boundary`` adds: declaring edge u-v boundary adds link edge u-v
+    # at n, so the boundary is the link of n, and the cone face counts as
+    # the edge's second face.  A vertex's boundary degree is its link degree
+    # at n.  Edge keys are (u << 4) | v with u < v; link keys (x << 8) | y
+    # stay below 4096 at n <= 15.
+    ecount = bytearray(256)        # edge key -> faces, the cone face included
     ldeg = bytearray(4096)         # (x << 8) | y -> link degree of y at x
     lend = [-1] * 4096             # path endpoint -> opposite endpoint
-    lcomp = [0] * n                # open link-path components per vertex
-    lclosed = bytearray(n)         # link already a full cycle
+    lcomp = [0] * (n + 1)          # open link-path components per vertex
+    lclosed = bytearray(n + 1)     # link already a full cycle
     vdeg = [0] * n
-    bdeg = [0] * n                 # declared boundary edges per vertex
-    bend = [-1] * n                # boundary path endpoint -> opposite end
+    apex = n << 8                  # link keys of the apex
     faces: list[tuple[int, int, int]] = []
     face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
     found: dict[bytes, Triangulation] = {}
 
     used = 3
-    boundary_closed = False
 
     def link_ok(x: int, p: int, q: int) -> bool:
         """May link edge p-q be added at x?  (Pure check, no mutation.)"""
@@ -289,9 +294,10 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
         if dp == 2 or dq == 2:
             return False
         if dp == 1 and dq == 1 and lend[kp] == q:
-            # Would close a cycle: legal only if it completes the link of
-            # an interior vertex.
-            return lcomp[x] == 1 and bdeg[x] == 0
+            # Would close a cycle: legal only as the link's one piece.  The
+            # link of a boundary vertex never closes: its boundary edges are
+            # full, so no face offers a link edge at their ends.
+            return lcomp[x] == 1
         return True
 
     def link_commit(x: int, p: int, q: int) -> tuple[int, int]:
@@ -354,21 +360,23 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
         """Is the key of ``x`` final and smaller than vertex 0's?
 
         A vertex is finished when its link is a closed cycle, or when it
-        is one path whose two end edges are declared boundary: a further
-        face at such a vertex starts a second link piece, which can
-        neither close nor end on the boundary, so no leaf lies below it.
-        Vertex 0's key never shrinks, so then ``leaf`` rejects every leaf
-        below this node.  For ``x == 0`` the answer is always False.
+        is one path with both ends on the boundary (link degree 2 at the
+        apex): a further face at such a vertex starts a second link
+        piece, which can neither close nor end on the boundary, so no leaf
+        lies below it.  Vertex 0's key never shrinks, so then ``leaf``
+        rejects every leaf below this node.  For ``x == 0`` the answer is
+        always False.
         """
-        if lclosed[x] or (bdeg[x] == 2 and lcomp[x] == 1):
+        b = ldeg[apex | x]
+        if lclosed[x] or (b == 2 and lcomp[x] == 1):
             d, d0 = vdeg[x], vdeg[0]
-            return d < d0 or (d == d0 and not bdeg[x] and bdeg[0] > 0)
+            return d < d0 or (d == d0 and not b and ldeg[apex] > 0)
         return False
 
     def leaf() -> None:
         if used != n:
             return
-        key = [(vdeg[x], 1 if bdeg[x] else 0) for x in range(n)]
+        key = [(vdeg[x], 1 if ldeg[apex | x] else 0) for x in range(n)]
         identity = (key[0], key[1], key[2])
         for a, b, c in faces:
             ka, kb, kc = key[a], key[b], key[c]
@@ -384,7 +392,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             found[code] = tri
 
     def rec() -> None:
-        nonlocal used, boundary_closed
+        nonlocal used
         if not open_set:
             leaf()
             return
@@ -404,9 +412,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
                     continue
                 ew = ((u << 4) | w) if u < w else ((w << 4) | u)
                 ev = ((v << 4) | w) if v < w else ((w << 4) | v)
-                if ecount[ew] == 2 or declared[ew]:
-                    continue
-                if ecount[ev] == 2 or declared[ev]:
+                if ecount[ew] == 2 or ecount[ev] == 2:
                     continue
                 if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
                     continue
@@ -457,56 +463,16 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
                 link_undo(v, u, w, ends_v)
                 link_undo(u, v, w, ends_u)
 
-        if (
-            allow_boundary
-            and not boundary_closed
-            and not lclosed[u]
-            and not lclosed[v]
-            and bdeg[u] < 2
-            and bdeg[v] < 2
-        ):
-            closing = bdeg[u] == 1 and bdeg[v] == 1 and bend[u] == v
-            saved_u, saved_v = bend[u], bend[v]
-            declared[e] = 1
+        # Or declare e boundary: the cone face (u, v, n) is its second face.
+        if allow_boundary and link_ok(n, u, v):
+            ends = link_commit(n, u, v)
+            ecount[e] = 2
             open_set.discard(e)
-            bdeg[u] += 1
-            bdeg[v] += 1
-            if closing:
-                boundary_closed = True
-                bend[u] = -1
-                bend[v] = -1
-            elif saved_u >= 0 and saved_v >= 0:
-                # Two paths merge; their far ends become the new endpoints.
-                bend[saved_u] = saved_v
-                bend[saved_v] = saved_u
-                bend[u] = -1
-                bend[v] = -1
-            elif saved_u >= 0:
-                bend[saved_u] = v
-                bend[v] = saved_u
-                bend[u] = -1
-            elif saved_v >= 0:
-                bend[saved_v] = u
-                bend[u] = saved_v
-                bend[v] = -1
-            else:
-                bend[u] = v
-                bend[v] = u
-
             if not (beats_root(u) or beats_root(v)):
                 rec()
-
-            if closing:
-                boundary_closed = False
-            bdeg[u] -= 1
-            bdeg[v] -= 1
-            bend[u], bend[v] = saved_u, saved_v
-            if saved_u >= 0 and saved_u != v:
-                bend[saved_u] = u
-            if saved_v >= 0 and saved_v != u:
-                bend[saved_v] = v
-            declared[e] = 0
+            ecount[e] = 1
             open_set.add(e)
+            link_undo(n, u, v, ends)
 
     # Root: every triangulation has a labelling in which (0, 1, 2) is a
     # face, so it is fixed as the first face.
@@ -552,8 +518,7 @@ def enumerate_exhaustive(
     ceiling: int = DEFAULT_CEILING,
 ) -> Catalog:
     """Every isomorphism class of the given kind and order, exactly once."""
-    if order > ceiling:
-        raise CeilingExceeded(f"order {order} above ceiling {ceiling}")
+    _check_ceiling(order, order, ceiling)
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
     bordered = kind.boundary_components == 1

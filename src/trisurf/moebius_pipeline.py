@@ -88,20 +88,13 @@ def verify_patch_confinement(tri: Triangulation) -> PatchConfinementReport:
     coned = cone_boundary(tri)
     cables = cable_subgraph(coned)
     boundary = tri.boundary_vertices
-    boundary_edge_set = tri.boundary_edges
 
     in_patch = all(
         apex in edge or (edge[0] in boundary and edge[1] in boundary)
         for edge in cables
     )
-    not_on_rim = all(edge not in boundary_edge_set for edge in cables)
-    chords = [
-        edge
-        for edge in tri.edges
-        if edge[0] in boundary and edge[1] in boundary
-        and edge not in boundary_edge_set
-    ]
-    chords_are_rods = all(edge not in cables for edge in chords)
+    not_on_rim = tri.boundary_edges.isdisjoint(cables)
+    chords_are_rods = tri.chords.isdisjoint(cables)
     if len(cables) >= 2:
         unique_pylon = pylonic_vertices(coned) == {apex}
     else:

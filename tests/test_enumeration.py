@@ -123,6 +123,18 @@ class TestSearchContract:
         assert (len(found), len(calls)) == (classes, builds)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_order_8_bordered_representatives_are_pinned(self):
+        # The cached query that the order-8 Moebius catalog and the
+        # certificate make, so the pin runs no second search; counting its
+        # leaves would.
+        cap = enumeration._face_cap(ts.MOEBIUS_BAND, 8)
+        found = enumeration._search_cached(8, True, cap)
+        text = repr([tri.faces for tri in found])
+        assert len(found) == 3920
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d06dd69cbdea77a24bff5855115ef5d5f2886218c4b9309987555da71ffac467"
+        )
+
 
 class TestSplittingClosure:
     def test_sphere_closure_matches_exhaustive(self, tetrahedron, sphere_catalog_4_6):
