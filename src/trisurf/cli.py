@@ -11,8 +11,7 @@ Subcommands::
 
 The splitting engine is seeded from the stored bases and never searches;
 ``--ceiling`` applies to the exhaustive engine (and to the certificate)
-only.  ``--jobs N`` is accepted for compatibility and has no effect:
-everything runs in one process.
+only.
 
 Exit status: 0 on success, 1 when a verification fails (invalid complex,
 non-empty catalog diff, failed certificate clause), 2 on usage or parse
@@ -52,7 +51,6 @@ from .moebius_pipeline import (
 from .moves import apply_descriptor, classify_edge
 
 OK, VERIFY_FAILED, USAGE = 0, 1, 2
-JOBS_HELP = "accepted for compatibility; has no effect"
 
 
 def _load(path: str) -> Triangulation:
@@ -210,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["splitting", "exhaustive", "compare"],
     )
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None, help="output directory (default: stdout)")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -223,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="top order for the exhaustive cross-check (default 8)",
     )
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_moebius)
 

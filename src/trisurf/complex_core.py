@@ -18,9 +18,9 @@ complexes that are split further need them.
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
 the instance on first use, so it lives exactly as long as the value.
-The cables are set algebra on it: the edges minus the three impediment
-sets ``nonfacial_edges``, ``chords`` and ``boundary_triangle_edges``,
-each one pass over the edges (see :mod:`trisurf.moves` for the rule).
+The cables are set algebra on it: the edges minus the four impediment
+sets ``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
+``minimal_edges``, each at most one pass over the edges (see :mod:`trisurf.moves` for the rule).
 Vertex ids are always the dense range ``0..order-1``: arbitrary input
 labels are remapped by :func:`build` and the original labels are kept in
 ``source_labels`` for reporting.
@@ -228,6 +228,14 @@ class Triangulation:
         return frozenset(found)
 
     @cached_property
+    def minimal_edges(self) -> frozenset[Edge]:
+        """Every edge of a closed complex on 4 vertices, the tetrahedron:
+        no closed surface has fewer, so no collapse of it is one."""
+        if self.order == 4 and self.is_closed:
+            return frozenset(self.edge_faces)
+        return frozenset()
+
+    @cached_property
     def _canonical(self) -> tuple[bytes, tuple[int, ...]]:
         # A local import: canon imports this module.
         from .canon import _canonical_form
@@ -236,10 +244,11 @@ class Triangulation:
 
     @cached_property
     def cables(self) -> frozenset[Edge]:
-        """The shrinkable edges: those in none of the three impediment
+        """The shrinkable edges: those in none of the four impediment
         sets."""
         return frozenset(self.edge_faces).difference(
-            self.nonfacial_edges, self.chords, self.boundary_triangle_edges
+            self.nonfacial_edges, self.chords, self.boundary_triangle_edges,
+            self.minimal_edges,
         )
 
     @cached_property

@@ -35,6 +35,19 @@ no leaf at all, and it leaves the traversal order alone, so the first
 copy reached of each class, and with it every catalog, ``BASES`` and the
 certificate, stays the same.
 
+A query is the triple (order n, bordered, chi_min), and one budget bounds
+its tree.  Euler's formula V - E + F = chi with 3F + b = 2E, where b counts
+the boundary edges, gives F + b = 2(n - chi) for every surface, closed or
+bordered.  Each face and each boundary declaration adds 1 to F + b.  A
+step that adds a vertex closes one open edge and opens two, and any other
+step closes at most three, so a branch is cut once F + b, plus one step
+per missing vertex, plus a third of the open edges, exceeds 2(n - chi_min).
+The bound comes from Euler's formula and the search's own bookkeeping,
+not from the moves, so the engines stay independent.
+``enumerate_exhaustive`` asks for chi_min = min(chi, 1) closed and
+min(chi, 0) bordered: the sphere and the projective plane share one run,
+and so do the disk and the Moebius band.
+
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
 check of the package.
@@ -253,9 +266,16 @@ def enumerate_splitting_range(
 # ---------------------------------------------------------------------------
 
 
-def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
-    """All triangulations on exactly ``n`` vertices (closed, or with at
-    most one boundary cycle when ``allow_boundary``), one per class."""
+def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
+    """All triangulations on exactly ``n`` vertices with Euler
+    characteristic at least ``chi_min`` (closed, or with at most one
+    boundary cycle when ``allow_boundary``), one per class.
+
+    V - E + F = chi and 3F + b = 2E, where b counts boundary edges, give
+    F + b = 2(n - chi) for every such complex.  Faces and boundary
+    declarations are the search's steps, so a branch is cut once the
+    steps it has taken and the fewest it still needs exceed 2(n - chi_min).
+    """
     if n > MAX_SEARCH_ORDER:
         raise CeilingExceeded(
             f"order {n} above the exhaustive search limit {MAX_SEARCH_ORDER}"
@@ -280,6 +300,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
     face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
     found: dict[bytes, Triangulation] = {}
+    budget = 2 * (n - chi_min)
 
     used = 3
 
@@ -391,77 +412,79 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
         if code not in found:
             found[code] = tri
 
-    def rec() -> None:
+    def rec(spent: int) -> None:
         nonlocal used
         if not open_set:
             leaf()
             return
-        if n - used > face_cap - len(faces):
+        # Each further step adds 1 to F + b.  The n - used steps that add a
+        # vertex close one open edge and open two, so the other steps must
+        # close every open edge, at most three each.
+        if spent + n - used + (len(open_set) + 2) // 3 > budget:
             return
         e = min(open_set)
         u, v = e >> 4, e & 15
         uv = (1 << u) | (1 << v)
 
-        if len(faces) < face_cap:
-            top = used + 1 if used < n else used
-            for w in range(top):
-                if w == u or w == v:
-                    continue
-                fid = uv | (1 << w)
-                if fid in face_set:
-                    continue
-                ew = ((u << 4) | w) if u < w else ((w << 4) | u)
-                ev = ((v << 4) | w) if v < w else ((w << 4) | v)
-                if ecount[ew] == 2 or ecount[ev] == 2:
-                    continue
-                if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
-                    continue
+        top = used + 1 if used < n else used
+        for w in range(top):
+            if w == u or w == v:
+                continue
+            fid = uv | (1 << w)
+            if fid in face_set:
+                continue
+            ew = ((u << 4) | w) if u < w else ((w << 4) | u)
+            ev = ((v << 4) | w) if v < w else ((w << 4) | v)
+            if ecount[ew] == 2 or ecount[ev] == 2:
+                continue
+            if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
+                continue
 
-                ends_u = link_commit(u, v, w)
-                ends_v = link_commit(v, u, w)
-                ends_w = link_commit(w, u, v)
-                # e had one face; ew and ev get their first or second.
-                ecount[e] = 2
-                open_set.discard(e)
-                for ek in (ew, ev):
-                    if ecount[ek]:
-                        ecount[ek] = 2
-                        open_set.discard(ek)
-                    else:
-                        ecount[ek] = 1
-                        open_set.add(ek)
-                        vdeg[ek >> 4] += 1
-                        vdeg[ek & 15] += 1
-                grew = w == used
-                if grew:
-                    used += 1
-                # Unsorted: leaf()'s filter tries all six orders and
-                # build() normalises.
-                faces.append((u, v, w))
-                face_set.add(fid)
+            ends_u = link_commit(u, v, w)
+            ends_v = link_commit(v, u, w)
+            ends_w = link_commit(w, u, v)
+            # e had one face; ew and ev get their first or second.
+            ecount[e] = 2
+            open_set.discard(e)
+            for ek in (ew, ev):
+                if ecount[ek]:
+                    ecount[ek] = 2
+                    open_set.discard(ek)
+                else:
+                    ecount[ek] = 1
+                    open_set.add(ek)
+                    vdeg[ek >> 4] += 1
+                    vdeg[ek & 15] += 1
+            grew = w == used
+            if grew:
+                used += 1
+            # Unsorted: leaf()'s filter tries all six orders and
+            # build() normalises.
+            faces.append((u, v, w))
+            face_set.add(fid)
 
-                if not (beats_root(u) or beats_root(v) or beats_root(w)):
-                    rec()
+            if not (beats_root(u) or beats_root(v) or beats_root(w)):
+                rec(spent + 1)
 
-                face_set.discard(fid)
-                faces.pop()
-                if grew:
-                    used -= 1
-                # An edge now on two faces had one before the commit.
-                for ek in (ew, ev):
-                    if ecount[ek] == 2:
-                        ecount[ek] = 1
-                        open_set.add(ek)
-                    else:
-                        ecount[ek] = 0
-                        open_set.discard(ek)
-                        vdeg[ek >> 4] -= 1
-                        vdeg[ek & 15] -= 1
-                ecount[e] = 1
-                open_set.add(e)
-                link_undo(w, u, v, ends_w)
-                link_undo(v, u, w, ends_v)
-                link_undo(u, v, w, ends_u)
+            face_set.discard(fid)
+            faces.pop()
+            if grew:
+                used -= 1
+            # An edge now on two faces had one before the commit.
+            for ek in (ew, ev):
+                if ecount[ek] == 2:
+                    ecount[ek] = 1
+                    open_set.add(ek)
+                else:
+                    ecount[ek] = 0
+                    open_set.discard(ek)
+                    vdeg[ek >> 4] -= 1
+                    vdeg[ek & 15] -= 1
+            ecount[e] = 1
+            open_set.add(e)
+            link_undo(w, u, v, ends_w)
+            link_undo(v, u, w, ends_v)
+            link_undo(u, v, w, ends_u)
 
         # Or declare e boundary: the cone face (u, v, n) is its second face.
         if allow_boundary and link_ok(n, u, v):
@@ -469,7 +492,7 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
             ecount[e] = 2
             open_set.discard(e)
             if not (beats_root(u) or beats_root(v)):
-                rec()
+                rec(spent + 1)
             ecount[e] = 1
             open_set.add(e)
             link_undo(n, u, v, ends)
@@ -487,29 +510,17 @@ def _search(n: int, allow_boundary: bool, face_cap: int) -> list[Triangulation]:
         open_set.add(ek)
         vdeg[a] += 1
         vdeg[b] += 1
-    rec()
+    rec(1)
     return [found[code] for code in sorted(found)]
 
 
 # Keyed on the query, not on a complex: the Moebius catalog, the certificate
-# and the cross-check share one order-8 search (about 8 s).
+# and the cross-check share one order-8 search.
 @lru_cache(maxsize=64)
 def _search_cached(
-    n: int, allow_boundary: bool, face_cap: int
+    n: int, allow_boundary: bool, chi_min: int
 ) -> tuple[Triangulation, ...]:
-    return tuple(_search(n, allow_boundary, face_cap))
-
-
-def _face_cap(kind: SurfaceKind, order: int) -> int:
-    chi = kind.euler_characteristic
-    if kind.boundary_components == 0:
-        # Caps for chi <= 1 coincide so that sphere and projective-plane
-        # queries share one search run.
-        return 2 * (order - min(chi, 1))
-    # A bordered complex with boundary length b has 2*order - 2*chi - b
-    # faces and b >= 3.  Sharing the chi <= 0 cap lets disk queries reuse
-    # the moebius run.
-    return 2 * order - 2 * min(chi, 0) - 3
+    return tuple(_search(n, allow_boundary, chi_min))
 
 
 def enumerate_exhaustive(
@@ -522,7 +533,9 @@ def enumerate_exhaustive(
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
     bordered = kind.boundary_components == 1
-    raw = _search_cached(order, bordered, _face_cap(kind, order))
+    # chi_min is at most 1 closed and 0 bordered, so the sphere and the
+    # projective plane share one search run, and so do disk and Moebius band.
+    raw = _search_cached(order, bordered, min(kind.euler_characteristic, 1 - bordered))
     entries = tuple(
         CatalogEntry(canonical_code(tri), order, tri, "exhaustive")
         for tri in raw

@@ -2,18 +2,21 @@
 
 An edge is *shrinkable* (a cable) when collapsing it to a vertex leaves a
 triangulation of the same surface, and *unshrinkable* (a rod) otherwise.
-Three impediments characterise the rods:
+Four impediments characterise the rods:
 
 * ``NONFACIAL_TRIANGLE`` - the edge lies in a 3-cycle of the graph that
   does not bound a face (collapsing would create a multiple edge);
 * ``CHORD`` - both endpoints are boundary vertices but the edge is not a
   boundary edge (collapsing would pinch the boundary);
 * ``BOUNDARY_TRIANGLE`` - the edge is a boundary edge and its boundary
-  cycle is a 3-cycle (collapsing would squash the boundary to a digon).
+  cycle is a 3-cycle (collapsing would squash the boundary to a digon);
+* ``MINIMAL`` - the complex is closed on 4 vertices, the tetrahedron
+  (collapsing would fold both faces of the edge onto the opposite one).
 
 Each impediment is one edge set cached on the ``Triangulation`` value:
-``nonfacial_edges``, ``chords`` and ``boundary_triangle_edges``.  The
-cables are the edges outside all three (``tri.cables``), and
+``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
+``minimal_edges``.  The cables are the edges outside all four
+(``tri.cables``), and
 :func:`classify_edge` reports an edge's membership in each.  Edge ``uv``
 lies in a nonfacial 3-cycle exactly when ``u`` and ``v`` have more common
 neighbours than ``uv`` has faces, since each face ``uvw`` accounts for
@@ -57,6 +60,7 @@ class Impediment(enum.Enum):
     NONFACIAL_TRIANGLE = "nonfacial-triangle"
     CHORD = "chord"
     BOUNDARY_TRIANGLE = "boundary-triangle"
+    MINIMAL = "minimal"
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,9 @@ def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
 
     Each impediment is a membership test on an edge set cached on the
     value (``tri.nonfacial_edges``, ``tri.chords``,
-    ``tri.boundary_triangle_edges``); ``tri.cables`` is the edges outside
-    all three, so this and the cables never disagree.
+    ``tri.boundary_triangle_edges``, ``tri.minimal_edges``);
+    ``tri.cables`` is the edges outside all four, so this and the cables
+    never disagree.
     """
     e = (min(edge), max(edge))
     if e not in tri.edge_faces:
@@ -111,6 +116,7 @@ def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
         (Impediment.NONFACIAL_TRIANGLE, tri.nonfacial_edges),
         (Impediment.CHORD, tri.chords),
         (Impediment.BOUNDARY_TRIANGLE, tri.boundary_triangle_edges),
+        (Impediment.MINIMAL, tri.minimal_edges),
     )
     return EdgeClassification(
         edge=e,
@@ -124,14 +130,7 @@ def cable_subgraph(tri: Triangulation) -> frozenset[Edge]:
 
 
 def is_irreducible(tri: Triangulation) -> bool:
-    """True iff the triangulation is free of cables.
-
-    Caveat: the 4-vertex sphere is the one complex the impediment
-    conditions misreport (its edges lie in no nonfacial 3-cycle, yet any
-    collapse would squash it below a simplicial complex); by order
-    minimality it belongs to the sphere basis regardless, which is how the
-    enumeration engines treat it.
-    """
+    """True iff the triangulation is free of cables."""
     return not cable_subgraph(tri)
 
 
@@ -236,8 +235,7 @@ def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
     The one or two faces incident with the edge collapse to edges.
     Raises :class:`RodEdge` with the blocking impediments when the edge
     is unshrinkable, and :class:`ResultNotSurface` when the collapse is
-    not a surface complex (every edge of the 4-vertex sphere is a cable,
-    yet collapsing one folds two faces onto one).
+    not a surface complex.
     """
     verdict = classify_edge(tri, edge)
     if not verdict.is_cable:

@@ -60,12 +60,12 @@ CLASSIFY_OUTPUT = {
     ),
     "tetrahedron": (
         "edge verdict impediments\n"
-        "0-1 cable -\n"
-        "0-2 cable -\n"
-        "0-3 cable -\n"
-        "1-2 cable -\n"
-        "1-3 cable -\n"
-        "2-3 cable -\n"
+        "0-1 rod minimal\n"
+        "0-2 rod minimal\n"
+        "0-3 rod minimal\n"
+        "1-2 rod minimal\n"
+        "1-3 rod minimal\n"
+        "2-3 rod minimal\n"
     ),
 }
 
@@ -189,9 +189,7 @@ class TestApply:
         path = tmp_path / "tetrahedron.tri"
         path.write_text(ts.dumps(tetrahedron), encoding="utf-8")
         assert main(["apply", str(path), "sh 0 1"]) == 1
-        assert capsys.readouterr().err == (
-            "ResultNotSurface: shrinking 0-1: face (0, 2, 3) occurs more than once\n"
-        )
+        assert capsys.readouterr().err == "RodEdge: edge 0-1 is a rod (minimal)\n"
 
     def test_bad_descriptor_is_usage_error(self, quotient_file, capsys):
         assert main(["apply", str(quotient_file), "flip 0 1"]) == 2
@@ -209,7 +207,7 @@ class TestEnumerate:
         argv = ["enumerate", "--surface", "sphere", "--min-order", "4",
                 "--max-order", "5", "--engine", "compare"]
         assert main(argv + ["--out", str(out1)]) == 0
-        assert main(argv + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
         capsys.readouterr()
         for name in ("sphere_exhaustive.catalog", "sphere_splitting.catalog",
                      "sphere_diff.txt"):

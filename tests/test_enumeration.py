@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,22 +76,43 @@ class TestExhaustive:
         assert member.degree_sequence == (6,) * 7
 
 
-# (order, bordered, face cap, build calls, classes, sha256 of the
-# representatives' face lists), taken from the search before any cut inside
-# its tree: closed queries at the projective-plane cap, bordered ones at the
-# Moebius-band cap.
+# (order, bordered, chi_min, rec calls, build calls, classes, sha256 of the
+# representatives' face lists): closed queries at the projective-plane
+# chi_min 1, bordered ones at the Moebius-band chi_min 0.  The rec calls count
+# the nodes of the search tree, so a cut that stops cutting shows here.
 SEARCH_PINS = [
-    (4, False, 6, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
-    (5, False, 8, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
-    (6, False, 10, 3, 3, "8f53a4ce430806004dc885a1898a9a109dafdc6ca9914e2540ca4a169d712857"),
-    (7, False, 12, 8, 8, "5c4638f30a7969885f7342c4bc14c85472289bae28abae9c9c47f45303cb2226"),
-    (8, False, 14, 37, 30, "d36d2874b97c81aa1855ebcf72f6ed802f5f3891857bf54b4b11c945c9301a5e"),
-    (3, True, 3, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
-    (4, True, 5, 3, 3, "3ae10a7c235680f9f77b260c4f54c639d6f1d23d6d8a1d59231c3d7adeb34062"),
-    (5, True, 7, 8, 6, "b499e85f097e89054022da2b4512ec713c2f2a4d4ac373f12c31965f4c794e09"),
-    (6, True, 9, 41, 28, "801fd82382fe3864435d47041e4c9ee25da713ba8a08e245b7bb43d5a6770740"),
-    (7, True, 11, 306, 201, "a0951af814d27195fe18615cdef5886ac2752583b6919dc5a70efde672fcebfc"),
+    (4, False, 1, 4, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
+    (5, False, 1, 9, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
+    (6, False, 1, 29, 3, 3, "8f53a4ce430806004dc885a1898a9a109dafdc6ca9914e2540ca4a169d712857"),
+    (7, False, 1, 158, 8, 8, "5c4638f30a7969885f7342c4bc14c85472289bae28abae9c9c47f45303cb2226"),
+    (8, False, 1, 1475, 37, 30, "d36d2874b97c81aa1855ebcf72f6ed802f5f3891857bf54b4b11c945c9301a5e"),
+    (3, True, 0, 4, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
+    (4, True, 0, 17, 3, 3, "3ae10a7c235680f9f77b260c4f54c639d6f1d23d6d8a1d59231c3d7adeb34062"),
+    (5, True, 0, 80, 8, 6, "b499e85f097e89054022da2b4512ec713c2f2a4d4ac373f12c31965f4c794e09"),
+    (6, True, 0, 649, 34, 28, "c9bcf4f667498eeb776f7583eff6017a3fd2334eb1d812bbfe7094d0be5e13b5"),
+    (7, True, 0, 9687, 185, 155, "c413b6a74c994803b35ca97cca37711bb9bcc7835cee8012cab857aab0b366bb"),
 ]
+
+# sha256 of the bordered output's bordered members and spheres, in order,
+# as the search found them under the face cap 2n - 3 that the Euler budget
+# replaced.  The budget also admits closed chi = 0, 1 classes, which the cap
+# cut, but it must not change which copy of any other class comes first.
+BORDERED_CAP_DIGESTS = {
+    6: "1091eb3a924cd3ea5d276f470ce2b4a025269cd70d97b846f0abf963eac7a948",
+    7: "5f87cf9dba50668d890af4e7f019f606836f39b381bf6104fddfffa107169aaa",
+    8: "820acb0b10120913e925159bbe641e1d5a168a893026a63d626a54c3118aed97",
+}
+
+
+def _digest(faces_lists) -> str:
+    return hashlib.sha256(repr(list(faces_lists)).encode()).hexdigest()
+
+
+def _bordered_or_sphere(found) -> list:
+    return [
+        tri.faces for tri in found
+        if not tri.is_closed or tri.euler_characteristic == 2
+    ]
 
 
 class TestSearchContract:
@@ -98,17 +120,18 @@ class TestSearchContract:
     and catalogs, ``BASES`` and the certificate store those copies.  A cut
     inside the tree may remove only leaves that the leaf filter rejects:
     then both the representatives and the number of leaves that pass the
-    filter (one ``build`` each) stay as pinned."""
+    filter (one ``build`` each) stay as pinned, and the node count shows
+    whether each cut still cuts."""
 
     @pytest.mark.parametrize(
-        "n, bordered, cap, builds, classes, digest",
+        "n, bordered, chi_min, nodes, builds, classes, digest",
         [
             pytest.param(*pin, id=f"{'bordered' if pin[1] else 'closed'}-{pin[0]}")
             for pin in SEARCH_PINS
         ],
     )
     def test_search_output_and_leaf_count_are_pinned(
-        self, monkeypatch, n, bordered, cap, builds, classes, digest
+        self, monkeypatch, n, bordered, chi_min, nodes, builds, classes, digest
     ):
         calls = []
         real_build = enumeration.build
@@ -117,23 +140,37 @@ class TestSearchContract:
             calls.append(None)
             return real_build(faces)
 
+        rec_calls = []
+        search_file = enumeration.__file__
+
+        def count_rec(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name == "rec"
+                    and code.co_filename == search_file):
+                rec_calls.append(None)
+
         monkeypatch.setattr(enumeration, "build", counting_build)
-        found = enumeration._search(n, bordered, cap)
-        text = repr([tri.faces for tri in found])
-        assert (len(found), len(calls)) == (classes, builds)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        previous = sys.getprofile()
+        sys.setprofile(count_rec)
+        try:
+            found = enumeration._search(n, bordered, chi_min)
+        finally:
+            sys.setprofile(previous)
+        assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
+        assert _digest(tri.faces for tri in found) == digest
+        if bordered and n in BORDERED_CAP_DIGESTS:
+            assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[n]
 
     def test_order_8_bordered_representatives_are_pinned(self):
         # The cached query that the order-8 Moebius catalog and the
         # certificate make, so the pin runs no second search; counting its
-        # leaves would.
-        cap = enumeration._face_cap(ts.MOEBIUS_BAND, 8)
-        found = enumeration._search_cached(8, True, cap)
-        text = repr([tri.faces for tri in found])
-        assert len(found) == 3920
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "d06dd69cbdea77a24bff5855115ef5d5f2886218c4b9309987555da71ffac467"
+        # nodes would.
+        found = enumeration._search_cached(8, True, 0)
+        assert len(found) == 1336
+        assert _digest(tri.faces for tri in found) == (
+            "0ac1e834a88e9d2de16f7d625d233c9ce1006d7939a0031f0954ccb8c9b9567c"
         )
+        assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[8]
 
 
 class TestSplittingClosure:
@@ -421,9 +458,8 @@ class TestCatalogFile:
 
 class TestBasis:
     """Each stored basis is re-derived by exhaustive search: no order below
-    its minimum has a member, and the irreducible members together with
-    those of minimum order (irreducible by minimality; the tetrahedron's
-    edges pass the impediment test) are exactly the stored members."""
+    its minimum has a member, and the irreducible members are exactly the
+    stored members."""
 
     @staticmethod
     def _derive(kind, catalog):
@@ -433,8 +469,7 @@ class TestBasis:
             assert len(ts.enumerate_exhaustive(kind, order)) == 0
         assert catalog.min_order == lowest
         derived = [
-            e.code for e in catalog.entries
-            if e.order == lowest or ts.is_irreducible(e.triangulation)
+            e.code for e in catalog.entries if ts.is_irreducible(e.triangulation)
         ]
         assert derived == [ts.canonical_code(tri) for tri in stored]
         return derived

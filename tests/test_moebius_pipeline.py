@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 import trisurf as ts
-from trisurf import errors
-from trisurf.enumeration import Catalog
+from trisurf import errors, moebius_pipeline
+from trisurf.enumeration import Catalog, CatalogEntry
 
 
 class TestPylonicAnalysis:
@@ -172,3 +172,25 @@ class TestCertificate:
             max_cross_check_order=7, projective_catalog=projective_catalog
         )
         assert certificate.passed
+
+    def test_extra_irreducible_member_fails_the_cross_check(
+        self, monkeypatch, projective_catalog, proj_plane
+    ):
+        real = moebius_pipeline.enumerate_exhaustive_range
+        extra = CatalogEntry(
+            ts.canonical_code(proj_plane), proj_plane.order, proj_plane, "injected"
+        )
+
+        def with_extra(kind, min_order, max_order, ceiling):
+            catalog = real(kind, min_order, max_order, ceiling)
+            entries = sorted(
+                catalog.entries + (extra,), key=lambda e: (e.order, e.code)
+            )
+            return Catalog(kind, min_order, max_order, catalog.engine, tuple(entries))
+
+        monkeypatch.setattr(moebius_pipeline, "enumerate_exhaustive_range", with_extra)
+        certificate = ts.build_certificate(
+            max_cross_check_order=7, projective_catalog=projective_catalog
+        )
+        failed = {clause.ident for clause in certificate.failures}
+        assert failed == {"exhaustive-cross-check"}

@@ -59,6 +59,13 @@ class TestClassifyEdge:
             else:
                 assert ts.Impediment.CHORD not in result.impediments
 
+    def test_tetrahedron_edges_are_minimal_rods(self, tetrahedron):
+        _assert_cable_rule_holds(tetrahedron)
+        for edge in tetrahedron.edges:
+            impediments = ts.classify_edge(tetrahedron, edge).impediments
+            assert impediments == frozenset({ts.Impediment.MINIMAL})
+        assert ts.is_irreducible(tetrahedron)
+
     def test_unknown_edge(self, k5_moebius):
         with pytest.raises(errors.UnknownEdge):
             ts.classify_edge(k5_moebius, (0, 7))
@@ -74,7 +81,8 @@ class TestClassifyEdge:
 def _reference_impediments(tri):
     """Each edge's impediments, from the definitions: a nonfacial 3-cycle
     from the clique scan, a chord from the boundary vertices, a boundary
-    triangle from the boundary cycle through the edge."""
+    triangle from the boundary cycle through the edge, and every edge of
+    a closed complex on 4 vertices."""
     nonfacial = {e for t in tri.nonfacial_triangles for e in combinations(t, 2)}
     result = {}
     for a, b in tri.edges:
@@ -87,6 +95,8 @@ def _reference_impediments(tri):
                 found.add(ts.Impediment.BOUNDARY_TRIANGLE)
         elif a in tri.boundary_vertices and b in tri.boundary_vertices:
             found.add(ts.Impediment.CHORD)
+        if tri.is_closed and tri.order == 4:
+            found.add(ts.Impediment.MINIMAL)
         result[a, b] = frozenset(found)
     return result
 
@@ -262,13 +272,11 @@ class TestShrinkEdge:
         assert current.faces == tri.faces
 
     def test_collapse_that_is_no_surface_is_refused(self, tetrahedron):
-        # Every edge of the 4-vertex sphere is a cable, yet collapsing one
-        # folds two faces onto one.
-        with pytest.raises(errors.ResultNotSurface) as excinfo:
+        # Collapsing an edge of the 4-vertex sphere would fold its two
+        # faces onto the opposite one, so every edge is a rod.
+        with pytest.raises(errors.RodEdge) as excinfo:
             ts.shrink_edge(tetrahedron, (0, 1))
-        assert str(excinfo.value) == (
-            "shrinking 0-1: face (0, 2, 3) occurs more than once"
-        )
+        assert excinfo.value.impediments == {ts.Impediment.MINIMAL}
 
     def test_shrink_preserves_surface_kind(self, projective_catalog):
         entry = projective_catalog.of_order(8)[0]
