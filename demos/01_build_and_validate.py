@@ -46,9 +46,10 @@ restored = ts.cone_boundary(band)
 print(f"coned band is the quotient again: {ts.isomorphic(restored, projective)}")
 
 # Vertex links are how validation works: every link must be one cycle
-# (interior vertex) or one path (boundary vertex).
-link = band.link(0)
-print(f"link of vertex 0 in the band: {link.sequence}, cycle = {link.is_cycle}")
+# (interior vertex) or one path (boundary vertex), stored as the
+# neighbours in star order.
+print(f"link of vertex 0 in the band: {band.links[0]}, "
+      f"boundary = {0 in band.boundary_vertices}")
 
 # Invalid inputs are rejected with a named reason.
 for faces, label in [

@@ -44,9 +44,9 @@ print(f"truncated split {tcorner.descriptor()!r}: boundary "
 # nonfacial 3-cycles, the pentagram diagonals are chords.
 print("\nedge classification of the 5-vertex moebius band:")
 for edge in band.edges:
-    result = ts.classify_edge(band, edge)
-    names = ", ".join(sorted(i.value for i in result.impediments))
-    print(f"  {edge[0]}-{edge[1]}: {result.verdict} ({names})")
+    impediments = ts.classify_edge(band, edge)
+    names = ", ".join(sorted(i.value for i in impediments))
+    print(f"  {edge[0]}-{edge[1]}: {'rod' if impediments else 'cable'} ({names})")
 print(f"irreducible: {ts.is_irreducible(band)}")
 
 # Shrinking a rod is refused with the blocking impediments.

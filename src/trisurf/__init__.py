@@ -20,7 +20,6 @@ from .complex_core import (  # noqa: F401
     SURFACE_BY_NAME,
     SurfaceKind,
     Triangulation,
-    VertexLink,
     build,
     cone_boundary,
     dumps,
@@ -42,7 +41,6 @@ from .canon import (  # noqa: F401
 )
 from .moves import (  # noqa: F401
     Corner,
-    EdgeClassification,
     Impediment,
     TruncatedCorner,
     all_splits,

@@ -85,9 +85,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     tri = _load(args.path)
     print("edge verdict impediments")
     for edge in tri.edges:
-        result = classify_edge(tri, edge)
-        names = ",".join(sorted(i.value for i in result.impediments)) or "-"
-        print(f"{edge[0]}-{edge[1]} {result.verdict} {names}")
+        impediments = classify_edge(tri, edge)
+        names = ",".join(sorted(i.value for i in impediments)) or "-"
+        print(f"{edge[0]}-{edge[1]} {'rod' if impediments else 'cable'} {names}")
     return OK
 
 

@@ -12,8 +12,10 @@ circulation is a genuine triangulation of a (possibly bordered) surface:
 
 :func:`build` checks all three in a single sweep over the faces, which
 also yields the edges, their faces and the sorted neighbour lists that
-most callers read next; vertex links are built on first use, since only
-complexes that are split further need them.
+most callers read next.  Vertex links are built on first use, since only
+complexes that are split further need them; ``links[v]`` is the tuple of
+the neighbours of ``v`` in star order, a cycle for an interior vertex and
+a path between its two boundary neighbours for a boundary vertex.
 
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
@@ -92,32 +94,6 @@ SURFACE_BY_NAME = {
     "moebius-band": MOEBIUS_BAND,
     "moebius": MOEBIUS_BAND,
 }
-
-
-@dataclass(frozen=True)
-class VertexLink:
-    """Neighbours of a vertex in star order.
-
-    ``sequence`` walks the link once: for an interior vertex it is a
-    cyclic sequence (the successor of the last entry is the first), for a
-    boundary vertex a simple path whose endpoints are the two neighbours
-    joined to the centre by boundary edges.
-    """
-
-    center: int
-    sequence: tuple[int, ...]
-    is_cycle: bool
-
-    @property
-    def degree(self) -> int:
-        return len(self.sequence)
-
-    def face_arcs(self) -> tuple[tuple[int, int], ...]:
-        """Consecutive neighbour pairs, one per face incident to the centre."""
-        seq = self.sequence
-        if self.is_cycle:
-            return tuple((seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-        return tuple((seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
 def _normalise_face(face: Sequence[int]) -> Face:
@@ -264,16 +240,16 @@ class Triangulation:
         return not self.boundary_edges
 
     @cached_property
-    def links(self) -> tuple[VertexLink, ...]:
+    def links(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in star order: a cycle for an interior
+        vertex, a path between its two boundary neighbours for a boundary
+        vertex.  Consecutive entries span the faces of the star."""
         # Built on first use: build checks the links without them.
         stars: list[list[Face]] = [[] for _ in range(self.order)]
         for face in self.faces:
             for v in face:
                 stars[v].append(face)
         return tuple(_vertex_link(v, star) for v, star in enumerate(stars))
-
-    def link(self, v: int) -> VertexLink:
-        return self.links[v]
 
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -451,9 +427,12 @@ def _join_link_edge(ends: dict[int, int], x: int, y: int) -> int:
     return 0
 
 
-def _vertex_link(v: int, star: list[Face]) -> VertexLink:
+def _vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:
     """Assemble the link of ``v`` from the faces of its star and verify it
-    is one path or one cycle.
+    is one path or one cycle; return its vertices in walking order.
+
+    A path starts at its smaller end; a cycle starts at its smallest vertex
+    and continues to the smaller of that vertex's two neighbours.
 
     ``star`` is non-empty (every label comes from a face) and no link
     vertex has a third neighbour (that edge would lie in three faces,
@@ -471,12 +450,12 @@ def _vertex_link(v: int, star: list[Face]) -> VertexLink:
     if endpoints:
         if len(endpoints) != 2:
             raise PinchedVertex(f"link of vertex {v} has {len(endpoints)} loose ends")
-        start, is_cycle = endpoints[0], False
+        start = endpoints[0]
         current = first[start]
     else:
         # Both neighbours of a cycle's start are open; take the smaller
         # one so the stored orientation is deterministic.
-        start, is_cycle = min(first), True
+        start = min(first)
         current = min(first[start], second[start])
 
     sequence = [start]
@@ -487,7 +466,7 @@ def _vertex_link(v: int, star: list[Face]) -> VertexLink:
         previous, current = current, second.get(current) if nxt == previous else nxt
     if len(sequence) != len(first):
         raise PinchedVertex(f"link of vertex {v} is not a single path or cycle")
-    return VertexLink(center=v, sequence=tuple(sequence), is_cycle=is_cycle)
+    return tuple(sequence)
 
 
 def _is_orientable(tri: Triangulation) -> bool:

@@ -24,17 +24,20 @@ exactly one common neighbour ``w``; on a closed complex this is the link
 condition for edge contraction (Dey, Edelsbrunner, Guha & Nekhayev,
 1999).
 
-Splitting is the inverse construction: a corner split cuts the star of a
-vertex open along two edges and closes the slit with two new faces; a
-truncated split cuts along one edge of a boundary vertex, letting the cut
-escape through the boundary, and inserts a single new face.  The fresh
-edge created by a split is always a cable and shrinking it restores the
-original triangulation.
+Splitting is the inverse construction.  Both kinds move the faces on one
+arc of a vertex's star (one run of consecutive positions in its link) to
+a fresh vertex and close the cut with a face per cut edge: a corner split
+cuts the star open along two edges and closes the slit with two new
+faces; a truncated split cuts along one edge of a boundary vertex,
+letting the cut escape through the boundary, and inserts a single new
+face.  The fresh edge created by a split is always a cable and shrinking
+it restores the original triangulation.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .complex_core import Edge, Triangulation, build
@@ -64,20 +67,6 @@ class Impediment(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EdgeClassification:
-    edge: Edge
-    impediments: frozenset[Impediment]
-
-    @property
-    def is_cable(self) -> bool:
-        return not self.impediments
-
-    @property
-    def verdict(self) -> str:
-        return "cable" if self.is_cable else "rod"
-
-
-@dataclass(frozen=True)
 class Corner:
     """Unordered pair of distinct edges ``vu``, ``vw`` at vertex ``v``."""
 
@@ -100,7 +89,7 @@ class TruncatedCorner:
         return f"spt {self.v} {self.u}"
 
 
-def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
+def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
     """The impediments that make one edge a rod (none for a cable).
 
     Each impediment is a membership test on an edge set cached on the
@@ -118,10 +107,7 @@ def classify_edge(tri: Triangulation, edge: Edge) -> EdgeClassification:
         (Impediment.BOUNDARY_TRIANGLE, tri.boundary_triangle_edges),
         (Impediment.MINIMAL, tri.minimal_edges),
     )
-    return EdgeClassification(
-        edge=e,
-        impediments=frozenset(imp for imp, edges in rods if e in edges),
-    )
+    return frozenset(imp for imp, edges in rods if e in edges)
 
 
 def cable_subgraph(tri: Triangulation) -> frozenset[Edge]:
@@ -154,12 +140,26 @@ def truncated_corners(tri: Triangulation) -> list[TruncatedCorner]:
     return result
 
 
-def _star_positions(tri: Triangulation, v: int, x: int) -> int:
+def _split_star(
+    tri: Triangulation, v: int, moved: Collection[int], ends: tuple[int, ...]
+) -> Triangulation:
+    """Give a fresh vertex the faces of the star of ``v`` at the link
+    positions ``moved``; close the cut with a face ``{v, v', x}`` for each
+    ``x`` in ``ends``.
+
+    Position ``i`` is the face of ``v`` on link entries ``i`` and ``i + 1``,
+    wrapping around when the link is a cycle.  Faces that avoid ``v`` are
+    copied.
+    """
     link = tri.links[v]
-    try:
-        return link.sequence.index(x)
-    except ValueError:
-        raise NotACorner(f"{x} is not adjacent to {v}") from None
+    after = link[1:] if v in tri.boundary_vertices else link[1:] + link[:1]
+    fresh = tri.order
+    new_faces = [face for face in tri.faces if v not in face]
+    new_faces += [
+        (fresh if i in moved else v, x, y) for i, (x, y) in enumerate(zip(link, after))
+    ]
+    new_faces += [(v, fresh, x) for x in ends]
+    return build(new_faces)
 
 
 def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
@@ -177,37 +177,25 @@ def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
         raise AmbiguousArc("corner needs two distinct edges")
     if not (0 <= v < tri.order):
         raise NotACorner(f"vertex {v} does not exist")
-    iu = _star_positions(tri, v, u)
-    iw = _star_positions(tri, v, w)
     link = tri.links[v]
-    arcs = link.face_arcs()
-    fresh = tri.order
-
-    if link.is_cycle:
-        d = len(arcs)
-        moved = {i % d for i in range(iu, iu + (iw - iu) % d)}
+    for x in (u, w):
+        if x not in link:
+            raise NotACorner(f"{x} is not adjacent to {v}")
+    iu, iw = link.index(u), link.index(w)
+    if v in tri.boundary_vertices:
+        moved: Collection[int] = range(min(iu, iw), max(iu, iw))
     else:
-        lo, hi = min(iu, iw), max(iu, iw)
-        moved = set(range(lo, hi))
-
-    new_faces = []
-    for face in tri.faces:
-        if v not in face:
-            new_faces.append(face)
-    for i, (x, y) in enumerate(arcs):
-        center = fresh if i in moved else v
-        new_faces.append((center, x, y))
-    new_faces.append((v, fresh, u))
-    new_faces.append((v, fresh, w))
-    return build(new_faces)
+        d = len(link)
+        moved = {i % d for i in range(iu, iu + (iw - iu) % d)}
+    return _split_star(tri, v, moved, (u, w))
 
 
 def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulation:
     """Cut along ``vu`` at boundary vertex ``v``; insert one face ``{u, v, v'}``.
 
-    The faces on the far side of the smaller link-path endpoint move to
-    the fresh vertex; the new edge between the two copies of ``v`` is a
-    boundary edge, so the boundary cycle grows by one.
+    The faces from ``u`` to the end of the link path move to the fresh
+    vertex; the new edge between the two copies of ``v`` is a boundary
+    edge, so the boundary cycle grows by one.
     """
     v, u = corner.v, corner.u
     if not (0 <= v < tri.order) or v not in tri.boundary_vertices:
@@ -215,18 +203,7 @@ def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulatio
     if not tri.has_edge(v, u):
         raise UnknownEdge(f"{v}-{u} is not an edge")
     link = tri.links[v]
-    arcs = link.face_arcs()
-    cut = link.sequence.index(u)
-    fresh = tri.order
-    new_faces = []
-    for face in tri.faces:
-        if v not in face:
-            new_faces.append(face)
-    for i, (x, y) in enumerate(arcs):
-        center = v if i < cut else fresh
-        new_faces.append((center, x, y))
-    new_faces.append((u, v, fresh))
-    return build(new_faces)
+    return _split_star(tri, v, range(link.index(u), len(link) - 1), (u,))
 
 
 def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
@@ -237,10 +214,10 @@ def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
     is unshrinkable, and :class:`ResultNotSurface` when the collapse is
     not a surface complex.
     """
-    verdict = classify_edge(tri, edge)
-    if not verdict.is_cable:
-        raise RodEdge(verdict.edge, verdict.impediments)
-    a, b = verdict.edge
+    a, b = min(edge), max(edge)
+    impediments = classify_edge(tri, (a, b))
+    if impediments:
+        raise RodEdge((a, b), impediments)
     new_faces = []
     for face in tri.faces:
         if a in face and b in face:

@@ -203,7 +203,7 @@ def test_criterion_09_property_suites(
                 for face in tri.edge_faces[edge]
             }
             link_condition = common == apexes and tri.order > 4
-            cable_by_conditions = ts.classify_edge(tri, edge).is_cable
+            cable_by_conditions = not ts.classify_edge(tri, edge)
             if link_condition != cable_by_conditions:
                 failures.append(f"link condition mismatch at {edge}")
 

@@ -127,20 +127,32 @@ class TestBuild:
             assert 3 * len(tri.faces) == 2 * interior + len(tri.boundary_edges)
 
 
+def _assert_link_walks_the_star(tri, v):
+    """The link of ``v`` has one entry per neighbour, and ``v`` with each
+    consecutive pair gives exactly the faces of its star, wrapping around
+    exactly when ``v`` is interior."""
+    link = tri.links[v]
+    assert len(link) == tri.degrees[v]
+    pairs = list(zip(link, link[1:]))
+    if v not in tri.boundary_vertices:
+        pairs.append((link[-1], link[0]))
+    walked = sorted(tuple(sorted((v, x, y))) for x, y in pairs)
+    assert walked == [face for face in tri.faces if v in face]
+
+
 class TestVertexLinks:
     def test_interior_link_is_cycle(self, tetrahedron):
-        link = tetrahedron.link(0)
-        assert link.is_cycle
-        assert sorted(link.sequence) == [1, 2, 3]
+        assert sorted(tetrahedron.links[0]) == [1, 2, 3]
+        _assert_link_walks_the_star(tetrahedron, 0)
 
     def test_boundary_link_is_path(self, triangle):
-        link = triangle.link(0)
-        assert not link.is_cycle
-        assert link.sequence == (1, 2)
+        assert triangle.links[0] == (1, 2)
+        _assert_link_walks_the_star(triangle, 0)
 
-    def test_link_degree_matches_graph_degree(self, proj_plane):
-        for v in proj_plane.vertices:
-            assert proj_plane.link(v).degree == proj_plane.degrees[v]
+    def test_link_degree_matches_graph_degree(self, proj_plane, k5_moebius, annulus):
+        for tri in (proj_plane, k5_moebius, annulus):
+            for v in tri.vertices:
+                _assert_link_walks_the_star(tri, v)
 
 
 class TestSurfaceKind:
@@ -276,9 +288,7 @@ class TestFaceSoupProperty:
             return
         assert all(len(faces) <= 2 for faces in tri.edge_faces.values())
         for v in tri.vertices:
-            link = tri.link(v)
-            assert len(link.sequence) == tri.degrees[v]
-            assert link.is_cycle == (v not in tri.boundary_vertices)
+            _assert_link_walks_the_star(tri, v)
         assert tri.surface_kind.euler_characteristic == tri.euler_characteristic
 
 
