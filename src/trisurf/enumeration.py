@@ -8,6 +8,21 @@ triangulation up to the requested order.  ``BASES`` stores that basis as
 face lists for every named surface, and ``enumerate_splitting_range``
 seeds the closure from it, so the splitting engine never runs a search.
 
+Each parent's splits come from one ``all_splits`` call, in which
+descriptors with equal child face lists share one child value (the three
+corners that subdivide a face give one list), so each distinct child is
+built once.  An automorphism of the parent maps a split onto an
+isomorphic split, so the children of one orbit of the parent's split
+descriptors (``moves.orbit_key``) are isomorphic, and the closure codes
+only the child of the first descriptor of each orbit, in ``all_splits``
+order.  This is the orbit step of McKay's isomorph rejection (McKay
+1998).  Any class a later descriptor of an orbit reaches, the first has
+already reached, so the first producer of every class, and with it every
+provenance string and stored labelling, is the one coding every child
+would find.  Only this engine uses automorphism groups; the exhaustive
+search below computes none, so the two engines share no symmetry
+reasoning and their agreement still checks it.
+
 ``enumerate_exhaustive`` is the anti-hallucination oracle: a backtracking
 search over face triples that constructs every triangulation with the
 requested vertex count from scratch, sharing nothing with the splitting
@@ -59,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__
-from .canon import canonical_code
+from .canon import automorphisms, canonical_code
 from .complex_core import (
     DISK,
     MOEBIUS_BAND,
@@ -77,7 +92,7 @@ from .errors import (
     MixedSurfaceKinds,
     ParseError,
 )
-from .moves import all_splits
+from .moves import Corner, TruncatedCorner, all_splits, orbit_key
 
 DEFAULT_CEILING = 9
 MAX_SEARCH_ORDER = 15
@@ -219,8 +234,6 @@ def generate_by_splitting(
             code, CatalogEntry(code, seed.order, seed, f"seed:{name}")
         )
 
-    # Equal children recur: a face is subdivided from each of its three vertices.
-    seen: set[tuple[Face, ...]] = set()
     min_seed_order = min(seed.order for seed in seeds)
     for order in range(min_seed_order, max_order):
         layer = sorted(
@@ -228,10 +241,17 @@ def generate_by_splitting(
             key=lambda e: e.code,
         )
         for entry in layer:
+            # The children of one orbit are isomorphic, so a later
+            # descriptor of an orbit never reaches a new class: coding only
+            # the first keeps the first producer, and the provenance, of
+            # every class.
+            group = automorphisms(entry.triangulation)
+            coded: set[Corner | TruncatedCorner] = set()
             for descriptor, child in all_splits(entry.triangulation):
-                if child.faces in seen:
+                key = orbit_key(descriptor, group)
+                if key in coded:
                     continue
-                seen.add(child.faces)
+                coded.add(key)
                 child_code = canonical_code(child)
                 if child_code not in entries:
                     entries[child_code] = CatalogEntry(

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import canonical_code, vertex_orbits
+from .canon import automorphisms, canonical_code, vertex_orbits
 from .complex_core import (
     MOEBIUS_BAND,
     PROJECTIVE_PLANE,
-    Face,
     Triangulation,
     cone_boundary,
     remove_vertex_star,
@@ -46,7 +45,14 @@ from .enumeration import (
     generate_by_splitting,
 )
 from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
-from .moves import all_splits, cable_subgraph, is_irreducible
+from .moves import (
+    Corner,
+    TruncatedCorner,
+    all_splits,
+    cable_subgraph,
+    is_irreducible,
+    orbit_key,
+)
 
 
 def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
@@ -184,20 +190,23 @@ def _scan_splits(
 ) -> SplitScanReport:
     """Check every split of the members for pylonic results.
 
-    Different corners of one member can give the same child face list;
-    each is tested once per member, and every descriptor still counts and
-    is reported.
+    Pylonicity is an isomorphism invariant, and the children of one
+    automorphism orbit of a member's split descriptors are isomorphic
+    (:func:`moves.orbit_key`), so each orbit is tested once; every
+    descriptor still counts and is reported.
     """
     checked = []
     violations = []
     for entry in members:
         count = 0
-        pylonic: dict[tuple[Face, ...], bool] = {}
+        group = automorphisms(entry.triangulation)
+        pylonic: dict[Corner | TruncatedCorner, bool] = {}
         for descriptor, child in all_splits(entry.triangulation):
             count += 1
-            found = pylonic.get(child.faces)
+            key = orbit_key(descriptor, group)
+            found = pylonic.get(key)
             if found is None:
-                found = pylonic[child.faces] = bool(pylonic_vertices(child))
+                found = pylonic[key] = bool(pylonic_vertices(child))
             if found:
                 violations.append((entry.code, descriptor.descriptor()))
         checked.append((entry.code, count))

@@ -32,15 +32,26 @@ faces; a truncated split cuts along one edge of a boundary vertex,
 letting the cut escape through the boundary, and inserts a single new
 face.  The fresh edge created by a split is always a cable and shrinking
 it restores the original triangulation.
+
+A vertex permutation maps a split descriptor to its *image*
+(:meth:`Corner.image`, :meth:`TruncatedCorner.image`).  Under an
+automorphism of the complex the image's split is isomorphic to the
+original's: the automorphism carries the cut star onto the cut star at
+the image, and either arc of a corner, or either side of a truncated cut,
+gives the same child up to swapping the two copies of the vertex.  So
+descriptors with one :func:`orbit_key` have isomorphic children, and a
+caller that needs a split only up to isomorphism can take one descriptor
+per orbit.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
-from .complex_core import Edge, Triangulation, build
+from .canon import AutomorphismGroup
+from .complex_core import Edge, Face, Triangulation, build
 from .errors import (
     AmbiguousArc,
     Disconnected,
@@ -66,7 +77,7 @@ class Impediment(enum.Enum):
     MINIMAL = "minimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Corner:
     """Unordered pair of distinct edges ``vu``, ``vw`` at vertex ``v``."""
 
@@ -77,8 +88,14 @@ class Corner:
     def descriptor(self) -> str:
         return f"sp {self.v} {self.u} {self.w} a"
 
+    def image(self, perm: Sequence[int]) -> Corner:
+        """The corner at ``perm[v]`` between ``perm[u]`` and ``perm[w]``,
+        its two edges in increasing order as :func:`corners` lists them."""
+        u, w = perm[self.u], perm[self.w]
+        return Corner(v=perm[self.v], u=min(u, w), w=max(u, w))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, order=True)
 class TruncatedCorner:
     """Edge ``vu`` at a boundary vertex ``v``; the cut runs out through ``v``."""
 
@@ -87,6 +104,22 @@ class TruncatedCorner:
 
     def descriptor(self) -> str:
         return f"spt {self.v} {self.u}"
+
+    def image(self, perm: Sequence[int]) -> TruncatedCorner:
+        """The truncated corner at ``perm[v]`` along the edge to ``perm[u]``."""
+        return TruncatedCorner(v=perm[self.v], u=perm[self.u])
+
+
+def orbit_key(
+    descriptor: Corner | TruncatedCorner, group: AutomorphismGroup
+) -> Corner | TruncatedCorner:
+    """The least image of a split descriptor under the group's elements.
+
+    Two descriptors have the same key exactly when an automorphism maps one
+    onto the other, and then their children are isomorphic (module
+    docstring).
+    """
+    return min(descriptor.image(perm) for perm in group.elements)
 
 
 def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
@@ -142,10 +175,10 @@ def truncated_corners(tri: Triangulation) -> list[TruncatedCorner]:
 
 def _split_star(
     tri: Triangulation, v: int, moved: Collection[int], ends: tuple[int, ...]
-) -> Triangulation:
-    """Give a fresh vertex the faces of the star of ``v`` at the link
-    positions ``moved``; close the cut with a face ``{v, v', x}`` for each
-    ``x`` in ``ends``.
+) -> list[Face]:
+    """The faces after giving a fresh vertex the faces of the star of ``v``
+    at the link positions ``moved`` and closing the cut with a face
+    ``{v, v', x}`` for each ``x`` in ``ends``.
 
     Position ``i`` is the face of ``v`` on link entries ``i`` and ``i + 1``,
     wrapping around when the link is a cycle.  Faces that avoid ``v`` are
@@ -159,7 +192,7 @@ def _split_star(
         (fresh if i in moved else v, x, y) for i, (x, y) in enumerate(zip(link, after))
     ]
     new_faces += [(v, fresh, x) for x in ends]
-    return build(new_faces)
+    return new_faces
 
 
 def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
@@ -172,6 +205,10 @@ def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
     choice of arc only renames the two copies of ``v``, so the result is
     well defined up to isomorphism.
     """
+    return build(_corner_faces(tri, corner))
+
+
+def _corner_faces(tri: Triangulation, corner: Corner) -> list[Face]:
     v, u, w = corner.v, corner.u, corner.w
     if u == w:
         raise AmbiguousArc("corner needs two distinct edges")
@@ -197,6 +234,10 @@ def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulatio
     vertex; the new edge between the two copies of ``v`` is a boundary
     edge, so the boundary cycle grows by one.
     """
+    return build(_truncated_faces(tri, corner))
+
+
+def _truncated_faces(tri: Triangulation, corner: TruncatedCorner) -> list[Face]:
     v, u = corner.v, corner.u
     if not (0 <= v < tri.order) or v not in tri.boundary_vertices:
         raise NotBoundaryVertex(f"vertex {v} is not a boundary vertex")
@@ -238,13 +279,26 @@ def all_splits(
 
     One result per corner, plus one per truncated corner when the complex
     is bordered; deterministic order (corners first, then truncated, each
-    sorted by vertex ids).
+    sorted by vertex ids).  Descriptors with equal child face lists share
+    one child value: the three corners that subdivide one face give the
+    same list, so each distinct child is built and validated once.
     """
+    # The key is exact: ``build`` sorts each face and the face list, so two
+    # lists with one face set give equal values, and neither list can hold
+    # a duplicate that the set would hide (``build`` would refuse it).
+    # ``_split_star`` never emits a face twice: the copied faces avoid v and
+    # the fresh vertex, each star face holds one of them and a distinct
+    # link pair, and each closing face holds both and a distinct end.
+    children: dict[frozenset[frozenset[int]], Triangulation] = {}
     results: list[tuple[Corner | TruncatedCorner, Triangulation]] = []
-    for corner in corners(tri):
-        results.append((corner, split_corner(tri, corner)))
-    for tcorner in truncated_corners(tri):
-        results.append((tcorner, split_truncated(tri, tcorner)))
+    splits = [(corner, _corner_faces(tri, corner)) for corner in corners(tri)]
+    splits += [(tc, _truncated_faces(tri, tc)) for tc in truncated_corners(tri)]
+    for descriptor, faces in splits:
+        key = frozenset(map(frozenset, faces))
+        child = children.get(key)
+        if child is None:
+            child = children[key] = build(faces)
+        results.append((descriptor, child))
     return results
 
 

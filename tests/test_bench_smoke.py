@@ -40,6 +40,10 @@ def test_workload_passes(workload):
     result = _run_worker(workload)
     assert result["failures"] == []
     assert result["known_defects"] == []
+    if workload == "closure":
+        # One operation per parent, opened at its ``moves.all_splits`` call:
+        # 9 sphere, 4 projective-plane and 93 Moebius-band parents.
+        assert len(result["op_ms"]) == 9 + 4 + 93
 
 
 def test_traced_certificate_sees_every_required_span():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
+from trisurf import canon, enumeration, moves
 
 from conftest import brute_force_isomorphic
 
@@ -35,15 +36,39 @@ def _torus_grid(k):
 
 
 @pytest.fixture(scope="module")
-def closures():
+def counted_closures():
     """Splitting closures of the sphere 4..8, projective plane 6..8 and
-    Moebius band 5..7."""
-    return {
-        str(kind): ts.enumerate_splitting_range(kind, low, top)
+    Moebius band 5..7, and the (``build`` calls, canonical forms) each took.
+
+    Each closure builds its seeds afresh, so no value it codes was coded
+    before and the counts do not depend on which tests ran first.
+    """
+    calls = {"build": 0, "form": 0}
+
+    def counting(name, real):
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
+        return wrapper
+
+    catalogs, work = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        counting_build = counting("build", moves.build)
+        mp.setattr(moves, "build", counting_build)
+        mp.setattr(enumeration, "build", counting_build)
+        mp.setattr(canon, "_canonical_form", counting("form", canon._canonical_form))
         for kind, low, top in (
             (ts.SPHERE, 4, 8), (ts.PROJECTIVE_PLANE, 6, 8), (ts.MOEBIUS_BAND, 5, 7)
-        )
-    }
+        ):
+            calls.update(build=0, form=0)
+            catalogs[str(kind)] = ts.enumerate_splitting_range(kind, low, top)
+            work[str(kind)] = (calls["build"], calls["form"])
+    return catalogs, work
+
+
+@pytest.fixture(scope="module")
+def closures(counted_closures):
+    return counted_closures[0]
 
 
 def _sha256(lines):
@@ -224,6 +249,25 @@ PINNED = {
 }
 
 
+# sha256 of each closure's whole catalog text: face lists, provenance
+# (parent code and split descriptor) and header included.
+CATALOG_BYTES = {
+    "sphere": "aadb84f6cb35b462648f16f4dd4815f15840d4e26393c8ccf9aa244753fa299d",
+    "projective-plane": "7fe0da16d87b0ab34ecc44261d9d371b9249c47c314e4cd39b8787c86846390a",
+    "moebius-band": "32896d0b73ff5baa557156d2c594a56a4a957e079b575d32a196cbcc165f176f",
+}
+
+# (build calls, canonical forms computed) by each closure.  Each distinct
+# split child of a parent is built once, and one child per automorphism
+# orbit of the parent's split descriptors is coded, so dropping either
+# shows here though no catalog byte changes.
+CLOSURE_WORK = {
+    "sphere": (287, 82),
+    "projective-plane": (246, 44),
+    "moebius-band": (453, 202),
+}
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("surface", sorted(PINNED))
     def test_closure_codes_and_labelings_are_pinned(self, closures, surface):
@@ -234,6 +278,15 @@ class TestByteIdentity:
             for e in catalog.entries
         ]
         assert (_sha256(codes), _sha256(labelings)) == PINNED[surface]
+
+    @pytest.mark.parametrize("surface", sorted(CATALOG_BYTES))
+    def test_closure_catalog_bytes_are_pinned(self, closures, surface):
+        text = ts.serialize_catalog(closures[surface])
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_BYTES[surface]
+
+    @pytest.mark.parametrize("surface", sorted(CLOSURE_WORK))
+    def test_closure_work_is_pinned(self, counted_closures, surface):
+        assert counted_closures[1][surface] == CLOSURE_WORK[surface]
 
     def test_automorphisms_match_brute_force_up_to_order_seven(
         self, closures, disk_catalog_3_5

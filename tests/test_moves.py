@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
-from trisurf.moves import Corner, TruncatedCorner
+from trisurf.moves import Corner, TruncatedCorner, orbit_key
 
 
 def _clique_triangles(tri):
@@ -265,6 +265,36 @@ def test_split_children_are_pinned():
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == SPLIT_CHILDREN
+
+
+def test_each_split_child_is_isomorphic_to_the_first_of_its_orbit():
+    # The closure codes one child per orbit key and the split scans test
+    # one per key.  A key that merges two orbits would hide a class from
+    # neither catalog, since the closure reaches each class many times, but
+    # it fails here.
+    parents = splits = later = 0
+    for kind, lo, hi in SPLIT_CHILD_RANGES:
+        for entry in ts.enumerate_splitting_range(kind, lo, hi).entries:
+            parent = entry.triangulation
+            group = ts.automorphisms(parent)
+            first = {}
+            for descriptor, child in ts.all_splits(parent):
+                key = orbit_key(descriptor, group)
+                if key in first:
+                    later += 1
+                    assert ts.canonical_code(child) == first[key], descriptor
+                else:
+                    first[key] = ts.canonical_code(child)
+                splits += 1
+            parents += 1
+    assert (parents, splits, later) == (30, 1491, 1039)
+
+
+def test_equal_split_children_share_one_value(proj_plane, k5_moebius, tetrahedron):
+    for tri in (proj_plane, k5_moebius, tetrahedron):
+        by_faces = {}
+        for _, child in ts.all_splits(tri):
+            assert by_faces.setdefault(child.faces, child) is child
 
 
 class TestShrinkEdge:
