@@ -27,8 +27,8 @@ witness = ts.isomorphism(projective, shuffled)
 print(f"witness bijection: {witness}")
 
 # Automorphisms: the quotient is flag-transitive, so its group has one
-# element per flag (6 orderings x 10 faces / ... = 60) and a single
-# vertex orbit.
+# element per flag (10 faces, each with 6 vertex orderings: 60) and a
+# single vertex orbit.
 group = ts.automorphisms(projective)
 print(f"|Aut| = {group.size}, vertex orbits = {group.orbits}")
 

@@ -8,9 +8,12 @@ order; the sorted, relabelled face list depends only on the starting flag
 and the isomorphism class.  A key prefilter keeps only the flags whose
 vertices have the smallest (degree, on-boundary) keys, computed once per
 vertex.  The code is the lexicographic minimum over those flags, which
-makes it a complete isomorphism invariant.  The automorphism group comes
-from comparing each candidate flag's sweep with a reference flag's, face
-by face, abandoning the sweep at the first face that differs.
+makes it a complete isomorphism invariant.
+
+The same sweep gives the automorphism group.  Two flags whose sweeps
+give the minimal face list differ by exactly one automorphism, and an
+automorphism maps each such flag onto another, so the group is read off
+the labellings of the tying flags and no flag is swept twice.
 
 Boundary participates automatically: boundary edges are exactly the
 edges on one face, so the face list determines them.  The code header
@@ -18,7 +21,8 @@ records order, face count and boundary length in one byte each; at 256 or
 more of any of them the code is wide: a 0 byte, then the header and the
 labels as 2-byte big-endian numbers.
 
-All functions are pure; codes and labelings are cached on the value.
+All functions are pure; the code and the tying labellings are cached on
+the value.
 """
 
 from __future__ import annotations
@@ -50,21 +54,10 @@ class AutomorphismGroup:
 
     @property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        parent = list(range(self.order))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for perm in self.elements:
-            for v, w in enumerate(perm):
-                parent[find(v)] = find(w)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.order):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        # The elements form a group, so the images of v are its orbit.
+        return tuple(sorted({
+            tuple(sorted({perm[v] for perm in self.elements})) for v in range(self.order)
+        }))
 
 
 def _cross_map(tri: Triangulation) -> dict[Flag, tuple[int, int]]:
@@ -81,11 +74,9 @@ def _cross_map(tri: Triangulation) -> dict[Flag, tuple[int, int]]:
 
 
 def _traverse(tri: Triangulation, cross: dict[Flag, tuple[int, int]], flag: Flag,
-              start: int, ref: list[Flag] | None = None):
+              start: int):
     """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
-    them as oriented triples in sweep order, and the old->new labeling.
-    Given ``ref``, another sweep's relabelled faces, stop with None at the
-    first face that differs."""
+    them as oriented triples in sweep order, and the old->new labeling."""
     label = [-1] * tri.order
     a, b, c = flag
     label[a], label[b], label[c] = 0, 1, 2
@@ -93,9 +84,7 @@ def _traverse(tri: Triangulation, cross: dict[Flag, tuple[int, int]], flag: Flag
     seen = bytearray(len(tri.faces))
     seen[start] = 1
     queue = [flag]
-    for k, (u, v, w) in enumerate(queue):
-        if ref is not None and ref[k] != (label[u], label[v], label[w]):
-            return None
+    for u, v, w in queue:
         for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
             across = cross.get((x, y, z))
             if across is None or seen[across[1]]:
@@ -132,7 +121,9 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     return found
 
 
-def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
+def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """The code, and the labelling of every flag whose sweep gives it, the
+    first minimal flag's first."""
     # The relabelled face lists share a fixed-width byte encoding, so the
     # list order is the code order; the first minimal flag wins ties.
     cross = _cross_map(tri)
@@ -140,15 +131,16 @@ def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[int, ...]]:
     for start, flag in _candidate_flags(tri):
         queue, label = _traverse(tri, cross, flag, start)
         faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
-        if best is None or faces < best[0]:
-            best = faces, label
-    faces, label = best
-    values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(faces))
+        if faces == best:
+            labellings.append(tuple(label))
+        elif best is None or faces < best:
+            best, labellings = faces, [tuple(label)]
+    values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(best))
     if max(values[:3]) < 256:
-        return bytes(values), tuple(label)
+        return bytes(values), tuple(labellings)
     # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
     # big-endian header fields and labels.
-    return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(label)
+    return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(labellings)
 
 
 def canonical_code(tri: Triangulation) -> CanonicalCode:
@@ -158,7 +150,7 @@ def canonical_code(tri: Triangulation) -> CanonicalCode:
 
 def canonical_labeling(tri: Triangulation) -> tuple[int, ...]:
     """A vertex relabelling realising the canonical code."""
-    return tri._canonical[1]
+    return tri._canonical[1][0]
 
 
 def canonical_faces(tri: Triangulation) -> tuple[tuple[int, int, int], ...]:
@@ -184,25 +176,18 @@ def isomorphism(t1: Triangulation, t2: Triangulation) -> dict[int, int] | None:
 
 
 def automorphisms(tri: Triangulation) -> AutomorphismGroup:
-    """Exhaustive face-preserving vertex permutations via flag traversal.
+    """Every face-preserving vertex permutation, read off the canonical form.
 
-    Each flag-to-flag map induces at most one automorphism, and does so
-    exactly when the two sweeps relabel every face alike.  The first
-    candidate flag is swept once as the reference.  Only flags with the
-    same vertex keys can be its images, and each of their sweeps stops at
-    the first face that relabels differently.
+    Each labelling realising the canonical code sends the complex onto the
+    same face list, so the first labelling followed by the inverse of any
+    other is an automorphism, and every automorphism arises once this way.
     """
-    cross = _cross_map(tri)
-    candidates = _candidate_flags(tri)
-    ref_start, ref_flag = candidates[0]
-    ref_queue, ref_label = _traverse(tri, cross, ref_flag, ref_start)
-    ref = [(ref_label[u], ref_label[v], ref_label[w]) for u, v, w in ref_queue]
+    labellings = tri._canonical[1]
+    first = labellings[0]
     elements = []
-    for start, flag in candidates:
-        swept = _traverse(tri, cross, flag, start, ref)
-        if swept is not None:
-            inverse = sorted(range(tri.order), key=swept[1].__getitem__)
-            elements.append(tuple(inverse[ref_label[v]] for v in range(tri.order)))
+    for label in labellings:
+        inverse = sorted(range(tri.order), key=label.__getitem__)
+        elements.append(tuple(inverse[new] for new in first))
     return AutomorphismGroup(order=tri.order, elements=tuple(sorted(elements)))
 
 

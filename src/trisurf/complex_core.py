@@ -212,8 +212,9 @@ class Triangulation:
         return frozenset()
 
     @cached_property
-    def _canonical(self) -> tuple[bytes, tuple[int, ...]]:
-        # A local import: canon imports this module.
+    def _canonical(self) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+        # The code and every labelling realising it, the canonical one
+        # first.  A local import: canon imports this module.
         from .canon import _canonical_form
 
         return _canonical_form(self)

@@ -20,7 +20,7 @@ order.  This is the orbit step of McKay's isomorph rejection (McKay
 already reached, so the first producer of every class, and with it every
 provenance string and stored labelling, is the one coding every child
 would find.  Only this engine uses automorphism groups; the exhaustive
-search below computes none, so the two engines share no symmetry
+search below reads none, so the two engines share no symmetry
 reasoning and their agreement still checks it.
 
 ``enumerate_exhaustive`` is the anti-hallucination oracle: a backtracking

@@ -470,12 +470,15 @@ def build_certificate(
         entry for entry in cross.entries if is_irreducible(entry.triangulation)
     ]
     cross_codes = tuple(entry.code for entry in cross_irreducible)
-    # Equal code sets leave no room for an irreducible member of order 8.
+    # Equal code sets leave no room for an irreducible member of order 8
+    # or more.  Up to max order 8 the statement keeps its pinned wording,
+    # which names order 8 even where the search stops at 7.
+    beyond = "order 8" if max_cross_check_order <= 8 else f"orders 8..{max_cross_check_order}"
     clauses.append(Clause(
         "exhaustive-cross-check",
         f"direct search over moebius-band triangulations of orders "
         f"5..{max_cross_check_order} finds exactly the 6 derived members "
-        f"and none of order 8",
+        f"and none of {beyond}",
         set(cross_codes) == set(codes),
         f"search found {len(cross_codes)} irreducible members among "
         f"{len(cross)} triangulations",

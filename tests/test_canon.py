@@ -190,6 +190,29 @@ class TestAutomorphisms:
             orbits = ts.vertex_orbits(entry.triangulation)
             assert sum(len(o) for o in orbits) == entry.order
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_torus_grid_group_is_flag_transitive(self, k):
+        # The regular map {3,6}_(k,0): every one of the 12k^2 flags ties,
+        # and each is the image of the first under one automorphism.
+        group = ts.automorphisms(_torus_grid(k))
+        assert group.size == 12 * k * k
+        assert group.orbits == (tuple(range(k * k)),)
+
+    def test_group_is_read_off_the_canonical_form(self, monkeypatch, projective_catalog):
+        # Once the code is known, neither the group nor the orbits sweep a flag.
+        tris = [e.triangulation for e in projective_catalog.entries]
+        for tri in tris:
+            ts.canonical_code(tri)
+        sweeps = []
+        real = canon._traverse
+        monkeypatch.setattr(
+            canon, "_traverse", lambda *args: sweeps.append(args) or real(*args)
+        )
+        for tri in tris:
+            ts.automorphisms(tri)
+            ts.vertex_orbits(tri)
+        assert sweeps == []
+
     def test_order_seven_irreducible_member_has_orbits_4_and_3(self, projective_catalog):
         irreducible = [
             e for e in projective_catalog.of_order(7)
@@ -228,6 +251,7 @@ class TestWideCode:
         assert code[0] == 0
         assert code[1:7] == bytes((0, 144, 1, 32, 0, 0))
         assert len(code) == 1 + 2 * (3 + 3 * 288)
+        assert ts.automorphisms(tri).size == 1728
 
 
 # sha256 of the code list and of the canonical labelings of each closure.
@@ -317,6 +341,14 @@ class TestRelabellingProperty:
     def test_relabelling_keeps_code_and_group_size(self, closures, data):
         pool = [e.triangulation for c in closures.values() for e in c.entries]
         tri = data.draw(st.sampled_from(pool))
-        other = ts.relabel(tri, tuple(data.draw(st.permutations(list(tri.vertices)))))
+        perm = tuple(data.draw(st.permutations(list(tri.vertices))))
+        other = ts.relabel(tri, perm)
         assert ts.canonical_code(other) == ts.canonical_code(tri)
-        assert ts.automorphisms(other).size == ts.automorphisms(tri).size
+        # g is an automorphism of tri exactly when perm g perm^-1 is one
+        # of the relabelled copy.
+        inverse = sorted(range(tri.order), key=perm.__getitem__)
+        conjugates = sorted(
+            tuple(perm[g[inverse[v]]] for v in range(tri.order))
+            for g in ts.automorphisms(tri).elements
+        )
+        assert ts.automorphisms(other).elements == tuple(conjugates)

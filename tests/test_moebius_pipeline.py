@@ -173,6 +173,29 @@ class TestCertificate:
         )
         assert certificate.passed
 
+    @pytest.mark.parametrize("max_order, beyond", [
+        (7, "order 8"), (8, "order 8"), (9, "orders 8..9"),
+    ])
+    def test_cross_check_statement_names_the_orders_beyond_the_members(
+        self, monkeypatch, projective_catalog, max_order, beyond
+    ):
+        # The order-7 search stands in for the longer ones: no irreducible
+        # member has order 8 or 9, so the clause sees the same code set.
+        real = moebius_pipeline.enumerate_exhaustive_range
+        monkeypatch.setattr(
+            moebius_pipeline, "enumerate_exhaustive_range",
+            lambda kind, min_order, max_order, ceiling: real(kind, min_order, 7, ceiling),
+        )
+        certificate = ts.build_certificate(
+            max_cross_check_order=max_order, projective_catalog=projective_catalog
+        )
+        (clause,) = [c for c in certificate.clauses if c.ident == "exhaustive-cross-check"]
+        assert clause.passed
+        assert clause.statement == (
+            f"direct search over moebius-band triangulations of orders "
+            f"5..{max_order} finds exactly the 6 derived members and none of {beyond}"
+        )
+
     def test_extra_irreducible_member_fails_the_cross_check(
         self, monkeypatch, projective_catalog, proj_plane
     ):
