@@ -8,20 +8,18 @@ triangulation up to the requested order.  ``BASES`` stores that basis as
 face lists for every named surface, and ``enumerate_splitting_range``
 seeds the closure from it, so the splitting engine never runs a search.
 
-Each parent's splits come from one ``all_splits`` call, in which
-descriptors with equal child face lists share one child value (the three
-corners that subdivide a face give one list), so each distinct child is
-built once.  An automorphism of the parent maps a split onto an
-isomorphic split, so the children of one orbit of the parent's split
-descriptors (``moves.orbit_key``) are isomorphic, and the closure codes
-only the child of the first descriptor of each orbit, in ``all_splits``
-order.  This is the orbit step of McKay's isomorph rejection (McKay
-1998).  Any class a later descriptor of an orbit reaches, the first has
-already reached, so the first producer of every class, and with it every
-provenance string and stored labelling, is the one coding every child
-would find.  Only this engine uses automorphism groups; the exhaustive
-search below reads none, so the two engines share no symmetry
-reasoning and their agreement still checks it.
+Each parent's splits come from one ``all_splits`` call, which returns
+one child per automorphism orbit of the parent's split descriptors, the
+child of the orbit's first descriptor (the orbit step of McKay's
+isomorph rejection, McKay 1998).  The closure codes each such child and
+names the first descriptor in its provenance.  The children of one orbit
+are isomorphic, so any class a later descriptor of an orbit reaches, the
+first has already reached: the first producer of every class, and with it
+every provenance string and stored labelling, is the one coding every
+child would find.  The symmetry reasoning lives in ``moves``; this module
+binds none of it, and the exhaustive search below reads no automorphism
+group, so the two engines share no symmetry reasoning and their
+agreement still checks it.
 
 ``enumerate_exhaustive`` is the anti-hallucination oracle: a backtracking
 search over face triples that constructs every triangulation with the
@@ -74,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__
-from .canon import automorphisms, canonical_code
+from .canon import canonical_code
 from .complex_core import (
     DISK,
     MOEBIUS_BAND,
@@ -92,7 +90,7 @@ from .errors import (
     MixedSurfaceKinds,
     ParseError,
 )
-from .moves import Corner, TruncatedCorner, all_splits, orbit_key
+from .moves import all_splits
 
 DEFAULT_CEILING = 9
 MAX_SEARCH_ORDER = 15
@@ -147,6 +145,10 @@ class Catalog:
     entries: tuple[CatalogEntry, ...]
 
     def __post_init__(self) -> None:
+        if self.min_order > self.max_order:
+            raise ValueError(
+                f"catalog order range {self.min_order}..{self.max_order} runs backwards"
+            )
         codes = [entry.code for entry in self.entries]
         if len(set(codes)) != len(codes):
             raise ValueError("catalog entries must have distinct codes")
@@ -241,24 +243,14 @@ def generate_by_splitting(
             key=lambda e: e.code,
         )
         for entry in layer:
-            # The children of one orbit are isomorphic, so a later
-            # descriptor of an orbit never reaches a new class: coding only
-            # the first keeps the first producer, and the provenance, of
-            # every class.
-            group = automorphisms(entry.triangulation)
-            coded: set[Corner | TruncatedCorner] = set()
-            for descriptor, child in all_splits(entry.triangulation):
-                key = orbit_key(descriptor, group)
-                if key in coded:
-                    continue
-                coded.add(key)
+            for descriptors, child in all_splits(entry.triangulation):
                 child_code = canonical_code(child)
                 if child_code not in entries:
                     entries[child_code] = CatalogEntry(
                         child_code,
                         child.order,
                         child,
-                        f"{entry.code.hex()}:{descriptor.descriptor()}",
+                        f"{entry.code.hex()}:{descriptors[0].descriptor()}",
                     )
     ordered = tuple(sorted(entries.values(), key=lambda e: (e.order, e.code)))
     return Catalog(kind, min_seed_order, max_order, "splitting", ordered)
@@ -271,7 +263,8 @@ def enumerate_splitting_range(
 
     The counterpart of :func:`enumerate_exhaustive_range`; it never runs
     the exhaustive search.  The catalog is empty when no basis member has
-    order at most ``max_order``.
+    order at most ``max_order``; a range with ``min_order > max_order`` is
+    a ``ValueError``.
     """
     if kind not in BASES:
         raise ValueError(f"no stored splitting basis for {kind}")
@@ -655,6 +648,12 @@ def parse_catalog(text: str) -> Catalog:
         lo, hi = (int(bound) for bound in orders.split(".."))
     except ValueError:
         raise ParseError(f"catalog header: bad orders {orders!r}") from None
+    if lo > hi:
+        raise ParseError(
+            f"line {header_line['orders']}: orders {orders!r} run backwards"
+        )
+    if engine not in ("splitting", "exhaustive"):
+        raise ParseError(f"line {header_line['engine']}: unknown engine {engine!r}")
 
     entries = []
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import automorphisms, canonical_code, vertex_orbits
+from .canon import canonical_code, vertex_orbits
 from .complex_core import (
     MOEBIUS_BAND,
     PROJECTIVE_PLANE,
@@ -45,14 +45,7 @@ from .enumeration import (
     generate_by_splitting,
 )
 from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
-from .moves import (
-    Corner,
-    TruncatedCorner,
-    all_splits,
-    cable_subgraph,
-    is_irreducible,
-    orbit_key,
-)
+from .moves import all_splits, cable_subgraph, is_irreducible
 
 
 def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
@@ -190,25 +183,20 @@ def _scan_splits(
 ) -> SplitScanReport:
     """Check every split of the members for pylonic results.
 
-    Pylonicity is an isomorphism invariant, and the children of one
-    automorphism orbit of a member's split descriptors are isomorphic
-    (:func:`moves.orbit_key`), so each orbit is tested once; every
-    descriptor still counts and is reported.
+    Pylonicity is an isomorphism invariant, and ``all_splits`` gives one
+    child per automorphism orbit of a member's split descriptors, all of
+    whose children are isomorphic, so each orbit is tested once; every
+    descriptor of the orbit still counts and, when its child is pylonic,
+    is reported.
     """
     checked = []
     violations = []
     for entry in members:
         count = 0
-        group = automorphisms(entry.triangulation)
-        pylonic: dict[Corner | TruncatedCorner, bool] = {}
-        for descriptor, child in all_splits(entry.triangulation):
-            count += 1
-            key = orbit_key(descriptor, group)
-            found = pylonic.get(key)
-            if found is None:
-                found = pylonic[key] = bool(pylonic_vertices(child))
-            if found:
-                violations.append((entry.code, descriptor.descriptor()))
+        for descriptors, child in all_splits(entry.triangulation):
+            count += len(descriptors)
+            if pylonic_vertices(child):
+                violations.extend((entry.code, d.descriptor()) for d in descriptors)
         checked.append((entry.code, count))
     return SplitScanReport(tuple(checked), tuple(skipped), tuple(violations))
 

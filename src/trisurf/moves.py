@@ -38,10 +38,10 @@ A vertex permutation maps a split descriptor to its *image*
 automorphism of the complex the image's split is isomorphic to the
 original's: the automorphism carries the cut star onto the cut star at
 the image, and either arc of a corner, or either side of a truncated cut,
-gives the same child up to swapping the two copies of the vertex.  So
-descriptors with one :func:`orbit_key` have isomorphic children, and a
-caller that needs a split only up to isomorphism can take one descriptor
-per orbit.
+gives the same child up to swapping the two copies of the vertex.  So the
+descriptors of one orbit of the automorphism group have isomorphic
+children, and :func:`all_splits` builds one child per orbit, the orbit
+step of McKay's isomorph rejection (McKay 1998).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import enum
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
-from .canon import AutomorphismGroup
+from .canon import automorphisms
 from .complex_core import Edge, Face, Triangulation, build
 from .errors import (
     AmbiguousArc,
@@ -108,18 +108,6 @@ class TruncatedCorner:
     def image(self, perm: Sequence[int]) -> TruncatedCorner:
         """The truncated corner at ``perm[v]`` along the edge to ``perm[u]``."""
         return TruncatedCorner(v=perm[self.v], u=perm[self.u])
-
-
-def orbit_key(
-    descriptor: Corner | TruncatedCorner, group: AutomorphismGroup
-) -> Corner | TruncatedCorner:
-    """The least image of a split descriptor under the group's elements.
-
-    Two descriptors have the same key exactly when an automorphism maps one
-    onto the other, and then their children are isomorphic (module
-    docstring).
-    """
-    return min(descriptor.image(perm) for perm in group.elements)
 
 
 def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
@@ -274,15 +262,26 @@ def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
 
 def all_splits(
     tri: Triangulation,
-) -> list[tuple[Corner | TruncatedCorner, Triangulation]]:
-    """Every splitting of the triangulation, with its descriptor.
+) -> list[tuple[tuple[Corner | TruncatedCorner, ...], Triangulation]]:
+    """One split per automorphism orbit of the split descriptors.
 
-    One result per corner, plus one per truncated corner when the complex
-    is bordered; deterministic order (corners first, then truncated, each
-    sorted by vertex ids).  Descriptors with equal child face lists share
-    one child value: the three corners that subdivide one face give the
-    same list, so each distinct child is built and validated once.
+    Each result holds the descriptors of one orbit, in the order
+    :func:`corners` then :func:`truncated_corners` lists them, and the child
+    of the first; the orbits come in the order of their first descriptors.
+    Every child of an orbit is isomorphic to that one (module docstring),
+    and shrinking the edge from the first descriptor's ``v`` to the fresh
+    vertex ``tri.order`` restores ``tri``.  Orbits whose children have
+    equal face lists share one child value: the three corners that
+    subdivide one face give the same list, so each distinct child is built
+    and validated once.
     """
+    # Two descriptors lie in one orbit exactly when their least images
+    # under the group are equal.
+    elements = automorphisms(tri).elements
+    orbits: dict[Corner | TruncatedCorner, list[Corner | TruncatedCorner]] = {}
+    for descriptor in [*corners(tri), *truncated_corners(tri)]:
+        least = min(descriptor.image(perm) for perm in elements)
+        orbits.setdefault(least, []).append(descriptor)
     # The key is exact: ``build`` sorts each face and the face list, so two
     # lists with one face set give equal values, and neither list can hold
     # a duplicate that the set would hide (``build`` would refuse it).
@@ -290,15 +289,18 @@ def all_splits(
     # the fresh vertex, each star face holds one of them and a distinct
     # link pair, and each closing face holds both and a distinct end.
     children: dict[frozenset[frozenset[int]], Triangulation] = {}
-    results: list[tuple[Corner | TruncatedCorner, Triangulation]] = []
-    splits = [(corner, _corner_faces(tri, corner)) for corner in corners(tri)]
-    splits += [(tc, _truncated_faces(tri, tc)) for tc in truncated_corners(tri)]
-    for descriptor, faces in splits:
+    results: list[tuple[tuple[Corner | TruncatedCorner, ...], Triangulation]] = []
+    for orbit in orbits.values():
+        first = orbit[0]
+        if isinstance(first, Corner):
+            faces = _corner_faces(tri, first)
+        else:
+            faces = _truncated_faces(tri, first)
         key = frozenset(map(frozenset, faces))
         child = children.get(key)
         if child is None:
             child = children[key] = build(faces)
-        results.append((descriptor, child))
+        results.append((tuple(orbit), child))
     return results
 
 

@@ -150,6 +150,21 @@ def reference_build(faces) -> Triangulation:
     return tri
 
 
+def split_children(
+    tri: Triangulation,
+) -> list[tuple[ts.Corner | ts.TruncatedCorner, Triangulation]]:
+    """Every split descriptor of ``tri`` with its own child, corners then
+    truncated corners, each replayed from its descriptor string.
+
+    ``all_splits`` gives one child per automorphism orbit; tests that check
+    every descriptor's child read this list instead.
+    """
+    return [
+        (d, ts.apply_descriptor(tri, d.descriptor()))
+        for d in [*ts.corners(tri), *ts.truncated_corners(tri)]
+    ]
+
+
 def antipodal_quotient() -> ts.Triangulation:
     """Identify antipodal vertex pairs of the icosahedron."""
     rep = {v: min(v, ANTIPODAL[v]) for v in range(12)}

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import trisurf as ts
 
-from conftest import brute_force_isomorphic
+from conftest import brute_force_isomorphic, split_children
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -170,7 +170,7 @@ def test_criterion_09_property_suites(
     )
     round_trips = 0
     for tri in corpus:
-        for descriptor, child in ts.all_splits(tri):
+        for descriptor, child in split_children(tri):
             round_trips += 1
             if child.surface_kind != tri.surface_kind:
                 failures.append(f"kind changed by {descriptor.descriptor()}")

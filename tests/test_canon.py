@@ -281,14 +281,15 @@ CATALOG_BYTES = {
     "moebius-band": "32896d0b73ff5baa557156d2c594a56a4a957e079b575d32a196cbcc165f176f",
 }
 
-# (build calls, canonical forms computed) by each closure.  Each distinct
-# split child of a parent is built once, and one child per automorphism
-# orbit of the parent's split descriptors is coded, so dropping either
-# shows here though no catalog byte changes.
+# (build calls, canonical forms computed) by each closure.  ``all_splits``
+# builds one child per automorphism orbit of a parent's split descriptors
+# and the closure codes each, so every value built is coded once; building
+# a child nobody codes, or coding one twice, shows here though no catalog
+# byte changes.
 CLOSURE_WORK = {
-    "sphere": (287, 82),
-    "projective-plane": (246, 44),
-    "moebius-band": (453, 202),
+    "sphere": (82, 82),
+    "projective-plane": (44, 44),
+    "moebius-band": (202, 202),
 }
 
 

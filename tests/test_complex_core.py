@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 import trisurf as ts
 from trisurf import errors
 from trisurf.enumeration import BASES
-from tests.conftest import ANTIPODAL, ICOSAHEDRON_FACES, reference_build
+from tests.conftest import (
+    ANTIPODAL,
+    ICOSAHEDRON_FACES,
+    reference_build,
+    split_children,
+)
 
 # Face soups over a small label range: random triples, short lists of
 # label lists of any length, and subsets of a sphere and of a projective
@@ -33,7 +38,7 @@ SPLIT_CHILDREN = [
     child.faces
     for bases in BASES.values()
     for faces in bases
-    for _, child in ts.all_splits(ts.build(faces))
+    for _, child in split_children(ts.build(faces))
 ]
 
 
@@ -273,9 +278,7 @@ class TestDerivedDataLifetime:
         assert ref() is None
 
     def test_links_read_after_build_match_the_reference(self, proj_plane):
-        # Descriptors with equal face lists share one child, so every child
-        # is checked for unread links before any link is read.
-        children = [child for _, child in ts.all_splits(proj_plane)]
+        children = [child for _, child in split_children(proj_plane)]
         assert not any("links" in vars(child) for child in children)
         for child in children:
             assert child.links == reference_build(child.faces).links

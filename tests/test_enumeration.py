@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +174,22 @@ class TestSearchContract:
         assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[8]
 
 
+def test_exhaustive_search_shares_no_symmetry_or_split_code():
+    # The certificate rests on the two engines being independent: the
+    # search names no automorphism group, split or cable code, and this
+    # module binds no automorphism group at all.
+    assert not hasattr(enumeration, "automorphisms")
+    names, todo = set(), [enumeration._search.__code__]
+    while todo:
+        code = todo.pop()
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    assert "canonical_code" in names  # read only by the nested leaf()
+    assert names.isdisjoint(
+        {"automorphisms", "all_splits", "vertex_orbits", "cable_subgraph"}
+    )
+
+
 class TestSplittingClosure:
     def test_sphere_closure_matches_exhaustive(self, tetrahedron, sphere_catalog_4_6):
         closure = ts.generate_by_splitting([tetrahedron], 6, ["tetrahedron"])
@@ -228,6 +245,15 @@ class TestSplittingClosure:
         closure = ts.enumerate_splitting_range(ts.SPHERE, 3, 3)
         assert (closure.engine, closure.min_order, closure.max_order) == ("splitting", 3, 3)
         assert len(closure) == 0
+
+    @pytest.mark.parametrize(
+        "enumerate_range",
+        [ts.enumerate_splitting_range, ts.enumerate_exhaustive_range],
+        ids=["splitting", "exhaustive"],
+    )
+    def test_reversed_range_is_refused(self, enumerate_range):
+        with pytest.raises(ValueError, match="9..4 runs backwards"):
+            enumerate_range(ts.SPHERE, 9, 4)
 
     def test_surface_without_a_stored_basis_is_refused(self):
         with pytest.raises(ValueError, match="no stored splitting basis"):
@@ -392,6 +418,18 @@ class TestCatalogFile:
     def test_bad_order_range_header_is_a_parse_error(self):
         with pytest.raises(errors.ParseError, match="bad orders '4-6'"):
             ts.parse_catalog("surface: sphere\norders: 4-6\nengine: exhaustive\n---\n")
+
+    def test_reversed_order_range_header_is_a_parse_error(self):
+        with pytest.raises(errors.ParseError, match="line 2: orders '9..4' run backwards"):
+            ts.parse_catalog("surface: sphere\norders: 9..4\nengine: exhaustive\n---\n")
+
+    def test_catalog_refuses_a_reversed_range(self):
+        with pytest.raises(ValueError, match="9..4 runs backwards"):
+            Catalog(ts.SPHERE, 9, 4, "splitting", ())
+
+    def test_unknown_engine_is_a_parse_error(self):
+        with pytest.raises(errors.ParseError, match="line 3: unknown engine 'bogus'"):
+            ts.parse_catalog("surface: sphere\norders: 4..6\nengine: bogus\n---\n")
 
     def test_unknown_surface_is_a_parse_error(self):
         with pytest.raises(errors.ParseError, match="catalog header: unknown surface 'foo'"):

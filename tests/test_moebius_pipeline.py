@@ -130,6 +130,30 @@ class TestSplitScans:
         for code, count in report.checked:
             assert count == len(ts.corners(by_code[code]))
 
+    def test_every_descriptor_of_a_pylonic_orbit_is_reported_once(
+        self, projective_catalog, monkeypatch
+    ):
+        # Call every split child pylonic; members keep their true answer, so
+        # the scan picks the same 15 members.  One entry of ``all_splits``
+        # stands for a whole orbit, and each of its descriptors is a
+        # violation of its own.
+        members = {id(e.triangulation) for e in projective_catalog.entries}
+        real = moebius_pipeline.pylonic_vertices
+        monkeypatch.setattr(
+            moebius_pipeline, "pylonic_vertices",
+            lambda tri: real(tri) if id(tri) in members else frozenset({0}),
+        )
+        report = ts.check_no_pylonic_creation(projective_catalog)
+        by_code = {e.code: e.triangulation for e in projective_catalog.entries}
+        expected = [
+            (code, corner.descriptor())
+            for code, _ in report.checked
+            for corner in ts.corners(by_code[code])
+        ]
+        assert len(report.checked) == 15
+        assert sorted(report.violations) == sorted(expected)
+        assert len(report.violations) == report.split_count
+
 
 class TestCertificate:
     def test_all_clauses_pass(self, certificate):

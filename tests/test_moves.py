@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
-from trisurf.moves import Corner, TruncatedCorner, orbit_key
+from trisurf.moves import Corner, TruncatedCorner
+from tests.conftest import split_children
 
 
 def _clique_triangles(tri):
@@ -129,7 +130,7 @@ class TestCableRule:
         checked = 0
         for entry in catalogs[name].entries:
             _assert_cable_rule_holds(entry.triangulation)
-            for _, child in ts.all_splits(entry.triangulation):
+            for _, child in split_children(entry.triangulation):
                 _assert_cable_rule_holds(child)
                 checked += 1
         assert checked > 100
@@ -147,7 +148,7 @@ class TestCableRule:
         current = data.draw(st.sampled_from([triangle, tetrahedron, annulus]))
         _assert_cable_rule_holds(current)
         for _ in range(data.draw(st.integers(1, 5))):
-            _, current = data.draw(st.sampled_from(ts.all_splits(current)))
+            _, current = data.draw(st.sampled_from(split_children(current)))
             _assert_cable_rule_holds(current)
 
 
@@ -216,11 +217,12 @@ class TestSplitTruncated:
         assert child.surface_kind == ts.DISK
 
     def test_triangle_all_splits(self, triangle, disk_catalog_3_5):
-        # 3 corners plus 6 truncated corners; their classes are exactly the
-        # two disk triangulations of order 4.
+        # 3 corners plus 6 truncated corners, one orbit of each under the
+        # six symmetries; their classes are exactly the two disk
+        # triangulations of order 4.
         splits = ts.all_splits(triangle)
-        assert len(splits) == 9
-        assert sum(1 for d, _ in splits if isinstance(d, TruncatedCorner)) == 6
+        assert [len(descriptors) for descriptors, _ in splits] == [3, 6]
+        assert all(isinstance(d, TruncatedCorner) for d in splits[1][0])
         codes = {ts.canonical_code(child) for _, child in splits}
         assert codes == {e.code for e in disk_catalog_3_5.of_order(4)}
 
@@ -261,31 +263,37 @@ def test_split_children_are_pinned():
         f"{d.descriptor()} {child.faces}"
         for kind, lo, hi in SPLIT_CHILD_RANGES
         for entry in ts.enumerate_splitting_range(kind, lo, hi).entries
-        for d, child in ts.all_splits(entry.triangulation)
+        for d, child in split_children(entry.triangulation)
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == SPLIT_CHILDREN
 
 
 def test_each_split_child_is_isomorphic_to_the_first_of_its_orbit():
-    # The closure codes one child per orbit key and the split scans test
-    # one per key.  A key that merges two orbits would hide a class from
-    # neither catalog, since the closure reaches each class many times, but
-    # it fails here.
+    # The closure codes one child per ``all_splits`` entry and the split
+    # scans test one per entry.  An entry that merged two orbits would hide
+    # a class from neither catalog, since the closure reaches each class
+    # many times, but it fails here.
     parents = splits = later = 0
     for kind, lo, hi in SPLIT_CHILD_RANGES:
         for entry in ts.enumerate_splitting_range(kind, lo, hi).entries:
             parent = entry.triangulation
-            group = ts.automorphisms(parent)
-            first = {}
-            for descriptor, child in ts.all_splits(parent):
-                key = orbit_key(descriptor, group)
-                if key in first:
+            entries = ts.all_splits(parent)
+            # Every corner and truncated corner once, in listing order
+            # within an orbit, the orbits in the order of their first.
+            every = [*ts.corners(parent), *ts.truncated_corners(parent)]
+            at = [[every.index(d) for d in descriptors] for descriptors, _ in entries]
+            assert sorted(i for orbit in at for i in orbit) == list(range(len(every)))
+            assert all(orbit == sorted(orbit) for orbit in at)
+            assert [orbit[0] for orbit in at] == sorted(orbit[0] for orbit in at)
+            for descriptors, child in entries:
+                first = descriptors[0]
+                assert ts.shrink_edge(child, (first.v, parent.order)).faces == parent.faces
+                for descriptor in descriptors[1:]:
+                    own = ts.apply_descriptor(parent, descriptor.descriptor())
+                    assert ts.canonical_code(own) == ts.canonical_code(child), descriptor
                     later += 1
-                    assert ts.canonical_code(child) == first[key], descriptor
-                else:
-                    first[key] = ts.canonical_code(child)
-                splits += 1
+                splits += len(descriptors)
             parents += 1
     assert (parents, splits, later) == (30, 1491, 1039)
 
@@ -305,7 +313,7 @@ class TestShrinkEdge:
 
     def test_split_then_shrink_is_identity(self, proj_plane, k5_moebius, tetrahedron):
         for tri in (proj_plane, k5_moebius, tetrahedron):
-            for descriptor, child in ts.all_splits(tri)[:15]:
+            for descriptor, child in split_children(tri)[:15]:
                 fresh = (descriptor.v, tri.order)
                 assert ts.shrink_edge(child, fresh).faces == tri.faces
 
@@ -318,7 +326,7 @@ class TestShrinkEdge:
         current = tri
         fresh = []
         for _ in range(data.draw(st.integers(1, 3))):
-            descriptor, child = data.draw(st.sampled_from(ts.all_splits(current)))
+            descriptor, child = data.draw(st.sampled_from(split_children(current)))
             fresh.append((descriptor.v, current.order))
             current = child
         for edge in reversed(fresh):
