@@ -57,9 +57,10 @@ step closes at most three, so a branch is cut once F + b, plus one step
 per missing vertex, plus a third of the open edges, exceeds 2(n - chi_min).
 The bound comes from Euler's formula and the search's own bookkeeping,
 not from the moves, so the engines stay independent.
-``enumerate_exhaustive`` asks for chi_min = min(chi, 1) closed and
-min(chi, 0) bordered: the sphere and the projective plane share one run,
-and so do the disk and the Moebius band.
+``enumerate_exhaustive`` asks for chi_min = chi of the surface it keeps.
+The budget never undercounts the steps a branch still needs, so it cuts
+no leaf with chi >= chi_min, and each class it keeps has the same first
+copy under any lower chi_min.
 
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
@@ -264,13 +265,14 @@ def enumerate_splitting_range(
     The counterpart of :func:`enumerate_exhaustive_range`; it never runs
     the exhaustive search.  The catalog is empty when no basis member has
     order at most ``max_order``; a range with ``min_order > max_order`` is
-    a ``ValueError``.
+    a ``ValueError``, raised before the closure runs.
     """
     if kind not in BASES:
         raise ValueError(f"no stored splitting basis for {kind}")
+    empty = Catalog(kind, min_order, max_order, "splitting", ())  # range check
     seeds = [seed for seed in map(build, BASES[kind]) if seed.order <= max_order]
     if not seeds:
-        return Catalog(kind, min_order, max_order, "splitting", ())
+        return empty
     return generate_by_splitting(seeds, max_order).restricted(min_order, max_order)
 
 
@@ -411,14 +413,10 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
         if used != n:
             return
         key = [(vdeg[x], 1 if ldeg[apex | x] else 0) for x in range(n)]
-        identity = (key[0], key[1], key[2])
+        identity = [key[0], key[1], key[2]]
+        # Of a face's six key orders the sorted one is the smallest.
         for a, b, c in faces:
-            ka, kb, kc = key[a], key[b], key[c]
-            if (
-                (ka, kb, kc) < identity or (ka, kc, kb) < identity
-                or (kb, ka, kc) < identity or (kb, kc, ka) < identity
-                or (kc, ka, kb) < identity or (kc, kb, ka) < identity
-            ):
+            if sorted((key[a], key[b], key[c])) < identity:
                 return
         tri = build(faces)
         code = canonical_code(tri)
@@ -471,8 +469,8 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
             grew = w == used
             if grew:
                 used += 1
-            # Unsorted: leaf()'s filter tries all six orders and
-            # build() normalises.
+            # Unsorted: leaf()'s filter sorts the keys and build()
+            # normalises.
             faces.append((u, v, w))
             face_set.add(fid)
 
@@ -546,9 +544,7 @@ def enumerate_exhaustive(
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
     bordered = kind.boundary_components == 1
-    # chi_min is at most 1 closed and 0 bordered, so the sphere and the
-    # projective plane share one search run, and so do disk and Moebius band.
-    raw = _search_cached(order, bordered, min(kind.euler_characteristic, 1 - bordered))
+    raw = _search_cached(order, bordered, kind.euler_characteristic)
     entries = tuple(
         CatalogEntry(canonical_code(tri), order, tri, "exhaustive")
         for tri in raw

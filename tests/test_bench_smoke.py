@@ -48,7 +48,7 @@ def test_workload_passes(workload):
 
 def test_traced_certificate_sees_every_required_span():
     # The bench still traces the deleted ``_parallel.pmap``; this list
-    # shrinks to empty when ROADMAP item 3 removes that span from the bench.
+    # shrinks to empty when ROADMAP item 1 removes that span from the bench.
     # Any other entry means a traced layer is no longer reached, e.g. a
     # pipeline that stopped calling ``moves.cable_subgraph``.
     result = _run_worker("certificate", "--trace")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,39 @@ class TestEnumerate:
         catalog = ts.parse_catalog(capsys.readouterr().out)
         counts = [len(catalog.of_order(n)) for n in range(4, 11)]
         assert counts == [1, 1, 2, 5, 14, 50, 233]
+
+    @pytest.mark.parametrize(
+        "surface, min_order, max_order, extra, counts, digest",
+        [
+            # OEIS A000109.
+            pytest.param(
+                "sphere", 4, 10, ["--ceiling", "10"], [1, 1, 2, 5, 14, 50, 233],
+                "a062acf46e44309b309139a2d68a6481d04331dacbe37f305fb13979140698b6",
+                id="sphere",
+            ),
+            pytest.param(
+                "disk", 3, 8, [], [1, 2, 4, 16, 63, 328],
+                "1dd04295026c3c735dc4b4d6430c651688b0b8548f3762abf100f94cf389cf29",
+                id="disk",
+            ),
+        ],
+    )
+    def test_engines_agree_and_the_exhaustive_catalog_is_pinned(
+        self, tmp_path, capsys, surface, min_order, max_order, extra, counts, digest
+    ):
+        out = tmp_path / surface
+        argv = ["enumerate", "--surface", surface, "--min-order", str(min_order),
+                "--max-order", str(max_order), "--engine", "compare",
+                "--out", str(out), *extra]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert "result: EMPTY" in (out / f"{surface}_diff.txt").read_text()
+        exhaustive = (out / f"{surface}_exhaustive.catalog").read_bytes()
+        assert hashlib.sha256(exhaustive).hexdigest() == digest
+        # The digest fixes every record, so the counts need no parse.
+        records = exhaustive.decode().split("---\n", 1)[1].splitlines()
+        orders = [int(record.split()[1]) for record in records]
+        assert [orders.count(n) for n in range(min_order, max_order + 1)] == counts
 
     def test_bad_order_range(self, capsys):
         assert main(["enumerate", "--surface", "sphere", "--min-order", "6",

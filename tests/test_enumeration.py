@@ -78,8 +78,8 @@ class TestExhaustive:
 
 
 # (order, bordered, chi_min, rec calls, build calls, classes, sha256 of the
-# representatives' face lists): closed queries at the projective-plane
-# chi_min 1, bordered ones at the Moebius-band chi_min 0.  The rec calls count
+# representatives' face lists), for the query of each surface: chi_min 2
+# sphere, 1 projective plane, 1 disk, 0 Moebius band.  The rec calls count
 # the nodes of the search tree, so a cut that stops cutting shows here.
 SEARCH_PINS = [
     (4, False, 1, 4, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
@@ -92,9 +92,23 @@ SEARCH_PINS = [
     (5, True, 0, 80, 8, 6, "b499e85f097e89054022da2b4512ec713c2f2a4d4ac373f12c31965f4c794e09"),
     (6, True, 0, 649, 34, 28, "c9bcf4f667498eeb776f7583eff6017a3fd2334eb1d812bbfe7094d0be5e13b5"),
     (7, True, 0, 9687, 185, 155, "c413b6a74c994803b35ca97cca37711bb9bcc7835cee8012cab857aab0b366bb"),
+    (6, False, 2, 26, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
+    (7, False, 2, 103, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
+    (8, False, 2, 617, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
+    (5, True, 1, 74, 5, 5, "b009d8cb585aadd383c406966122faf2b390d8e145f848495133a0d0287eac54"),
+    (6, True, 1, 504, 19, 19, "cf65eb2f6074d81760fb1578c908d22bab3c5cdfe04031b3ad75d332dab298ab"),
+    (7, True, 1, 4725, 74, 71, "9ad177d05706d8422c26f5e066ddcfb738889f20935feb97a1e0d2695548217b"),
 ]
 
-# sha256 of the bordered output's bordered members and spheres, in order,
+
+def _pin_id(n: int, bordered: bool, chi_min: int) -> str:
+    # Boundary and order, plus chi_min where it is not the projective-plane
+    # or Moebius-band one.
+    name = f"{'bordered' if bordered else 'closed'}-{n}"
+    return name if chi_min == 1 - bordered else f"{name}-chi{chi_min}"
+
+
+# sha256 of the Moebius-band query's bordered members and spheres, in order,
 # as the search found them under the face cap 2n - 3 that the Euler budget
 # replaced.  The budget also admits closed chi = 0, 1 classes, which the cap
 # cut, but it must not change which copy of any other class comes first.
@@ -127,7 +141,7 @@ class TestSearchContract:
     @pytest.mark.parametrize(
         "n, bordered, chi_min, nodes, builds, classes, digest",
         [
-            pytest.param(*pin, id=f"{'bordered' if pin[1] else 'closed'}-{pin[0]}")
+            pytest.param(*pin, id=_pin_id(*pin[:3]))
             for pin in SEARCH_PINS
         ],
     )
@@ -159,7 +173,7 @@ class TestSearchContract:
             sys.setprofile(previous)
         assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
         assert _digest(tri.faces for tri in found) == digest
-        if bordered and n in BORDERED_CAP_DIGESTS:
+        if bordered and chi_min == 0 and n in BORDERED_CAP_DIGESTS:
             assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[n]
 
     def test_order_8_bordered_representatives_are_pinned(self):
@@ -172,6 +186,21 @@ class TestSearchContract:
             "0ac1e834a88e9d2de16f7d625d233c9ce1006d7939a0031f0954ccb8c9b9567c"
         )
         assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[8]
+
+
+def test_each_query_searches_its_own_surface(monkeypatch):
+    # The Euler budget of a query is the asked surface's own chi, so no
+    # query searches a surface of smaller chi that it then drops.
+    queries = []
+
+    def record(*query):
+        queries.append(query)
+        return ()
+
+    monkeypatch.setattr(enumeration, "_search_cached", record)
+    for kind in (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND):
+        assert len(ts.enumerate_exhaustive(kind, 6)) == 0
+    assert queries == [(6, False, 2), (6, False, 1), (6, True, 1), (6, True, 0)]
 
 
 def test_exhaustive_search_shares_no_symmetry_or_split_code():
@@ -235,7 +264,6 @@ class TestSplittingClosure:
         ],
     )
     def test_engines_agree_through_order_9(self, kind, min_order, counts):
-        # Both closed surfaces share the cap-16 search at order 9.
         exhaustive = ts.enumerate_exhaustive_range(kind, min_order, 9)
         splitting = ts.enumerate_splitting_range(kind, min_order, 9)
         assert [len(exhaustive.of_order(n)) for n in range(min_order, 10)] == counts
@@ -254,6 +282,15 @@ class TestSplittingClosure:
     def test_reversed_range_is_refused(self, enumerate_range):
         with pytest.raises(ValueError, match="9..4 runs backwards"):
             enumerate_range(ts.SPHERE, 9, 4)
+
+    def test_reversed_range_is_refused_before_the_closure(self, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("the closure ran")
+
+        monkeypatch.setattr(enumeration, "generate_by_splitting", no_closure)
+        message = r"^catalog order range 9\.\.8 runs backwards$"
+        with pytest.raises(ValueError, match=message):
+            ts.enumerate_splitting_range(ts.SPHERE, 9, 8)
 
     def test_surface_without_a_stored_basis_is_refused(self):
         with pytest.raises(ValueError, match="no stored splitting basis"):
