@@ -48,19 +48,19 @@ no leaf at all, and it leaves the traversal order alone, so the first
 copy reached of each class, and with it every catalog, ``BASES`` and the
 certificate, stays the same.
 
-A query is the triple (order n, bordered, chi_min), and one budget bounds
-its tree.  Euler's formula V - E + F = chi with 3F + b = 2E, where b counts
+A query is a surface kind and an order n, and one budget bounds its
+tree.  Euler's formula V - E + F = chi with 3F + b = 2E, where b counts
 the boundary edges, gives F + b = 2(n - chi) for every surface, closed or
 bordered.  Each face and each boundary declaration adds 1 to F + b.  A
 step that adds a vertex closes one open edge and opens two, and any other
 step closes at most three, so a branch is cut once F + b, plus one step
-per missing vertex, plus a third of the open edges, exceeds 2(n - chi_min).
+per missing vertex, plus a third of the open edges, exceeds 2(n - chi).
 The bound comes from Euler's formula and the search's own bookkeeping,
-not from the moves, so the engines stay independent.
-``enumerate_exhaustive`` asks for chi_min = chi of the surface it keeps.
-The budget never undercounts the steps a branch still needs, so it cuts
-no leaf with chi >= chi_min, and each class it keeps has the same first
-copy under any lower chi_min.
+not from the moves, so the engines stay independent.  A leaf whose F + b
+misses the budget has another chi, and one with b > 0 on a closed query
+(or b = 0 on a bordered one) another boundary; both are dropped before
+``build``.  Every copy of a class shares its chi and boundary, so no class
+of the kind loses a copy and the first copy reached stays the same.
 
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
@@ -281,15 +281,15 @@ def enumerate_splitting_range(
 # ---------------------------------------------------------------------------
 
 
-def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
-    """All triangulations on exactly ``n`` vertices with Euler
-    characteristic at least ``chi_min`` (closed, or with at most one
-    boundary cycle when ``allow_boundary``), one per class.
+def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
+    """All triangulations of ``kind`` on exactly ``n`` vertices, one per
+    class, in code order; ``kind`` has at most one boundary cycle.
 
     V - E + F = chi and 3F + b = 2E, where b counts boundary edges, give
-    F + b = 2(n - chi) for every such complex.  Faces and boundary
-    declarations are the search's steps, so a branch is cut once the
-    steps it has taken and the fewest it still needs exceed 2(n - chi_min).
+    F + b = 2(n - chi).  Faces and boundary declarations are the search's
+    steps, so a branch is cut once the steps it has taken and the fewest
+    it still needs exceed 2(n - chi), and a leaf is kept only if it has
+    spent exactly that many, with b > 0 exactly when ``kind`` is bordered.
     """
     if n > MAX_SEARCH_ORDER:
         raise CeilingExceeded(
@@ -315,7 +315,8 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
     face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
     found: dict[bytes, Triangulation] = {}
-    budget = 2 * (n - chi_min)
+    bordered = kind.boundary_components == 1
+    budget = 2 * (n - kind.euler_characteristic)
 
     used = 3
 
@@ -409,8 +410,9 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
             return d < d0 or (d == d0 and not b and ldeg[apex] > 0)
         return False
 
-    def leaf() -> None:
-        if used != n:
+    def leaf(spent: int) -> None:
+        # spent is F + b, so spent - len(faces) counts the boundary edges.
+        if used != n or spent != budget or (spent > len(faces)) != bordered:
             return
         key = [(vdeg[x], 1 if ldeg[apex | x] else 0) for x in range(n)]
         identity = [key[0], key[1], key[2]]
@@ -426,7 +428,7 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
     def rec(spent: int) -> None:
         nonlocal used
         if not open_set:
-            leaf()
+            leaf(spent)
             return
         # Each further step adds 1 to F + b.  The n - used steps that add a
         # vertex close one open edge and open two, so the other steps must
@@ -498,7 +500,7 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
             link_undo(u, v, w, ends_u)
 
         # Or declare e boundary: the cone face (u, v, n) is its second face.
-        if allow_boundary and link_ok(n, u, v):
+        if bordered and link_ok(n, u, v):
             ends = link_commit(n, u, v)
             ecount[e] = 2
             open_set.discard(e)
@@ -522,16 +524,15 @@ def _search(n: int, allow_boundary: bool, chi_min: int) -> list[Triangulation]:
         vdeg[a] += 1
         vdeg[b] += 1
     rec(1)
-    return [found[code] for code in sorted(found)]
+    # (chi, boundary) leaves only the torus and the Klein bottle to tell apart.
+    return [found[c] for c in sorted(found) if found[c].surface_kind == kind]
 
 
 # Keyed on the query, not on a complex: the Moebius catalog, the certificate
 # and the cross-check share one order-8 search.
 @lru_cache(maxsize=64)
-def _search_cached(
-    n: int, allow_boundary: bool, chi_min: int
-) -> tuple[Triangulation, ...]:
-    return tuple(_search(n, allow_boundary, chi_min))
+def _search_cached(n: int, kind: SurfaceKind) -> tuple[Triangulation, ...]:
+    return tuple(_search(n, kind))
 
 
 def enumerate_exhaustive(
@@ -543,12 +544,9 @@ def enumerate_exhaustive(
     _check_ceiling(order, order, ceiling)
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
-    bordered = kind.boundary_components == 1
-    raw = _search_cached(order, bordered, kind.euler_characteristic)
     entries = tuple(
         CatalogEntry(canonical_code(tri), order, tri, "exhaustive")
-        for tri in raw
-        if tri.surface_kind == kind
+        for tri in _search_cached(order, kind)
     )
     return Catalog(kind, order, order, "exhaustive", entries)
 

@@ -77,41 +77,50 @@ class TestExhaustive:
         assert member.degree_sequence == (6,) * 7
 
 
-# (order, bordered, chi_min, rec calls, build calls, classes, sha256 of the
-# representatives' face lists), for the query of each surface: chi_min 2
-# sphere, 1 projective plane, 1 disk, 0 Moebius band.  The rec calls count
-# the nodes of the search tree, so a cut that stops cutting shows here.
+EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"  # of []
+
+# (order, surface, rec calls, build calls, classes, sha256 of the
+# representatives' face lists) for the query of each surface.  The rec
+# calls count the nodes of the search tree, so a cut that stops cutting
+# shows here; the builds count the leaves that reach ``build``.
 SEARCH_PINS = [
-    (4, False, 1, 4, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
-    (5, False, 1, 9, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
-    (6, False, 1, 29, 3, 3, "8f53a4ce430806004dc885a1898a9a109dafdc6ca9914e2540ca4a169d712857"),
-    (7, False, 1, 158, 8, 8, "5c4638f30a7969885f7342c4bc14c85472289bae28abae9c9c47f45303cb2226"),
-    (8, False, 1, 1475, 37, 30, "d36d2874b97c81aa1855ebcf72f6ed802f5f3891857bf54b4b11c945c9301a5e"),
-    (3, True, 0, 4, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
-    (4, True, 0, 17, 3, 3, "3ae10a7c235680f9f77b260c4f54c639d6f1d23d6d8a1d59231c3d7adeb34062"),
-    (5, True, 0, 80, 8, 6, "b499e85f097e89054022da2b4512ec713c2f2a4d4ac373f12c31965f4c794e09"),
-    (6, True, 0, 649, 34, 28, "c9bcf4f667498eeb776f7583eff6017a3fd2334eb1d812bbfe7094d0be5e13b5"),
-    (7, True, 0, 9687, 185, 155, "c413b6a74c994803b35ca97cca37711bb9bcc7835cee8012cab857aab0b366bb"),
-    (6, False, 2, 26, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
-    (7, False, 2, 103, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
-    (8, False, 2, 617, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
-    (5, True, 1, 74, 5, 5, "b009d8cb585aadd383c406966122faf2b390d8e145f848495133a0d0287eac54"),
-    (6, True, 1, 504, 19, 19, "cf65eb2f6074d81760fb1578c908d22bab3c5cdfe04031b3ad75d332dab298ab"),
-    (7, True, 1, 4725, 74, 71, "9ad177d05706d8422c26f5e066ddcfb738889f20935feb97a1e0d2695548217b"),
+    (4, ts.PROJECTIVE_PLANE, 4, 0, 0, EMPTY),
+    (5, ts.PROJECTIVE_PLANE, 9, 0, 0, EMPTY),
+    (6, ts.PROJECTIVE_PLANE, 29, 1, 1, "8f6ff8e9c1716f6b90740b685ec7b4b64a34423faa6d1a0e491d110bd7448547"),
+    (7, ts.PROJECTIVE_PLANE, 158, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
+    (8, ts.PROJECTIVE_PLANE, 1475, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
+    (3, ts.MOEBIUS_BAND, 4, 0, 0, EMPTY),
+    (4, ts.MOEBIUS_BAND, 17, 0, 0, EMPTY),
+    (5, ts.MOEBIUS_BAND, 80, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
+    (6, ts.MOEBIUS_BAND, 649, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
+    (7, ts.MOEBIUS_BAND, 9687, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
+    (4, ts.SPHERE, 4, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
+    (5, ts.SPHERE, 9, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
+    (6, ts.SPHERE, 26, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
+    (7, ts.SPHERE, 103, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
+    (8, ts.SPHERE, 617, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
+    (3, ts.DISK, 4, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
+    (4, ts.DISK, 17, 2, 2, "c2e6ff8412fe68bf69f5bdc2feb2596c129fd41400e34ea2bd745619efea34aa"),
+    (5, ts.DISK, 74, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
+    (6, ts.DISK, 504, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
+    (7, ts.DISK, 4725, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
 ]
+NAMED_KINDS = (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND)
 
 
-def _pin_id(n: int, bordered: bool, chi_min: int) -> str:
-    # Boundary and order, plus chi_min where it is not the projective-plane
-    # or Moebius-band one.
+def _pin_id(n: int, kind) -> str:
+    # Boundary and order, plus chi where it is not the projective-plane or
+    # Moebius-band one; stable ids let test reports follow a row over time.
+    bordered = kind.boundary_components == 1
     name = f"{'bordered' if bordered else 'closed'}-{n}"
-    return name if chi_min == 1 - bordered else f"{name}-chi{chi_min}"
+    chi = kind.euler_characteristic
+    return name if chi == 1 - bordered else f"{name}-chi{chi}"
 
 
-# sha256 of the Moebius-band query's bordered members and spheres, in order,
-# as the search found them under the face cap 2n - 3 that the Euler budget
-# replaced.  The budget also admits closed chi = 0, 1 classes, which the cap
-# cut, but it must not change which copy of any other class comes first.
+# sha256 of the Moebius bands, disks and spheres of each order, sorted by
+# canonical code, as the search found them under the face cap 2n - 3 that
+# the Euler budget replaced: no budget or leaf rule may change which copy
+# of a class comes first.
 BORDERED_CAP_DIGESTS = {
     6: "1091eb3a924cd3ea5d276f470ce2b4a025269cd70d97b846f0abf963eac7a948",
     7: "5f87cf9dba50668d890af4e7f019f606836f39b381bf6104fddfffa107169aaa",
@@ -123,30 +132,20 @@ def _digest(faces_lists) -> str:
     return hashlib.sha256(repr(list(faces_lists)).encode()).hexdigest()
 
 
-def _bordered_or_sphere(found) -> list:
-    return [
-        tri.faces for tri in found
-        if not tri.is_closed or tri.euler_characteristic == 2
-    ]
-
-
 class TestSearchContract:
-    """The search keeps the first labelled copy it reaches of each class,
-    and catalogs, ``BASES`` and the certificate store those copies.  A cut
-    inside the tree may remove only leaves that the leaf filter rejects:
-    then both the representatives and the number of leaves that pass the
-    filter (one ``build`` each) stay as pinned, and the node count shows
-    whether each cut still cuts."""
+    """The search keeps the first labelled copy it reaches of each class of
+    the asked surface, and catalogs, ``BASES`` and the certificate store
+    those copies.  A cut inside the tree may remove only leaves that the
+    leaf filter rejects: then both the representatives and the number of
+    leaves that pass the filter (one ``build`` each) stay as pinned, and
+    the node count shows whether each cut still cuts."""
 
     @pytest.mark.parametrize(
-        "n, bordered, chi_min, nodes, builds, classes, digest",
-        [
-            pytest.param(*pin, id=_pin_id(*pin[:3]))
-            for pin in SEARCH_PINS
-        ],
+        "n, kind, nodes, builds, classes, digest",
+        [pytest.param(*pin, id=_pin_id(*pin[:2])) for pin in SEARCH_PINS],
     )
     def test_search_output_and_leaf_count_are_pinned(
-        self, monkeypatch, n, bordered, chi_min, nodes, builds, classes, digest
+        self, monkeypatch, n, kind, nodes, builds, classes, digest
     ):
         calls = []
         real_build = enumeration.build
@@ -168,29 +167,49 @@ class TestSearchContract:
         previous = sys.getprofile()
         sys.setprofile(count_rec)
         try:
-            found = enumeration._search(n, bordered, chi_min)
+            found = enumeration._search(n, kind)
         finally:
             sys.setprofile(previous)
         assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
         assert _digest(tri.faces for tri in found) == digest
-        if bordered and chi_min == 0 and n in BORDERED_CAP_DIGESTS:
-            assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted({pin[0] for pin in SEARCH_PINS}))
+    def test_search_returns_only_the_asked_surface(self, n):
+        for kind in NAMED_KINDS:
+            found = enumeration._search_cached(n, kind)
+            assert {tri.surface_kind for tri in found} <= {kind}
+
+    @pytest.mark.parametrize("n", sorted(BORDERED_CAP_DIGESTS))
+    def test_face_cap_representatives_are_kept(self, n):
+        # The cached queries, so order 8 shares the catalogs' searches.
+        found = sorted(
+            (tri for kind in (ts.MOEBIUS_BAND, ts.DISK, ts.SPHERE)
+             for tri in enumeration._search_cached(n, kind)),
+            key=ts.canonical_code,
+        )
+        assert _digest(tri.faces for tri in found) == BORDERED_CAP_DIGESTS[n]
 
     def test_order_8_bordered_representatives_are_pinned(self):
         # The cached query that the order-8 Moebius catalog and the
         # certificate make, so the pin runs no second search; counting its
         # nodes would.
-        found = enumeration._search_cached(8, True, 0)
-        assert len(found) == 1336
+        found = enumeration._search_cached(8, ts.MOEBIUS_BAND)
+        assert len(found) == 965
         assert _digest(tri.faces for tri in found) == (
-            "0ac1e834a88e9d2de16f7d625d233c9ce1006d7939a0031f0954ccb8c9b9567c"
+            "48e255eab6ece6d0c9a372525cd3bb55c4e6f46083c94f8913503169716ea9e9"
         )
-        assert _digest(_bordered_or_sphere(found)) == BORDERED_CAP_DIGESTS[8]
+
+    def test_torus_and_klein_bottle_are_told_apart(self):
+        # The one pair that (chi, boundary) does not tell apart: the search
+        # itself keeps only the asked orientability.
+        torus, klein = ts.SurfaceKind(0, True, 0), ts.SurfaceKind(0, False, 0)
+        assert len(ts.enumerate_exhaustive(torus, 8)) == 7
+        assert len(ts.enumerate_exhaustive(klein, 8)) == 6
 
 
 def test_each_query_searches_its_own_surface(monkeypatch):
-    # The Euler budget of a query is the asked surface's own chi, so no
-    # query searches a surface of smaller chi that it then drops.
+    # The query is the asked surface itself, so no query searches a surface
+    # that it then drops.
     queries = []
 
     def record(*query):
@@ -198,9 +217,9 @@ def test_each_query_searches_its_own_surface(monkeypatch):
         return ()
 
     monkeypatch.setattr(enumeration, "_search_cached", record)
-    for kind in (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND):
+    for kind in NAMED_KINDS:
         assert len(ts.enumerate_exhaustive(kind, 6)) == 0
-    assert queries == [(6, False, 2), (6, False, 1), (6, True, 1), (6, True, 0)]
+    assert queries == [(6, kind) for kind in NAMED_KINDS]
 
 
 def test_exhaustive_search_shares_no_symmetry_or_split_code():
