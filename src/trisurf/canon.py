@@ -10,10 +10,25 @@ vertices have the smallest (degree, on-boundary) keys, computed once per
 vertex.  The code is the lexicographic minimum over those flags, which
 makes it a complete isomorphism invariant.
 
-The same sweep gives the automorphism group.  Two flags whose sweeps
-give the minimal face list differ by exactly one automorphism, and an
-automorphism maps each such flag onto another, so the group is read off
-the labellings of the tying flags and no flag is swept twice.
+The same sweep gives the automorphism group.  Two flags f and g whose
+sweeps give the same face list differ by exactly one automorphism,
+sigma = L_g^-1 o L_f, where L_f is the labelling of f's sweep, and an
+automorphism maps each candidate flag onto another (the keys are
+invariant), so the group is read off the labellings of the tying flags.
+
+The flag loop is pruned by the automorphisms it finds (McKay's
+automorphism pruning, 1981).  Each tie with the best flag adds a
+generator; every candidate flag in the best flag's orbit under the
+generators found so far is labelled without a sweep, and when a new best
+appears its orbit is closed under the same generators, which are still
+automorphisms.  The result is the sweep-every-flag result, labelling for
+labelling: the sweep depends only on its flag and the cross map, so it is
+equivariant, L_sigma(f)[sigma[x]] = L_f[x], and a flag in the orbit gives
+the minimal face list exactly as its sweep would.  A tie is swept only
+outside the orbit of the group found so far, so its generator at least
+doubles that group: at most log2 |Aut| ties are swept, not |Aut| - 1,
+and a torus grid, where every flag ties, costs about 1 + log2 |Aut|
+sweeps.
 
 Boundary participates automatically: boundary edges are exactly the
 edges on one face, so the face list determines them.  The code header
@@ -121,26 +136,68 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     return found
 
 
+def _automorphism(source: list[int], target: list[int]) -> tuple[list[int], list[int]]:
+    """The automorphism sigma that maps the flag with labelling ``source``
+    onto the flag with labelling ``target`` (``target[sigma[x]] == source[x]``),
+    and its inverse."""
+    back_source, back_target = [0] * len(source), [0] * len(target)
+    for old, new in enumerate(source):
+        back_source[new] = old
+    for old, new in enumerate(target):
+        back_target[new] = old
+    return list(map(back_target.__getitem__, source)), list(map(back_source.__getitem__, target))
+
+
+def _close(orbit: dict[Flag, tuple[int, ...]],
+           generators: list[tuple[list[int], list[int]]]) -> None:
+    """Extend ``orbit`` (flag -> labelling) to its closure under the
+    generators, each image sigma(f) labelled by ``label_f`` after sigma^-1."""
+    queue = list(orbit)
+    for flag in queue:
+        label = orbit[flag]
+        a, b, c = flag
+        for perm, inverse in generators:
+            image = (perm[a], perm[b], perm[c])
+            if image not in orbit:
+                orbit[image] = tuple(map(label.__getitem__, inverse))
+                queue.append(image)
+
+
 def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
     """The code, and the labelling of every flag whose sweep gives it, the
     first minimal flag's first."""
     # The relabelled face lists share a fixed-width byte encoding, so the
     # list order is the code order; the first minimal flag wins ties.
     cross = _cross_map(tri)
-    best = None
-    for start, flag in _candidate_flags(tri):
+    candidates = _candidate_flags(tri)
+    best = orbit = None
+    for start, flag in candidates:
+        if orbit is not None and flag in orbit:
+            continue
         queue, label = _traverse(tri, cross, flag, start)
         faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
         if faces == best:
-            labellings.append(tuple(label))
+            # A tie is a new automorphism: the best flag's orbit under all
+            # found so far is labelled without a sweep.
+            if orbit is None:
+                generators, orbit = [], {first: tuple(first_label)}
+            generators.append(_automorphism(first_label, label))
+            _close(orbit, generators)
         elif best is None or faces < best:
-            best, labellings = faces, [tuple(label)]
+            best, first, first_label = faces, flag, label
+            if orbit is not None:
+                orbit = {flag: tuple(label)}
+                _close(orbit, generators)
+    if orbit is None:
+        labellings = (tuple(first_label),)
+    else:
+        labellings = tuple(orbit[flag] for _, flag in candidates if flag in orbit)
     values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(best))
     if max(values[:3]) < 256:
-        return bytes(values), tuple(labellings)
+        return bytes(values), labellings
     # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
     # big-endian header fields and labels.
-    return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(labellings)
+    return b"\0" + struct.pack(f">{len(values)}H", *values), labellings
 
 
 def canonical_code(tri: Triangulation) -> CanonicalCode:
@@ -179,16 +236,17 @@ def automorphisms(tri: Triangulation) -> AutomorphismGroup:
     """Every face-preserving vertex permutation, read off the canonical form.
 
     Each labelling realising the canonical code sends the complex onto the
-    same face list, so the first labelling followed by the inverse of any
-    other is an automorphism, and every automorphism arises once this way.
+    same face list, so any labelling followed by the inverse of the first
+    is an automorphism, and every automorphism arises once this way.  (These
+    are the inverses of the first followed by the inverse of each; the set,
+    and so the sorted list, is the same.)
     """
     labellings = tri._canonical[1]
-    first = labellings[0]
-    elements = []
-    for label in labellings:
-        inverse = sorted(range(tri.order), key=label.__getitem__)
-        elements.append(tuple(inverse[new] for new in first))
-    return AutomorphismGroup(order=tri.order, elements=tuple(sorted(elements)))
+    inverse = [0] * tri.order
+    for old, new in enumerate(labellings[0]):
+        inverse[new] = old
+    elements = sorted(tuple(map(inverse.__getitem__, label)) for label in labellings)
+    return AutomorphismGroup(order=tri.order, elements=tuple(elements))
 
 
 def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,5 @@
-"""Shared fixtures, the brute-force isomorphism oracle and the reference
-build.
+"""Shared fixtures, the brute-force isomorphism oracle, the reference
+build and the reference canonical form.
 
 The heavyweight catalogs and the split scans over them are
 session-scoped: the exhaustive searches are cached per process, so the
@@ -8,12 +8,14 @@ Moebius order-8 run happens exactly once for the whole suite.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
+from itertools import chain
 
 import pytest
 
 import trisurf as ts
-from trisurf import Triangulation, enumeration
+from trisurf import Triangulation, canon, enumeration
 from trisurf.complex_core import Face
 from trisurf.errors import (
     Disconnected,
@@ -148,6 +150,30 @@ def reference_build(faces) -> Triangulation:
             f"complex has {tri.order - len(reached)} unreachable vertices"
         )
     return tri
+
+
+def reference_canonical_form(
+    tri: Triangulation,
+) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """Oracle for ``tri._canonical``: the flag loop without pruning.
+
+    Every candidate flag is swept, and each tying flag's labelling comes
+    from its own sweep.  The pruned form must equal it byte for byte: the
+    code, and every tying labelling in candidate-flag order.
+    """
+    cross = canon._cross_map(tri)
+    best = None
+    for start, flag in canon._candidate_flags(tri):
+        queue, label = canon._traverse(tri, cross, flag, start)
+        faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
+        if faces == best:
+            labellings.append(tuple(label))
+        elif best is None or faces < best:
+            best, labellings = faces, [tuple(label)]
+    values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(best))
+    if max(values[:3]) < 256:
+        return bytes(values), tuple(labellings)
+    return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(labellings)
 
 
 def split_children(

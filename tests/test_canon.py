@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from itertools import combinations, permutations
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import trisurf as ts
 from trisurf import canon, enumeration, moves
 
-from conftest import brute_force_isomorphic
+from conftest import brute_force_isomorphic, reference_canonical_form
 
 
 def _shuffled(tri, rng):
@@ -33,6 +34,16 @@ def _torus_grid(k):
         for face in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     ])
+
+
+def _count_sweeps(monkeypatch):
+    """Count ``_traverse`` calls from now on; returns the live list of calls."""
+    sweeps = []
+    real = canon._traverse
+    monkeypatch.setattr(
+        canon, "_traverse", lambda *args: sweeps.append(args) or real(*args)
+    )
+    return sweeps
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +201,7 @@ class TestAutomorphisms:
             orbits = ts.vertex_orbits(entry.triangulation)
             assert sum(len(o) for o in orbits) == entry.order
 
-    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("k", range(3, 9))
     def test_torus_grid_group_is_flag_transitive(self, k):
         # The regular map {3,6}_(k,0): every one of the 12k^2 flags ties,
         # and each is the image of the first under one automorphism.
@@ -203,11 +214,7 @@ class TestAutomorphisms:
         tris = [e.triangulation for e in projective_catalog.entries]
         for tri in tris:
             ts.canonical_code(tri)
-        sweeps = []
-        real = canon._traverse
-        monkeypatch.setattr(
-            canon, "_traverse", lambda *args: sweeps.append(args) or real(*args)
-        )
+        sweeps = _count_sweeps(monkeypatch)
         for tri in tris:
             ts.automorphisms(tri)
             ts.vertex_orbits(tri)
@@ -221,6 +228,53 @@ class TestAutomorphisms:
         assert len(irreducible) == 1
         orbits = ts.vertex_orbits(irreducible[0].triangulation)
         assert sorted(len(o) for o in orbits) == [3, 4]
+
+
+@pytest.fixture(scope="module")
+def oracle_pool(closures):
+    """Relabelled torus grids k = 3..8, each also with one vertex star
+    removed (a symmetric bordered complex), and every closure member."""
+    rng = random.Random(8)
+    tori = [_shuffled(_torus_grid(k), rng) for k in range(3, 9)]
+    punctured = [ts.remove_vertex_star(tri, 0) for tri in tori]
+    members = [e.triangulation for c in closures.values() for e in c.entries]
+    return [*tori, *punctured, *members]
+
+
+# Sweeps taken to code fresh copies of every member of each closure.  The
+# sweep-every-flag loop takes 218 / 183 / 298.
+MEMBER_SWEEPS = {"sphere": 66, "projective-plane": 85, "moebius-band": 266}
+
+
+class TestAutomorphismPruning:
+    def test_pruned_form_equals_every_flag_sweep(self, oracle_pool):
+        for tri in oracle_pool:
+            assert tri._canonical == reference_canonical_form(tri)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pruned_form_equals_every_flag_sweep_under_relabelling(self, oracle_pool, data):
+        tri = data.draw(st.sampled_from(oracle_pool))
+        perm = tuple(data.draw(st.permutations(list(tri.vertices))))
+        other = ts.relabel(tri, perm)
+        assert other._canonical == reference_canonical_form(other)
+
+    @pytest.mark.parametrize("k", [4, 5, 7, 12])
+    def test_torus_grid_sweeps_about_log2_of_its_group(self, monkeypatch, k):
+        # Every flag ties; each swept tie at least doubles the group found.
+        tri = _shuffled(_torus_grid(k), random.Random(k))
+        sweeps = _count_sweeps(monkeypatch)
+        ts.canonical_code(tri)
+        assert len(sweeps) <= 1 + math.log2(12 * k * k)
+        assert len(tri._canonical[1]) == 12 * k * k
+
+    @pytest.mark.parametrize("surface", sorted(MEMBER_SWEEPS))
+    def test_closure_member_sweeps_are_pinned(self, monkeypatch, closures, surface):
+        copies = [ts.build(e.triangulation.faces) for e in closures[surface].entries]
+        sweeps = _count_sweeps(monkeypatch)
+        for tri in copies:
+            ts.canonical_code(tri)
+        assert len(sweeps) == MEMBER_SWEEPS[surface]
 
 
 class TestBruteForceOracle:
@@ -252,6 +306,15 @@ class TestWideCode:
         assert code[1:7] == bytes((0, 144, 1, 32, 0, 0))
         assert len(code) == 1 + 2 * (3 + 3 * 288)
         assert ts.automorphisms(tri).size == 1728
+
+    def test_torus_grid_with_256_vertices_needs_the_wide_order_field(self):
+        tri = _torus_grid(16)
+        code = ts.canonical_code(tri)
+        assert ts.canonical_code(_shuffled(tri, random.Random(16))) == code
+        assert code[0] == 0
+        assert code[1:7] == bytes((1, 0, 2, 0, 0, 0))
+        assert len(code) == 1 + 2 * (3 + 3 * 512)
+        assert ts.automorphisms(tri).size == 3072
 
 
 # sha256 of the code list and of the canonical labelings of each closure.
