@@ -26,16 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .canon import canonical_code, canonical_faces
-from .complex_core import (
-    MOEBIUS_BAND,
-    SURFACE_BY_NAME,
-    Triangulation,
-    build,
-    dumps,
-    loads,
-)
+from .complex_core import SURFACE_BY_NAME, Triangulation, dumps, loads
 from .enumeration import (
-    BASES,
     DEFAULT_CEILING,
     compare_catalogs,
     enumerate_exhaustive_range,
@@ -44,6 +36,7 @@ from .enumeration import (
 )
 from .errors import CeilingExceeded, ParseError, TriangulationError
 from .moebius_pipeline import (
+    MOEBIUS,
     build_certificate,
     render_certificate,
     render_members_report,
@@ -147,11 +140,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify_moebius(args: argparse.Namespace) -> int:
     # The cross-check must reach every irreducible member to pass.
-    top = max(build(faces).order for faces in BASES[MOEBIUS_BAND])
+    top = max(MOEBIUS.member_orders)
     if args.max_order < top:
         print(
             f"error: --max-order {args.max_order} is below {top}, the largest "
-            "order of an irreducible moebius-band member",
+            f"order of an irreducible {MOEBIUS.bordered} member",
             file=sys.stderr,
         )
         return USAGE

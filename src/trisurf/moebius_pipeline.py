@@ -16,21 +16,25 @@ star from a projective-plane triangulation of order at most 8: from an
 irreducible one (any vertex, one per orbit), or from a pylonic one (its
 pylonic vertex).
 
+The argument holds for any closed surface and its once-punctured
+counterpart.  Its expectations for one such pair live in one
+:class:`Argument` record; ``MOEBIUS`` is the paper's.
 :func:`build_certificate` runs the whole argument mechanically - both
 catalog engines, the pylonic scan, the two splitting arguments, the
 derivation, the degree-sequence distinction and an independent exhaustive
-search over Moebius-band triangulations - and records one pass/fail
-clause per step.
+search over the bordered surface - and records one pass/fail clause per
+step.  The tests run the same clauses on a sphere -> disk record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .canon import canonical_code, vertex_orbits
 from .complex_core import (
-    MOEBIUS_BAND,
     PROJECTIVE_PLANE,
+    SurfaceKind,
     Triangulation,
     cone_boundary,
     remove_vertex_star,
@@ -46,6 +50,45 @@ from .enumeration import (
 )
 from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
 from .moves import all_splits, cable_subgraph, is_irreducible
+
+
+@dataclass(frozen=True)
+class Argument:
+    """What the argument expects of a closed surface and of ``bordered``,
+    the same surface less one vertex star (chi one lower, one boundary
+    cycle); one certificate clause checks each expectation.
+
+    ``census`` maps each closed order, from the smallest to the largest
+    irreducible or pylonic member, to its class count.  ``orbit_sizes``
+    maps each irreducible member's order to its sorted vertex orbit sizes.
+    ``degree_ties`` has one entry per pair of bordered members sharing a
+    degree sequence: the boundary degree of every boundary vertex of
+    exactly one side.
+    """
+
+    closed: SurfaceKind
+    census: dict[int, int]
+    basis_orders: tuple[int, ...]
+    orbit_sizes: dict[int, tuple[int, ...]]
+    pylonic_orders: tuple[int, ...]
+    member_orders: tuple[int, ...]
+    degree_ties: tuple[int, ...]
+
+    @property
+    def bordered(self) -> SurfaceKind:
+        kind = self.closed
+        return SurfaceKind(kind.euler_characteristic - 1, kind.orientable, 1)
+
+
+MOEBIUS = Argument(
+    closed=PROJECTIVE_PLANE,
+    census={6: 1, 7: 3, 8: 16},
+    basis_orders=(6, 7),
+    orbit_sizes={6: (6,), 7: (3, 4)},
+    pylonic_orders=(7, 7, 8),
+    member_orders=(5, 6, 6, 6, 6, 7),
+    degree_ties=(5,),
+)
 
 
 def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
@@ -87,25 +130,16 @@ def verify_patch_confinement(tri: Triangulation) -> PatchConfinementReport:
     coned = cone_boundary(tri)
     cables = cable_subgraph(coned)
     boundary = tri.boundary_vertices
-
-    in_patch = all(
-        apex in edge or (edge[0] in boundary and edge[1] in boundary)
-        for edge in cables
-    )
-    not_on_rim = tri.boundary_edges.isdisjoint(cables)
-    chords_are_rods = tri.chords.isdisjoint(cables)
-    if len(cables) >= 2:
-        unique_pylon = pylonic_vertices(coned) == {apex}
-    else:
-        unique_pylon = True
+    in_patch = all(apex in edge or boundary.issuperset(edge) for edge in cables)
     return PatchConfinementReport(
         coned_code=canonical_code(coned),
         cable_count=len(cables),
         checks=(
             ("cables-confined-to-patch", in_patch),
-            ("no-cable-on-old-boundary", not_on_rim),
-            ("chords-are-rods", chords_are_rods),
-            ("unique-pylonic-apex", unique_pylon),
+            ("no-cable-on-old-boundary", tri.boundary_edges.isdisjoint(cables)),
+            ("chords-are-rods", tri.chords.isdisjoint(cables)),
+            ("unique-pylonic-apex",
+             len(cables) < 2 or pylonic_vertices(coned) == {apex}),
         ),
     )
 
@@ -120,45 +154,43 @@ class DerivationRecord:
     triangulation: Triangulation
 
 
-def derive_irreducible_moebius(catalog: Catalog) -> list[DerivationRecord]:
-    """Patch-removal derivation of the irreducible Moebius-band members.
+def _require_catalog(catalog: Catalog, argument: Argument) -> None:
+    """Refuse a closed catalog not of the argument's kind and census orders."""
+    lo, top = min(argument.census), max(argument.census)
+    if (catalog.kind, catalog.min_order, catalog.max_order) != (argument.closed, lo, top):
+        raise IncompleteCatalog(
+            f"the derivation needs a {argument.closed} catalog of orders {lo}..{top}, "
+            f"not a {catalog.kind} one of orders {catalog.min_order}..{catalog.max_order}"
+        )
 
-    From every irreducible projective-plane member, remove one vertex per
-    automorphism orbit; from every pylonic member, remove its pylonic
-    vertex.  Candidates that are not irreducible are dropped; the result
-    is deduplicated by canonical code.
+
+def derive_irreducible_moebius(
+    catalog: Catalog, argument: Argument = MOEBIUS
+) -> list[DerivationRecord]:
+    """Patch-removal derivation of the irreducible bordered members.
+
+    The catalog must be the argument's closed kind over its census orders.
+    From every irreducible member, remove one vertex per automorphism
+    orbit; from every pylonic member, remove its pylonic vertex.
+    Candidates that are not irreducible are dropped; the result is
+    deduplicated by canonical code.
     """
-    if catalog.kind != PROJECTIVE_PLANE:
-        raise IncompleteCatalog("the derivation needs a projective-plane catalog")
-    for order in (6, 7, 8):
-        if not catalog.of_order(order):
-            raise IncompleteCatalog(f"catalog has no members of order {order}")
-
+    _require_catalog(catalog, argument)
     records: dict[bytes, DerivationRecord] = {}
     for entry in catalog.entries:
-        removals: list[tuple[int, str]] = []
-        if is_irreducible(entry.triangulation):
-            for orbit in vertex_orbits(entry.triangulation):
-                removals.append((min(orbit), "irreducible-orbit"))
+        tri = entry.triangulation
+        if is_irreducible(tri):
+            removals = [(min(orbit), "irreducible-orbit") for orbit in vertex_orbits(tri)]
         else:
-            for v in sorted(pylonic_vertices(entry.triangulation)):
-                removals.append((v, "pylonic-vertex"))
+            removals = [(v, "pylonic-vertex") for v in sorted(pylonic_vertices(tri))]
         for vertex, reason in removals:
-            candidate = remove_vertex_star(entry.triangulation, vertex)
-            if not is_irreducible(candidate):
-                continue
-            code = canonical_code(candidate)
-            records.setdefault(code, DerivationRecord(
-                parent_code=entry.code,
-                parent_order=entry.order,
-                removed_vertex=vertex,
-                reason=reason,
-                code=code,
-                triangulation=candidate,
-            ))
-    return sorted(
-        records.values(), key=lambda r: (r.triangulation.order, r.code)
-    )
+            candidate = remove_vertex_star(tri, vertex)
+            if is_irreducible(candidate):
+                code = canonical_code(candidate)
+                records.setdefault(code, DerivationRecord(
+                    entry.code, entry.order, vertex, reason, code, candidate
+                ))
+    return sorted(records.values(), key=lambda r: (r.triangulation.order, r.code))
 
 
 @dataclass(frozen=True)
@@ -189,8 +221,7 @@ def _scan_splits(
     descriptor of the orbit still counts and, when its child is pylonic,
     is reported.
     """
-    checked = []
-    violations = []
+    checked, violations = [], []
     for entry in members:
         count = 0
         for descriptors, child in all_splits(entry.triangulation):
@@ -203,16 +234,13 @@ def _scan_splits(
 
 def check_pylonicity_destroyed(catalog: Catalog) -> SplitScanReport:
     """Every split of every pylonic member must yield a non-pylonic result."""
-    members = [
-        entry for entry in catalog.entries if pylonic_vertices(entry.triangulation)
-    ]
+    members = [e for e in catalog.entries if pylonic_vertices(e.triangulation)]
     return _scan_splits(members, [])
 
 
 def check_no_pylonic_creation(catalog: Catalog) -> SplitScanReport:
     """No split of a >= 2-cable non-pylonic member may create a pylonic vertex."""
-    members = []
-    skipped = []
+    members, skipped = [], []
     for entry in catalog.entries:
         cables = cable_subgraph(entry.triangulation)
         if not cables:
@@ -241,6 +269,7 @@ class Clause:
 
 @dataclass(frozen=True)
 class CompletenessCertificate:
+    argument: Argument
     max_cross_check_order: int
     catalog: Catalog
     derivations: tuple[DerivationRecord, ...]
@@ -256,117 +285,117 @@ class CompletenessCertificate:
         return tuple(clause for clause in self.clauses if not clause.passed)
 
 
+def _listed(values) -> str:
+    """``3, 4 and 5`` for (3, 4, 5); ``4`` for (4,)."""
+    *head, last = map(str, values)
+    return f"{', '.join(head)} and {last}" if head else last
+
+
 def build_certificate(
-    max_cross_check_order: int = 8,
+    max_cross_check_order: int | None = None,
     projective_catalog: Catalog | None = None,
     ceiling: int = DEFAULT_CEILING,
     # Ignored (see below); it stays because bench/workloads.py passes jobs=1.
     jobs: int = 1,
+    argument: Argument = MOEBIUS,
 ) -> CompletenessCertificate:
-    """Run the full classification pipeline and record pass/fail clauses.
+    """Run the argument mechanically and record one pass/fail clause per step.
 
-    ``projective_catalog`` may inject a prebuilt (or deliberately
-    corrupted) order 6..8 exhaustive catalog; by default it is computed
-    here.  Failed clauses are marked, never raised.  An order to search
-    above ``ceiling`` raises :class:`CeilingExceeded` before any step
-    runs.  ``jobs`` is accepted for compatibility and ignored: the
-    pipeline runs in one process.
+    ``projective_catalog`` may inject a prebuilt (or deliberately corrupted)
+    catalog of the closed surface, and the cross-check defaults to the
+    census's top order.  A catalog of another kind or order range raises
+    :class:`IncompleteCatalog`, an order above ``ceiling`` :class:`CeilingExceeded`,
+    both before any step; failed clauses are marked, never raised.  ``jobs``
+    is ignored: the pipeline runs in one process.
     """
-    # Refuse an order above the ceiling before running any step.
-    if projective_catalog is None:
-        _check_ceiling(6, 8, ceiling)
-    _check_ceiling(5, max_cross_check_order, ceiling)
+    a = argument
+    lo, top = min(a.census), max(a.census)
+    if max_cross_check_order is None:
+        max_cross_check_order = top
+    # A bordered member cones to a closed one an order up, so the smallest
+    # has order lo - 1.  The census search checks its ceiling before it runs.
+    _check_ceiling(lo - 1, max_cross_check_order, ceiling)
+    catalog = projective_catalog
+    if catalog is None:
+        catalog = enumerate_exhaustive_range(a.closed, lo, top, ceiling)
+    _require_catalog(catalog, a)
     clauses: list[Clause] = []
 
-    if projective_catalog is None:
-        projective_catalog = enumerate_exhaustive_range(
-            PROJECTIVE_PLANE, 6, 8, ceiling
-        )
-    catalog = projective_catalog
-
-    counts = {order: len(catalog.of_order(order)) for order in (6, 7, 8)}
+    counts = {order: len(catalog.of_order(order)) for order in a.census}
     clauses.append(Clause(
         "census-counts",
-        "exhaustive search finds 1/3/16 projective-plane classes at orders 6/7/8",
-        counts == {6: 1, 7: 3, 8: 16},
-        f"found {counts[6]}/{counts[7]}/{counts[8]}",
+        f"exhaustive search finds {'/'.join(map(str, a.census.values()))} "
+        f"{a.closed} classes at orders {'/'.join(map(str, a.census))}",
+        counts == a.census,
+        f"found {'/'.join(map(str, counts.values()))}",
     ))
 
-    irreducible_entries = [
-        entry for entry in catalog.entries if is_irreducible(entry.triangulation)
-    ]
-    irreducible_orders = sorted(entry.order for entry in irreducible_entries)
+    irreducible = [e for e in catalog.entries if is_irreducible(e.triangulation)]
+    plural = "s" if len(a.basis_orders) != 1 else ""
     clauses.append(Clause(
         "irreducible-basis",
-        "exactly 2 irreducible projective-plane members, of orders 6 and 7",
-        irreducible_orders == [6, 7],
-        f"irreducible members have orders {irreducible_orders}: "
-        + " ".join(entry.code.hex() for entry in irreducible_entries),
+        f"exactly {len(a.basis_orders)} irreducible {a.closed} member{plural}, "
+        f"of order{plural} {_listed(a.basis_orders)}",
+        [e.order for e in irreducible] == sorted(a.basis_orders),
+        f"irreducible members have orders {[e.order for e in irreducible]}: "
+        + " ".join(e.code.hex() for e in irreducible),
     ))
 
-    if irreducible_entries:
-        seeds = [entry.triangulation for entry in irreducible_entries]
-        names = [f"irreducible-{entry.order}" for entry in irreducible_entries]
-        splitting_catalog = generate_by_splitting(seeds, 8, names)
-        diff = compare_catalogs(catalog, splitting_catalog)
-        clauses.append(Clause(
-            "engine-agreement",
-            "splitting closure of the irreducible members reproduces the catalog",
-            diff.is_empty and len(splitting_catalog) == len(catalog),
-            f"splitting produced {len(splitting_catalog)} codes, "
-            f"diff size {len(diff.only_in_a) + len(diff.only_in_b)}",
-        ))
-    else:
-        clauses.append(Clause(
-            "engine-agreement",
-            "splitting closure of the irreducible members reproduces the catalog",
-            False,
-            "no irreducible seeds found",
-        ))
+    agreement, evidence = False, "no irreducible seeds found"
+    if irreducible:
+        seeds = [e.triangulation for e in irreducible]
+        names = [f"irreducible-{e.order}" for e in irreducible]
+        closure = generate_by_splitting(seeds, top, names).restricted(lo, top)
+        diff = compare_catalogs(catalog, closure)
+        agreement = diff.is_empty and len(closure) == len(catalog)
+        evidence = (f"splitting produced {len(closure)} codes, "
+                    f"diff size {len(diff.only_in_a) + len(diff.only_in_b)}")
+    clauses.append(Clause(
+        "engine-agreement",
+        "splitting closure of the irreducible members reproduces the catalog",
+        agreement, evidence,
+    ))
 
-    orbit_evidence = []
-    orbit_ok = len(irreducible_entries) == 2
-    expected_orbits = {6: [6], 7: [3, 4]}
-    for entry in irreducible_entries:
-        sizes = sorted(len(orbit) for orbit in vertex_orbits(entry.triangulation))
-        orbit_evidence.append(f"order {entry.order}: orbit sizes {sizes}")
-        if sizes != expected_orbits.get(entry.order):
-            orbit_ok = False
+    orbits = [
+        (e.order, tuple(sorted(map(len, vertex_orbits(e.triangulation)))))
+        for e in irreducible
+    ]
     clauses.append(Clause(
         "orbit-structure",
-        "vertex orbits: one of size 6 (order-6 member); sizes 3 and 4 (order-7 member)",
-        orbit_ok,
-        "; ".join(orbit_evidence) or "no irreducible members",
+        "vertex orbits: " + "; ".join(
+            f"{'one of size' if len(sizes) == 1 else 'sizes'} {_listed(sizes)} "
+            f"(order-{order} member)" for order, sizes in a.orbit_sizes.items()
+        ),
+        orbits == list(a.orbit_sizes.items()),
+        "; ".join(f"order {order}: orbit sizes {list(sizes)}" for order, sizes in orbits)
+        or "no irreducible members",
     ))
 
-    pylonic_entries = [
-        entry for entry in catalog.entries if pylonic_vertices(entry.triangulation)
-    ]
-    pylonic_orders = sorted(entry.order for entry in pylonic_entries)
-    unique_pylons = all(
-        len(pylonic_vertices(entry.triangulation)) == 1 for entry in pylonic_entries
-    )
+    pylonic = [e for e in catalog.entries if pylonic_vertices(e.triangulation)]
+    unique_pylons = all(len(pylonic_vertices(e.triangulation)) == 1 for e in pylonic)
     multi_cable_unique = all(
-        len(pylonic_vertices(entry.triangulation)) <= 1
-        for entry in catalog.entries
-        if len(cable_subgraph(entry.triangulation)) >= 2
+        len(pylonic_vertices(e.triangulation)) <= 1
+        for e in catalog.entries if len(cable_subgraph(e.triangulation)) >= 2
     )
+    pylonic_orders = [e.order for e in pylonic]
     clauses.append(Clause(
         "pylonic-scan",
-        "exactly 3 reducible members are pylonic (orders 7, 7, 8), each with "
-        "a unique pylonic vertex",
-        pylonic_orders == [7, 7, 8] and unique_pylons and multi_cable_unique,
+        f"exactly {len(a.pylonic_orders)} reducible members are pylonic (orders "
+        f"{', '.join(map(str, a.pylonic_orders))}), each with a unique pylonic vertex"
+        if a.pylonic_orders else "no reducible member is pylonic",
+        pylonic_orders == sorted(a.pylonic_orders)
+        and unique_pylons and multi_cable_unique,
         f"pylonic member orders {pylonic_orders}; unique pylonic vertex: "
         f"{unique_pylons}; uniqueness holds for all >=2-cable members: "
-        f"{multi_cable_unique}; members: "
-        + " ".join(entry.code.hex() for entry in pylonic_entries),
+        f"{multi_cable_unique}; members: " + " ".join(e.code.hex() for e in pylonic),
     ))
 
+    # The split scan must reach every pylonic member the catalog has.
     destroyed = check_pylonicity_destroyed(catalog)
     clauses.append(Clause(
         "pylonicity-destroyed",
         "every split of each pylonic member is non-pylonic",
-        destroyed.passed and len(destroyed.checked) == 3,
+        destroyed.passed and len(destroyed.checked) == len(pylonic),
         f"checked {destroyed.split_count} splits of {len(destroyed.checked)} "
         f"members; violations: {len(destroyed.violations)}",
     ))
@@ -381,103 +410,79 @@ def build_certificate(
         f"{len(creation.violations)}",
     ))
 
-    derivations = tuple(derive_irreducible_moebius(catalog))
-    orders = sorted(record.triangulation.order for record in derivations)
-    codes = [record.code for record in derivations]
+    derivations = tuple(derive_irreducible_moebius(catalog, a))
+    tris = [record.triangulation for record in derivations]
+    orders = sorted(tri.order for tri in tris)
+    codes = {record.code for record in derivations}
+    members = len(a.member_orders)
     clauses.append(Clause(
         "derivation",
-        "patch removal yields exactly 6 pairwise non-isomorphic irreducible "
-        "moebius-band members with orders {5,6,6,6,6,7}",
-        len(derivations) == 6
-        and len(set(codes)) == 6
-        and orders == [5, 6, 6, 6, 6, 7]
-        and all(
-            record.triangulation.surface_kind == MOEBIUS_BAND
-            for record in derivations
-        ),
+        f"patch removal yields exactly {members} pairwise non-isomorphic irreducible "
+        f"{a.bordered} members with orders {{{','.join(map(str, a.member_orders))}}}",
+        len(derivations) == len(codes) == members
+        and orders == sorted(a.member_orders)
+        and all(tri.surface_kind == a.bordered for tri in tris),
         f"derived {len(derivations)} members with orders {orders}",
     ))
 
     # One coning per member serves both the round trip and the confinement.
-    confinement_reports = tuple(
-        verify_patch_confinement(record.triangulation) for record in derivations
-    )
-    round_trip = all(
-        report.coned_code == record.parent_code
-        for report, record in zip(confinement_reports, derivations)
-    )
+    reports = tuple(verify_patch_confinement(tri) for tri in tris)
     clauses.append(Clause(
         "cone-round-trip",
         "coning each derived member restores its catalog parent",
-        round_trip,
+        all(r.coned_code == d.parent_code for r, d in zip(reports, derivations)),
         f"verified {len(derivations)} cone round trips",
     ))
-
-    confinement_ok = all(report.passed for report in confinement_reports)
-    substantive = sum(1 for report in confinement_reports if report.cable_count >= 2)
     clauses.append(Clause(
         "patch-confinement",
         "each coned member confines its cables to the patch, keeps chords "
         "as rods, and has the apex as unique pylonic vertex when >=2 cables",
-        confinement_ok,
-        f"{len(confinement_reports)} reports, {substantive} with >=2 cables",
+        all(report.passed for report in reports),
+        f"{len(reports)} reports, "
+        f"{sum(report.cable_count >= 2 for report in reports)} with >=2 cables",
     ))
 
-    degree_sequences = [record.triangulation.degree_sequence for record in derivations]
     ties = [
-        (i, j)
-        for i in range(len(derivations))
-        for j in range(i + 1, len(derivations))
-        if degree_sequences[i] == degree_sequences[j]
+        (i, j) for i, j in combinations(range(len(tris)), 2)
+        if tris[i].degree_sequence == tris[j].degree_sequence
     ]
-    degree_ok = len(ties) == 1
-    tie_evidence = "no degree-sequence tie"
-    if len(ties) == 1:
-        i, j = ties[0]
-        bd_i = derivations[i].triangulation.boundary_degrees
-        bd_j = derivations[j].triangulation.boundary_degrees
-        all5_i = all(d == 5 for d in bd_i)
-        all5_j = all(d == 5 for d in bd_j)
-        degree_ok = bd_i != bd_j and (all5_i != all5_j)
-        tie_evidence = (
-            f"tie between members {i + 1} and {j + 1}; boundary degrees "
-            f"{list(bd_i)} vs {list(bd_j)}"
-        )
+    sides = [(tris[i].boundary_degrees, tris[j].boundary_degrees) for i, j in ties]
+    n = len(a.degree_ties)
     clauses.append(Clause(
         "degree-evidence",
-        "exactly one pair shares a degree sequence and is separated by "
-        "boundary degrees, one side having all boundary degrees 5",
-        degree_ok,
-        tie_evidence,
+        f"exactly {'one pair shares' if n == 1 else f'{n} pairs share'} a degree "
+        f"sequence and {'is' if n == 1 else 'are each'} separated by boundary "
+        f"degrees, one side having all boundary degrees {_listed(a.degree_ties)}"
+        if n else "no two members share a degree sequence",
+        len(ties) == n and all(
+            left != right and (set(left) == {d}) != (set(right) == {d})
+            for (left, right), d in zip(sides, a.degree_ties)
+        ),
+        "; ".join(
+            f"tie between members {i + 1} and {j + 1}; boundary degrees "
+            f"{list(left)} vs {list(right)}"
+            for (i, j), (left, right) in zip(ties, sides)
+        ) or "no degree-sequence tie",
     ))
 
-    cross = enumerate_exhaustive_range(
-        MOEBIUS_BAND, 5, max_cross_check_order, ceiling
-    )
-    cross_irreducible = [
-        entry for entry in cross.entries if is_irreducible(entry.triangulation)
-    ]
-    cross_codes = tuple(entry.code for entry in cross_irreducible)
-    # Equal code sets leave no room for an irreducible member of order 8
-    # or more.  Up to max order 8 the statement keeps its pinned wording,
-    # which names order 8 even where the search stops at 7.
-    beyond = "order 8" if max_cross_check_order <= 8 else f"orders 8..{max_cross_check_order}"
+    cross = enumerate_exhaustive_range(a.bordered, lo - 1, max_cross_check_order, ceiling)
+    cross_codes = [e.code for e in cross.entries if is_irreducible(e.triangulation)]
+    # Equal code sets leave no irreducible member of the census's top order or
+    # more; the statement names that order even where the search stops below.
+    beyond = (f"order {top}" if max_cross_check_order <= top
+              else f"orders {top}..{max_cross_check_order}")
     clauses.append(Clause(
         "exhaustive-cross-check",
-        f"direct search over moebius-band triangulations of orders "
-        f"5..{max_cross_check_order} finds exactly the 6 derived members "
-        f"and none of {beyond}",
-        set(cross_codes) == set(codes),
+        f"direct search over {a.bordered} triangulations of orders "
+        f"{lo - 1}..{max_cross_check_order} finds exactly the {members} derived "
+        f"members and none of {beyond}",
+        set(cross_codes) == codes,
         f"search found {len(cross_codes)} irreducible members among "
         f"{len(cross)} triangulations",
     ))
 
     return CompletenessCertificate(
-        max_cross_check_order=max_cross_check_order,
-        catalog=catalog,
-        derivations=derivations,
-        confinement_reports=confinement_reports,
-        clauses=tuple(clauses),
+        a, max_cross_check_order, catalog, derivations, reports, tuple(clauses)
     )
 
 
@@ -491,7 +496,7 @@ def render_certificate(certificate: CompletenessCertificate) -> str:
     from . import __version__
 
     lines = [
-        "# trisurf moebius-band completeness certificate",
+        f"# trisurf {certificate.argument.bordered} completeness certificate",
         f"version: {__version__}",
         f"cross-check max order: {certificate.max_cross_check_order}",
         f"clauses: {len(certificate.clauses)}",
@@ -501,17 +506,12 @@ def render_certificate(certificate: CompletenessCertificate) -> str:
         verdict = "PASS" if clause.passed else "FAIL"
         lines.append(f"[{clause.ident}] {verdict} {clause.statement}")
         lines.append(f"    evidence: {clause.evidence}")
-    lines.append("---")
-    lines.append("catalog members (code order irreducible cables pylonic-vertices):")
+    lines += ["---", "catalog members (code order irreducible cables pylonic-vertices):"]
     for entry in certificate.catalog.entries:
         cables = cable_subgraph(entry.triangulation)
         pylons = pylonic_vertices(entry.triangulation)
-        lines.append(
-            f"  {entry.code.hex()} {entry.order} "
-            f"{'yes' if not cables else 'no'} "
-            f"{len(cables)} "
-            f"{sorted(pylons) if pylons else '-'}"
-        )
+        lines.append(f"  {entry.code.hex()} {entry.order} {'no' if cables else 'yes'} "
+                     f"{len(cables)} {sorted(pylons) if pylons else '-'}")
     lines.append("derivations (parent vertex reason -> member):")
     for record in certificate.derivations:
         lines.append(
@@ -526,8 +526,8 @@ def render_certificate(certificate: CompletenessCertificate) -> str:
 
 
 def render_members_report(certificate: CompletenessCertificate) -> str:
-    """Human-readable listing of the six members with their degree data."""
-    lines = ["# irreducible moebius-band triangulations", ""]
+    """Human-readable listing of the derived members with their degree data."""
+    lines = [f"# irreducible {certificate.argument.bordered} triangulations", ""]
     for i, record in enumerate(certificate.derivations, start=1):
         tri = record.triangulation
         lines.append(f"member M{i}: order {tri.order}, code {record.code.hex()}")
@@ -539,8 +539,7 @@ def render_members_report(certificate: CompletenessCertificate) -> str:
             f"{record.parent_order}) by removing vertex "
             f"{record.removed_vertex} ({record.reason})"
         )
-        lines.append("  faces: " + " ".join(
-            ",".join(str(v) for v in face) for face in tri.faces
-        ))
+        faces = " ".join(",".join(map(str, face)) for face in tri.faces)
+        lines.append(f"  faces: {faces}")
         lines.append("")
     return "\n".join(lines)

@@ -2,13 +2,41 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
 
 import trisurf as ts
 from trisurf import errors, moebius_pipeline
-from trisurf.enumeration import Catalog, CatalogEntry
+from trisurf.enumeration import BASES, Catalog, CatalogEntry
+from trisurf.moebius_pipeline import MOEBIUS, Argument
+
+# The same argument on the sphere: its only irreducible triangulation is
+# the tetrahedron, none of order 7 or less is pylonic, and the tetrahedron
+# less a vertex star is the triangle, the disk's only irreducible
+# triangulation.
+SPHERE_DISK = Argument(
+    closed=ts.SPHERE,
+    census={4: 1, 5: 1, 6: 2, 7: 5},
+    basis_orders=(4,),
+    orbit_sizes={4: (4,)},
+    pylonic_orders=(),
+    member_orders=(3,),
+    degree_ties=(),
+)
+
+
+def _without(catalog, drop):
+    """The catalog, same kind and order range, less the entries ``drop`` picks."""
+    return dataclasses.replace(
+        catalog, entries=tuple(e for e in catalog.entries if not drop(e))
+    )
+
+
+def _refuse(*args):
+    raise AssertionError("a certificate step ran")
 
 
 class TestPylonicAnalysis:
@@ -168,6 +196,17 @@ class TestCertificate:
         for clause in certificate.clauses:
             assert f"[{clause.ident}] PASS" in text
 
+    def test_default_order_texts_are_pinned(self, certificate):
+        # ``verify-moebius`` at its default order 8 writes these two texts.
+        digests = [
+            hashlib.sha256(render(certificate).encode()).hexdigest()
+            for render in (ts.render_certificate, ts.render_members_report)
+        ]
+        assert digests == [
+            "8a320378df0ce5ddb07f0980e195651c2dd2f671510bc6fcdf44762b565c8beb",
+            "9cbd044b27db6258b0943c2a77a4249937bd081c0594576af24f322c75d7c740",
+        ]
+
     def test_members_report_lists_six(self, certificate):
         report = ts.render_members_report(certificate)
         assert report.count("member M") == 6
@@ -241,3 +280,93 @@ class TestCertificate:
         )
         failed = {clause.ident for clause in certificate.failures}
         assert failed == {"exhaustive-cross-check"}
+
+
+class TestArgument:
+    """The certificate's clauses read every expectation from one record."""
+
+    def test_moebius_record_names_both_surfaces(self):
+        assert MOEBIUS.closed == ts.PROJECTIVE_PLANE
+        assert MOEBIUS.bordered == ts.MOEBIUS_BAND
+        assert (SPHERE_DISK.closed, SPHERE_DISK.bordered) == (ts.SPHERE, ts.DISK)
+
+    def test_sphere_to_disk_passes_every_clause(self):
+        certificate = ts.build_certificate(argument=SPHERE_DISK)
+        assert certificate.failures == ()
+        assert len(certificate.clauses) == 12
+        assert certificate.max_cross_check_order == 7
+        (record,) = certificate.derivations
+        assert record.code == ts.canonical_code(ts.build(BASES[ts.DISK][0]))
+        assert record.parent_code == ts.canonical_code(ts.build(BASES[ts.SPHERE][0]))
+        text = ts.render_certificate(certificate)
+        assert text.startswith("# trisurf disk completeness certificate\n")
+        assert text.endswith("result: PASS (12/12 clauses)\n")
+        assert ts.render_members_report(certificate).startswith(
+            "# irreducible disk triangulations\n"
+        )
+
+    @pytest.mark.parametrize("field, wrong, clause", [
+        ("census", {6: 1, 7: 3, 8: 15}, "census-counts"),
+        ("basis_orders", (6, 8), "irreducible-basis"),
+        ("orbit_sizes", {6: (6,), 7: (2, 5)}, "orbit-structure"),
+        ("pylonic_orders", (7, 8), "pylonic-scan"),
+        ("member_orders", (5, 6, 6, 6, 7, 7), "derivation"),
+        ("degree_ties", (4,), "degree-evidence"),
+    ])
+    def test_each_expectation_feeds_one_clause(
+        self, projective_catalog, field, wrong, clause
+    ):
+        certificate = ts.build_certificate(
+            max_cross_check_order=7,
+            projective_catalog=projective_catalog,
+            argument=dataclasses.replace(MOEBIUS, **{field: wrong}),
+        )
+        assert {c.ident for c in certificate.failures} == {clause}
+
+    def test_another_closed_kind_is_refused_before_any_step(
+        self, monkeypatch, projective_catalog
+    ):
+        monkeypatch.setattr(moebius_pipeline, "Clause", _refuse)
+        with pytest.raises(errors.IncompleteCatalog, match="needs a sphere catalog"):
+            ts.build_certificate(
+                max_cross_check_order=7,
+                projective_catalog=projective_catalog,
+                argument=dataclasses.replace(MOEBIUS, closed=ts.SPHERE),
+            )
+
+
+class TestCertificateContract:
+    """A catalog of the wrong kind or range is refused before any step; one
+    of the right kind and range that lacks classes fails named clauses."""
+
+    def test_sphere_catalog_is_refused_before_any_step(
+        self, monkeypatch, sphere_catalog_4_6
+    ):
+        monkeypatch.setattr(moebius_pipeline, "Clause", _refuse)
+        with pytest.raises(errors.IncompleteCatalog, match="needs a projective-plane"):
+            ts.build_certificate(
+                max_cross_check_order=7, projective_catalog=sphere_catalog_4_6
+            )
+
+    def test_missing_irreducible_members_fail_named_clauses(self, projective_catalog):
+        damaged = _without(
+            projective_catalog, lambda e: ts.is_irreducible(e.triangulation)
+        )
+        certificate = ts.build_certificate(
+            max_cross_check_order=7, projective_catalog=damaged
+        )
+        assert {c.ident for c in certificate.failures} == {
+            "census-counts", "irreducible-basis", "engine-agreement",
+            "orbit-structure", "derivation", "degree-evidence",
+            "exhaustive-cross-check",
+        }
+
+    def test_missing_order_six_member_fails_named_clauses(self, projective_catalog):
+        damaged = _without(projective_catalog, lambda e: e.order == 6)
+        certificate = ts.build_certificate(
+            max_cross_check_order=7, projective_catalog=damaged
+        )
+        assert {c.ident for c in certificate.failures} == {
+            "census-counts", "irreducible-basis", "engine-agreement",
+            "orbit-structure", "derivation", "exhaustive-cross-check",
+        }
