@@ -30,11 +30,16 @@ doubles that group: at most log2 |Aut| ties are swept, not |Aut| - 1,
 and a torus grid, where every flag ties, costs about 1 + log2 |Aut|
 sweeps.
 
+The sweep reads one cross map: each interior edge ``x-y`` is keyed by the
+int ``x * order + y`` in both directions and maps to (apex, face index) of
+both its faces.  The face the sweep stands in is always seen, so it enters
+whichever face of the pair is unseen, and skips the edge when both are.
+
 Boundary participates automatically: boundary edges are exactly the
 edges on one face, so the face list determines them.  The code header
-records order, face count and boundary length in one byte each; at 256 or
-more of any of them the code is wide: a 0 byte, then the header and the
-labels as 2-byte big-endian numbers.
+records order, face count and boundary length (counted as 2E - 3F) in
+one byte each; at 256 or more of any of them the code is wide: a 0 byte,
+then the header and the labels as 2-byte big-endian numbers.
 
 All functions are pure; the code and the tying labellings are cached on
 the value.
@@ -43,6 +48,7 @@ the value.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -75,24 +81,28 @@ class AutomorphismGroup:
         }))
 
 
-def _cross_map(tri: Triangulation) -> dict[Flag, tuple[int, int]]:
-    """Map (x, y, z), an edge x-y in either direction of a face with apex z,
-    to (apex, index) of the face across that edge; boundary edges are absent."""
+def _cross_map(tri: Triangulation) -> dict[int, tuple[int, int, int, int]]:
+    """Map each interior edge x-y, keyed ``x * order + y`` in both
+    directions, to (apex, index) of both its faces; boundary edges are
+    absent."""
+    n = tri.order
     index = {face: i for i, face in enumerate(tri.faces)}
-    cross: dict[Flag, tuple[int, int]] = {}
+    cross: dict[int, tuple[int, int, int, int]] = {}
     for (u, v), incident in tri.edge_faces.items():
         if len(incident) == 2:
-            (p, i), (q, j) = ((sum(face) - u - v, index[face]) for face in incident)
-            cross[(u, v, p)] = cross[(v, u, p)] = (q, j)
-            cross[(u, v, q)] = cross[(v, u, q)] = (p, i)
+            f, g = incident
+            cross[u * n + v] = cross[v * n + u] = (
+                f[0] + f[1] + f[2] - u - v, index[f], g[0] + g[1] + g[2] - u - v, index[g]
+            )
     return cross
 
 
-def _traverse(tri: Triangulation, cross: dict[Flag, tuple[int, int]], flag: Flag,
-              start: int):
+def _traverse(tri: Triangulation, cross: dict[int, tuple[int, int, int, int]],
+              flag: Flag, start: int):
     """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
     them as oriented triples in sweep order, and the old->new labeling."""
-    label = [-1] * tri.order
+    n = tri.order
+    label = [-1] * n
     a, b, c = flag
     label[a], label[b], label[c] = 0, 1, 2
     next_label = 3
@@ -100,12 +110,21 @@ def _traverse(tri: Triangulation, cross: dict[Flag, tuple[int, int]], flag: Flag
     seen[start] = 1
     queue = [flag]
     for u, v, w in queue:
-        for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-            across = cross.get((x, y, z))
-            if across is None or seen[across[1]]:
+        for x, y in ((u, v), (v, w), (w, u)):
+            across = cross.get(x * n + y)
+            if across is None:
                 continue
-            t, j = across
-            seen[j] = 1
+            # The face the sweep stands in is seen, so the unseen face of
+            # the pair, if any, is the one across the edge.
+            p, i, q, j = across
+            if not seen[i]:
+                t = p
+                seen[i] = 1
+            elif not seen[j]:
+                t = q
+                seen[j] = 1
+            else:
+                continue
             if label[t] < 0:
                 label[t] = next_label
                 next_label += 1
@@ -136,15 +155,19 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     return found
 
 
+def _inverse(label: Sequence[int]) -> list[int]:
+    """The new->old map of an old->new labelling."""
+    back = [0] * len(label)
+    for old, new in enumerate(label):
+        back[new] = old
+    return back
+
+
 def _automorphism(source: list[int], target: list[int]) -> tuple[list[int], list[int]]:
     """The automorphism sigma that maps the flag with labelling ``source``
     onto the flag with labelling ``target`` (``target[sigma[x]] == source[x]``),
     and its inverse."""
-    back_source, back_target = [0] * len(source), [0] * len(target)
-    for old, new in enumerate(source):
-        back_source[new] = old
-    for old, new in enumerate(target):
-        back_target[new] = old
+    back_source, back_target = _inverse(source), _inverse(target)
     return list(map(back_target.__getitem__, source)), list(map(back_source.__getitem__, target))
 
 
@@ -192,7 +215,10 @@ def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[tuple[int, ...], .
         labellings = (tuple(first_label),)
     else:
         labellings = tuple(orbit[flag] for _, flag in candidates if flag in orbit)
-    values = (tri.order, len(tri.faces), len(tri.boundary_edges), *chain.from_iterable(best))
+    # Each interior edge lies on two faces and each boundary edge on one,
+    # so 3F = 2E - B.
+    boundary = 2 * len(tri.edges) - 3 * len(tri.faces)
+    values = (tri.order, len(tri.faces), boundary, *chain.from_iterable(best))
     if max(values[:3]) < 256:
         return bytes(values), labellings
     # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
@@ -242,16 +268,30 @@ def automorphisms(tri: Triangulation) -> AutomorphismGroup:
     and so the sorted list, is the same.)
     """
     labellings = tri._canonical[1]
-    inverse = [0] * tri.order
-    for old, new in enumerate(labellings[0]):
-        inverse[new] = old
+    inverse = _inverse(labellings[0])
     elements = sorted(tuple(map(inverse.__getitem__, label)) for label in labellings)
     return AutomorphismGroup(order=tri.order, elements=tuple(elements))
 
 
 def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the vertices under the automorphism group."""
-    return automorphisms(tri).orbits
+    """Orbit partition of the vertices under the automorphism group, read
+    off the tying labellings as :func:`automorphisms` reads the group.
+
+    The orbit of ``v`` is its image under every element.  Each vertex not
+    yet placed is the least of a new orbit, so the orbits come out sorted,
+    and no group is listed or sorted.
+    """
+    labellings = tri._canonical[1]
+    inverse = _inverse(labellings[0])
+    placed = bytearray(tri.order)
+    orbits = []
+    for v in range(tri.order):
+        if not placed[v]:
+            orbit = sorted({inverse[label[v]] for label in labellings})
+            for w in orbit:
+                placed[w] = 1
+            orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 def relabel(tri: Triangulation, perm: dict[int, int] | tuple[int, ...]) -> Triangulation:

@@ -11,11 +11,12 @@ circulation is a genuine triangulation of a (possibly bordered) surface:
 * the complex is connected.
 
 :func:`build` checks all three in a single sweep over the faces, which
-also yields the edges, their faces and the sorted neighbour lists that
-most callers read next.  Vertex links are built on first use, since only
-complexes that are split further need them; ``links[v]`` is the tuple of
-the neighbours of ``v`` in star order, a cycle for an interior vertex and
-a path between its two boundary neighbours for a boundary vertex.
+also yields the edges, their faces, the sorted neighbour lists, the
+degrees and the boundary vertices that most callers read next.  Vertex
+links are built on first use, since only complexes that are split further
+need them; ``links[v]`` is the tuple of the neighbours of ``v`` in star
+order, a cycle for an interior vertex and a path between its two boundary
+neighbours for a boundary vertex.
 
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
@@ -30,10 +31,9 @@ labels are remapped by :func:`build` and the original labels are kept in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -238,7 +238,7 @@ class Triangulation:
 
     @property
     def is_closed(self) -> bool:
-        return not self.boundary_edges
+        return not self.boundary_vertices
 
     @cached_property
     def links(self) -> tuple[tuple[int, ...], ...]:
@@ -317,8 +317,9 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     partial link paths seen so far, counting the pieces.  Then every edge
     must lie in at most two faces, every link must be one piece (a single
     path or cycle), and the graph, whose sorted neighbour lists come from
-    the sorted edges, must be connected.  Edges, edge faces and neighbours
-    stay cached on the result; vertex links are built on first use.
+    the sorted edges, must be connected.  Edges, edge faces, neighbours,
+    degrees and boundary vertices (those whose link is a path) stay cached
+    on the result; vertex links are built on first use.
 
     Raises :class:`InvalidFace`, :class:`EmptyComplex`,
     :class:`DuplicateFace`, :class:`NonSurfaceEdge` (on the smallest bad
@@ -401,6 +402,10 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     cache["edge_faces"] = edge_faces
     cache["edges"] = edges
     cache["neighbors"] = tuple(map(tuple, adjacency))
+    cache["degrees"] = tuple(map(len, adjacency))
+    # A link with open ends left after the sweep is a path: its vertex is
+    # on the boundary.
+    cache["boundary_vertices"] = frozenset(compress(range(n), ends))
     return tri
 
 
@@ -471,34 +476,35 @@ def _vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:
 
 
 def _is_orientable(tri: Triangulation) -> bool:
-    """Propagate face orientations across interior edges; true iff consistent."""
-    face_index = {face: i for i, face in enumerate(tri.faces)}
-    orientation: dict[int, int] = {0: 1}
-    queue = deque([0])
+    """Propagate a sign per face index across interior edges; true iff
+    consistent.
 
-    def directed_edges(face: Face, sign: int):
-        a, b, c = face
-        if sign > 0:
-            return ((a, b), (b, c), (c, a))
-        return ((b, a), (c, b), (a, c))
-
-    while queue:
-        i = queue.popleft()
-        face = tri.faces[i]
-        for u, v in directed_edges(face, orientation[i]):
-            incident = tri.edge_faces[(min(u, v), max(u, v))]
-            if len(incident) == 1:
-                continue
-            other = incident[0] if incident[1] == face else incident[1]
-            j = face_index[other]
-            # The neighbour is consistent iff it traverses the shared
-            # edge in the opposite direction, i.e. contains (v, u).
-            forward = (v, u) in directed_edges(other, 1)
-            required = 1 if forward else -1
-            if j not in orientation:
-                orientation[j] = required
-                queue.append(j)
-            elif orientation[j] != required:
+    Sign 1 runs a sorted face ``(a, b, c)`` as a -> b -> c -> a: every edge
+    forward (smaller end first) except ``(a, c)``.  Two faces that share an
+    edge must run it in opposite directions.
+    """
+    index = {face: i for i, face in enumerate(tri.faces)}
+    # Per face, (neighbour, r): the neighbour's sign must be r times ours.
+    across: list[list[tuple[int, int]]] = [[] for _ in tri.faces]
+    for (u, v), incident in tri.edge_faces.items():
+        if len(incident) == 2:
+            f, g = incident
+            i, j = index[f], index[g]
+            # A face runs the edge backward iff it is its (a, c) edge.
+            r = -1 if (f[0] == u and f[2] == v) == (g[0] == u and g[2] == v) else 1
+            across[i].append((j, r))
+            across[j].append((i, r))
+    sign = [0] * len(tri.faces)
+    sign[0] = 1
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        s = sign[i]
+        for j, r in across[i]:
+            if not sign[j]:
+                sign[j] = r * s
+                stack.append(j)
+            elif sign[j] != r * s:
                 return False
     return True
 

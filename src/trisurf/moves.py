@@ -33,21 +33,25 @@ letting the cut escape through the boundary, and inserts a single new
 face.  The fresh edge created by a split is always a cable and shrinking
 it restores the original triangulation.
 
-A vertex permutation maps a split descriptor to its *image*
-(:meth:`Corner.image`, :meth:`TruncatedCorner.image`).  Under an
-automorphism of the complex the image's split is isomorphic to the
-original's: the automorphism carries the cut star onto the cut star at
-the image, and either arc of a corner, or either side of a truncated cut,
-gives the same child up to swapping the two copies of the vertex.  So the
-descriptors of one orbit of the automorphism group have isomorphic
-children, and :func:`all_splits` builds one child per orbit, the orbit
-step of McKay's isomorph rejection (McKay 1998).
+A vertex permutation ``p`` maps a split descriptor to its *image*: the
+corner ``(v, u, w)`` to the one at ``p[v]`` between ``p[u]`` and ``p[w]``,
+the truncated corner ``(v, u)`` to the one at ``p[v]`` along the edge to
+``p[u]``.  :func:`all_splits` writes each image as a plain tuple:
+``(p[v], min(p[u], p[w]), max(p[u], p[w]))`` for a corner, ``(p[v], p[u])``
+for a truncated corner.  Under an automorphism of the complex the image's
+split is isomorphic to the original's: the automorphism carries the cut
+star onto the cut star at the image, and either arc of a corner, or
+either side of a truncated cut, gives the same child up to swapping the
+two copies of the vertex.  So the descriptors of one orbit of the
+automorphism group have isomorphic children, and :func:`all_splits`
+builds one child per orbit, the orbit step of McKay's isomorph rejection
+(McKay 1998).
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .canon import automorphisms
@@ -88,12 +92,6 @@ class Corner:
     def descriptor(self) -> str:
         return f"sp {self.v} {self.u} {self.w} a"
 
-    def image(self, perm: Sequence[int]) -> Corner:
-        """The corner at ``perm[v]`` between ``perm[u]`` and ``perm[w]``,
-        its two edges in increasing order as :func:`corners` lists them."""
-        u, w = perm[self.u], perm[self.w]
-        return Corner(v=perm[self.v], u=min(u, w), w=max(u, w))
-
 
 @dataclass(frozen=True, order=True)
 class TruncatedCorner:
@@ -104,10 +102,6 @@ class TruncatedCorner:
 
     def descriptor(self) -> str:
         return f"spt {self.v} {self.u}"
-
-    def image(self, perm: Sequence[int]) -> TruncatedCorner:
-        """The truncated corner at ``perm[v]`` along the edge to ``perm[u]``."""
-        return TruncatedCorner(v=perm[self.v], u=perm[self.u])
 
 
 def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
@@ -278,10 +272,17 @@ def all_splits(
     # Two descriptors lie in one orbit exactly when their least images
     # under the group are equal.
     elements = automorphisms(tri).elements
-    orbits: dict[Corner | TruncatedCorner, list[Corner | TruncatedCorner]] = {}
-    for descriptor in [*corners(tri), *truncated_corners(tri)]:
-        least = min(descriptor.image(perm) for perm in elements)
-        orbits.setdefault(least, []).append(descriptor)
+    orbits: dict[tuple[int, ...], list[Corner | TruncatedCorner]] = {}
+    for corner in corners(tri):
+        v, u, w = corner.v, corner.u, corner.w
+        least = min(
+            (p[v], p[u], p[w]) if p[u] < p[w] else (p[v], p[w], p[u]) for p in elements
+        )
+        orbits.setdefault(least, []).append(corner)
+    for truncated in truncated_corners(tri):
+        v, u = truncated.v, truncated.u
+        least = min((p[v], p[u]) for p in elements)
+        orbits.setdefault(least, []).append(truncated)
     # The key is exact: ``build`` sorts each face and the face list, so two
     # lists with one face set give equal values, and neither list can hold
     # a duplicate that the set would hide (``build`` would refuse it).

@@ -1,5 +1,5 @@
 """Shared fixtures, the brute-force isomorphism oracle, the reference
-build and the reference canonical form.
+build, the reference canonical form and the reference orientability test.
 
 The heavyweight catalogs and the split scans over them are
 session-scoped: the exhaustive searches are cached per process, so the
@@ -15,7 +15,7 @@ from itertools import chain
 import pytest
 
 import trisurf as ts
-from trisurf import Triangulation, canon, enumeration
+from trisurf import Triangulation, enumeration
 from trisurf.complex_core import Face
 from trisurf.errors import (
     Disconnected,
@@ -152,19 +152,79 @@ def reference_build(faces) -> Triangulation:
     return tri
 
 
+def _reference_cross_map(tri: Triangulation) -> dict[tuple[int, int, int], tuple[int, int]]:
+    """Map (x, y, z), an edge x-y in either direction of a face with apex z,
+    to (apex, index) of the face across that edge; boundary edges are absent."""
+    index = {face: i for i, face in enumerate(tri.faces)}
+    cross = {}
+    for (u, v), incident in tri.edge_faces.items():
+        if len(incident) == 2:
+            (p, i), (q, j) = ((sum(face) - u - v, index[face]) for face in incident)
+            cross[(u, v, p)] = cross[(v, u, p)] = (q, j)
+            cross[(u, v, q)] = cross[(v, u, q)] = (p, i)
+    return cross
+
+
+def _reference_sweep(tri: Triangulation, cross, flag, start):
+    """The breadth-first face sweep from ``flag`` (in face ``start``): the
+    faces as oriented triples in sweep order, and the old->new labelling."""
+    label = [-1] * tri.order
+    a, b, c = flag
+    label[a], label[b], label[c] = 0, 1, 2
+    next_label = 3
+    seen = {start}
+    queue = [flag]
+    for u, v, w in queue:
+        for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+            across = cross.get((x, y, z))
+            if across is None or across[1] in seen:
+                continue
+            t, j = across
+            seen.add(j)
+            if label[t] < 0:
+                label[t] = next_label
+                next_label += 1
+            queue.append((y, x, t))
+    return queue, label
+
+
+def _reference_candidate_flags(tri: Triangulation):
+    """(face index, flag) for the flags whose vertices have the minimal
+    (degree, on-boundary) keys, in face order, the keys counted from the
+    edge faces."""
+    degree = [0] * tri.order
+    boundary = set()
+    for edge, incident in tri.edge_faces.items():
+        for v in edge:
+            degree[v] += 1
+        if len(incident) == 1:
+            boundary.update(edge)
+    key = [2 * d + (v in boundary) for v, d in enumerate(degree)]
+    best, found = None, []
+    for i, (a, b, c) in enumerate(tri.faces):
+        face_key = sorted((key[a], key[b], key[c]))
+        if best is None or face_key < best:
+            best, found = face_key, []
+        if face_key == best:
+            flags = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
+            found.extend((i, f) for f in flags if key[f[0]] <= key[f[1]] <= key[f[2]])
+    return found
+
+
 def reference_canonical_form(
     tri: Triangulation,
 ) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """Oracle for ``tri._canonical``: the flag loop without pruning.
+    """Oracle for ``tri._canonical``: the flag loop without pruning, on its
+    own tuple-keyed cross map, sweep and candidate rule.
 
     Every candidate flag is swept, and each tying flag's labelling comes
     from its own sweep.  The pruned form must equal it byte for byte: the
     code, and every tying labelling in candidate-flag order.
     """
-    cross = canon._cross_map(tri)
+    cross = _reference_cross_map(tri)
     best = None
-    for start, flag in canon._candidate_flags(tri):
-        queue, label = canon._traverse(tri, cross, flag, start)
+    for start, flag in _reference_candidate_flags(tri):
+        queue, label = _reference_sweep(tri, cross, flag, start)
         faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
         if faces == best:
             labellings.append(tuple(label))
@@ -174,6 +234,38 @@ def reference_canonical_form(
     if max(values[:3]) < 256:
         return bytes(values), tuple(labellings)
     return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(labellings)
+
+
+def reference_is_orientable(tri: Triangulation) -> bool:
+    """Oracle for ``complex_core._is_orientable``: breadth-first over the
+    faces, each given as directed edges, a neighbour consistent iff it
+    runs the shared edge the other way."""
+    face_index = {face: i for i, face in enumerate(tri.faces)}
+    orientation = {0: 1}
+    queue = deque([0])
+
+    def directed_edges(face, sign):
+        a, b, c = face
+        if sign > 0:
+            return ((a, b), (b, c), (c, a))
+        return ((b, a), (c, b), (a, c))
+
+    while queue:
+        i = queue.popleft()
+        face = tri.faces[i]
+        for u, v in directed_edges(face, orientation[i]):
+            incident = tri.edge_faces[(min(u, v), max(u, v))]
+            if len(incident) == 1:
+                continue
+            other = incident[0] if incident[1] == face else incident[1]
+            j = face_index[other]
+            required = 1 if (v, u) in directed_edges(other, 1) else -1
+            if j not in orientation:
+                orientation[j] = required
+                queue.append(j)
+            elif orientation[j] != required:
+                return False
+    return True
 
 
 def split_children(

@@ -220,6 +220,17 @@ class TestAutomorphisms:
             ts.vertex_orbits(tri)
         assert sweeps == []
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_vertex_orbits_equal_the_group_orbits_on_torus_grids(self, k):
+        tri = _shuffled(_torus_grid(k), random.Random(k))
+        assert ts.vertex_orbits(tri) == ts.automorphisms(tri).orbits
+
+    def test_vertex_orbits_equal_the_group_orbits_on_closure_members(self, closures):
+        for catalog in closures.values():
+            for entry in catalog.entries:
+                tri = entry.triangulation
+                assert ts.vertex_orbits(tri) == ts.automorphisms(tri).orbits
+
     def test_order_seven_irreducible_member_has_orbits_4_and_3(self, projective_catalog):
         irreducible = [
             e for e in projective_catalog.of_order(7)

@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
+from trisurf.complex_core import _is_orientable
 from trisurf.enumeration import BASES
 from tests.conftest import (
     ANTIPODAL,
     ICOSAHEDRON_FACES,
     reference_build,
+    reference_is_orientable,
     split_children,
 )
 
@@ -82,8 +84,8 @@ def _outcome(build, soup) -> str:
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return repr((
-        tri.faces, tri.source_labels, tri.edges, tri.neighbors, tri.links,
-        tri.surface_kind,
+        tri.faces, tri.source_labels, tri.edges, tri.neighbors, tri.degrees,
+        sorted(tri.boundary_vertices), tri.links, tri.surface_kind,
     ))
 
 
@@ -277,6 +279,14 @@ class TestDerivedDataLifetime:
         gc.collect()
         assert ref() is None
 
+    def test_coding_a_split_child_reads_neither_boundary_edges_nor_links(self, proj_plane):
+        # The code's header counts the boundary edges as 2E - 3F and the
+        # candidate flags read the degrees and boundary vertices build stored.
+        for _, child in split_children(proj_plane):
+            ts.canonical_code(child)
+            assert "boundary_edges" not in vars(child)
+            assert "links" not in vars(child)
+
     def test_links_read_after_build_match_the_reference(self, proj_plane):
         children = [child for _, child in split_children(proj_plane)]
         assert not any("links" in vars(child) for child in children)
@@ -315,6 +325,35 @@ class TestReferenceBuild:
     ])
     def test_named_corner_cases(self, soup):
         assert _outcome(ts.build, soup) == _outcome(reference_build, soup)
+
+
+@pytest.fixture(scope="module")
+def closure_members():
+    """Every member of the sphere 4..8, projective-plane 6..8 and Moebius
+    band 5..8 splitting closures."""
+    return [
+        entry.triangulation
+        for kind, low, high in (
+            (ts.SPHERE, 4, 8), (ts.PROJECTIVE_PLANE, 6, 8), (ts.MOEBIUS_BAND, 5, 8)
+        )
+        for entry in ts.enumerate_splitting_range(kind, low, high).entries
+    ]
+
+
+class TestReferenceOrientability:
+    @settings(max_examples=400, deadline=None)
+    @given(soup=st.one_of(FACE_SOUPS, relabelled_children()))
+    def test_signs_match_the_directed_edge_search(self, soup):
+        try:
+            tri = ts.build(soup)
+        except errors.TriangulationError:
+            return
+        assert _is_orientable(tri) == reference_is_orientable(tri)
+
+    def test_closure_members_match_the_directed_edge_search(self, closure_members):
+        answers = [_is_orientable(tri) for tri in closure_members]
+        assert answers == [reference_is_orientable(tri) for tri in closure_members]
+        assert set(answers) == {True, False}
 
 
 class TestFaceListFormat:
