@@ -62,6 +62,22 @@ misses the budget has another chi, and one with b > 0 on a closed query
 ``build``.  Every copy of a class shares its chi and boundary, so no class
 of the kind loses a copy and the first copy reached stays the same.
 
+Two more cuts come from the same sums.  A kept leaf has
+2E = 3F + b = 3 * 2(n - chi) - 2b, and by the leaf filter vertex 0 has
+its least degree.  Degrees only grow, so a branch is cut once the sum over
+all vertices of max(deg x, deg 0) exceeds 3 * 2(n - chi) - 2b', where
+b' <= b counts the boundary edges declared, plus one for each open piece
+of the apex link that must still be closed, and at least 3 on a bordered
+query: every leaf below fails the filter, the budget or the boundary
+rule.  On an orientable query, each face after the root 0 -> 1 -> 2 is
+glued across an open edge whose one face fixes its direction, since the
+complex stays connected.  A face that would run a directed edge that
+another face already runs makes every leaf below it non-orientable, and
+such leaves are of another kind, so the torus query no longer builds the
+Klein bottles.  Neither cut reads a move or an automorphism or reorders
+the traversal, so every kept leaf and the first copy of each class stay
+the same.
+
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
 check of the package.
@@ -290,6 +306,17 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
     steps, so a branch is cut once the steps it has taken and the fewest
     it still needs exceed 2(n - chi), and a leaf is kept only if it has
     spent exactly that many, with b > 0 exactly when ``kind`` is bordered.
+
+    Two cuts remove only leaves that are dropped anyway.  The degree-sum
+    cut removes leaves that fail the filter, the budget or the boundary
+    rule: a kept leaf's degrees sum to 2E = 3 * 2(n - chi) - 2b with
+    vertex 0's the least, and a partial complex whose degrees, each
+    raised to vertex 0's, already sum to more than that bound for the
+    fewest boundary edges b still possible has no such leaf below it.
+    The orientation cut, on orientable kinds, removes branches in which
+    two faces run one directed edge the same way, although the open
+    edge each was glued across forced its direction: every leaf below is
+    non-orientable.
     """
     if n > MAX_SEARCH_ORDER:
         raise CeilingExceeded(
@@ -317,6 +344,8 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
     found: dict[bytes, Triangulation] = {}
     bordered = kind.boundary_components == 1
     budget = 2 * (n - kind.euler_characteristic)
+    oriented = kind.orientable
+    arc = bytearray(256)           # directed edge (x << 4) | y -> run by a face
 
     used = 3
 
@@ -425,7 +454,19 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         if code not in found:
             found[code] = tri
 
-    def rec(spent: int) -> None:
+    def degree_sum() -> int:
+        d0 = vdeg[0]
+        return sum(d if d > d0 else d0 for d in vdeg)
+
+    def degree_cap(spent: int) -> int:
+        """3B - 2b' for the degree-sum cut in :func:`rec`."""
+        # spent - len(faces) boundary edges are declared, and closing the
+        # lcomp[n] open pieces of the apex link into one cycle takes at
+        # least lcomp[n] more; a boundary cycle has at least 3 edges.
+        b = spent - len(faces) + lcomp[n]
+        return 3 * budget - 2 * max(b, 3 * bordered)
+
+    def rec(spent: int, dsum: int) -> None:
         nonlocal used
         if not open_set:
             leaf(spent)
@@ -438,6 +479,18 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         e = min(open_set)
         u, v = e >> 4, e & 15
         uv = (1 << u) | (1 << v)
+        # Degree sum: a leaf the filter keeps has sum deg = 2E = 3B - 2b
+        # and vertex 0 of least degree, and degrees only grow, so a branch
+        # is cut once dsum = sum_x max(vdeg[x], vdeg[0]) > 3B - 2b', with
+        # b' <= b from degree_cap.  Faces leave b' alone.
+        cap = degree_cap(spent)
+        d0 = vdeg[0]
+        # Orientation: the one face on e runs it one way (u -> v if
+        # arc[e]), so on an orientable surface the new face runs it the
+        # other way, and no directed edge is run by two faces.
+        if oriented:
+            forward = arc[e]
+            back = ((v << 4) | u) if forward else e
 
         top = used + 1 if used < n else used
         for w in range(top):
@@ -448,8 +501,27 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
                 continue
             ew = ((u << 4) | w) if u < w else ((w << 4) | u)
             ev = ((v << 4) | w) if v < w else ((w << 4) | v)
-            if ecount[ew] == 2 or ecount[ev] == 2:
+            cw, cv = ecount[ew], ecount[ev]
+            if cw == 2 or cv == 2:
                 continue
+            # Each new edge adds 1 to dsum per end x of degree >= d0, counted
+            # in commit order.  That is exact unless vertex 0 is an end, and
+            # a lower bound then, since its growth also lifts the smaller
+            # degrees; dsum is recounted after the commit.
+            grow = 0
+            if not cw:
+                grow = (vdeg[u] >= d0) + (vdeg[w] >= d0)
+            if not cv:
+                grow += (vdeg[v] >= d0) + (vdeg[w] + (not cw) >= d0)
+            if dsum + grow > cap:
+                continue
+            if oriented:
+                if forward:
+                    a1, a2 = (u << 4) | w, (w << 4) | v
+                else:
+                    a1, a2 = (v << 4) | w, (w << 4) | u
+                if arc[a1] or arc[a2]:
+                    continue
             if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
                 continue
 
@@ -475,10 +547,17 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
             # normalises.
             faces.append((u, v, w))
             face_set.add(fid)
+            if oriented:
+                arc[back] = arc[a1] = arc[a2] = 1
+            child = dsum + grow
+            if vdeg[0] != d0:
+                child = degree_sum()
 
-            if not (beats_root(u) or beats_root(v) or beats_root(w)):
-                rec(spent + 1)
+            if child <= cap and not (beats_root(u) or beats_root(v) or beats_root(w)):
+                rec(spent + 1, child)
 
+            if oriented:
+                arc[back] = arc[a1] = arc[a2] = 0
             face_set.discard(fid)
             faces.pop()
             if grew:
@@ -504,8 +583,8 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
             ends = link_commit(n, u, v)
             ecount[e] = 2
             open_set.discard(e)
-            if not (beats_root(u) or beats_root(v)):
-                rec(spent + 1)
+            if dsum <= degree_cap(spent + 1) and not (beats_root(u) or beats_root(v)):
+                rec(spent + 1, dsum)
             ecount[e] = 1
             open_set.add(e)
             link_undo(n, u, v, ends)
@@ -523,8 +602,11 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         open_set.add(ek)
         vdeg[a] += 1
         vdeg[b] += 1
-    rec(1)
-    # (chi, boundary) leaves only the torus and the Klein bottle to tell apart.
+    arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = arc[(2 << 4) | 0] = 1
+    rec(1, degree_sum())
+    # (chi, boundary) leaves only the torus and the Klein bottle to tell
+    # apart, and the orientation cut already drops the Klein bottles from a
+    # torus query.
     return [found[c] for c in sorted(found) if found[c].surface_kind == kind]
 
 

@@ -78,43 +78,57 @@ class TestExhaustive:
 
 
 EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"  # of []
+TORUS, KLEIN_BOTTLE = ts.SurfaceKind(0, True, 0), ts.SurfaceKind(0, False, 0)
 
 # (order, surface, rec calls, build calls, classes, sha256 of the
 # representatives' face lists) for the query of each surface.  The rec
 # calls count the nodes of the search tree, so a cut that stops cutting
-# shows here; the builds count the leaves that reach ``build``.
+# shows here; the builds count the leaves that reach ``build``.  The torus
+# query builds fewer leaves than the Klein bottle query of its order: the
+# orientation cut removes the non-orientable ones before ``build``.
 SEARCH_PINS = [
     (4, ts.PROJECTIVE_PLANE, 4, 0, 0, EMPTY),
     (5, ts.PROJECTIVE_PLANE, 9, 0, 0, EMPTY),
     (6, ts.PROJECTIVE_PLANE, 29, 1, 1, "8f6ff8e9c1716f6b90740b685ec7b4b64a34423faa6d1a0e491d110bd7448547"),
-    (7, ts.PROJECTIVE_PLANE, 158, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
-    (8, ts.PROJECTIVE_PLANE, 1475, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
+    (7, ts.PROJECTIVE_PLANE, 113, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
+    (8, ts.PROJECTIVE_PLANE, 787, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
     (3, ts.MOEBIUS_BAND, 4, 0, 0, EMPTY),
     (4, ts.MOEBIUS_BAND, 17, 0, 0, EMPTY),
     (5, ts.MOEBIUS_BAND, 80, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
-    (6, ts.MOEBIUS_BAND, 649, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
-    (7, ts.MOEBIUS_BAND, 9687, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
+    (6, ts.MOEBIUS_BAND, 514, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
+    (7, ts.MOEBIUS_BAND, 4484, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
     (4, ts.SPHERE, 4, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
-    (5, ts.SPHERE, 9, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
-    (6, ts.SPHERE, 26, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
-    (7, ts.SPHERE, 103, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
-    (8, ts.SPHERE, 617, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
+    (5, ts.SPHERE, 7, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
+    (6, ts.SPHERE, 22, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
+    (7, ts.SPHERE, 71, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
+    (8, ts.SPHERE, 323, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
     (3, ts.DISK, 4, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
     (4, ts.DISK, 17, 2, 2, "c2e6ff8412fe68bf69f5bdc2feb2596c129fd41400e34ea2bd745619efea34aa"),
-    (5, ts.DISK, 74, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
-    (6, ts.DISK, 504, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
-    (7, ts.DISK, 4725, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
+    (5, ts.DISK, 51, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
+    (6, ts.DISK, 251, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
+    (7, ts.DISK, 1356, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
+    (7, TORUS, 113, 2, 1, "5627ba84f03c802fb1d422eee055af0424c8a76f00990ea7a9776aa37be113a7"),
+    (8, TORUS, 724, 15, 7, "0b7dac3a2b7d3472642ae7912a927262eddcb681c9264406f9414dda2a5e0b75"),
+    (9, TORUS, 8858, 232, 112, "e886eaa95b9bded09def74ae176029e32cadaf47433c1eedefc6cbd2a0031c27"),
+    (7, KLEIN_BOTTLE, 166, 2, 0, EMPTY),
+    (8, KLEIN_BOTTLE, 1682, 27, 6, "a3a1bef4db8bca8e08929f6d071a5a9cc415fb255b37926f8c340f91a25a72d3"),
 ]
 NAMED_KINDS = (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND)
 
 
 def _pin_id(n: int, kind) -> str:
     # Boundary and order, plus chi where it is not the projective-plane or
-    # Moebius-band one; stable ids let test reports follow a row over time.
+    # Moebius-band one, plus orientability where chi + boundary <= 0 (from
+    # the torus and the Klein bottle on), where chi leaves it open; stable
+    # ids let test reports follow a row over time.
     bordered = kind.boundary_components == 1
     name = f"{'bordered' if bordered else 'closed'}-{n}"
     chi = kind.euler_characteristic
-    return name if chi == 1 - bordered else f"{name}-chi{chi}"
+    if chi != 1 - bordered:
+        name = f"{name}-chi{chi}"
+    if chi + bordered <= 0:
+        name += "-orientable" if kind.orientable else "-nonorientable"
+    return name
 
 
 # sha256 of the Moebius bands, disks and spheres of each order, sorted by
@@ -173,9 +187,25 @@ class TestSearchContract:
         assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
         assert _digest(tri.faces for tri in found) == digest
 
-    @pytest.mark.parametrize("n", sorted({pin[0] for pin in SEARCH_PINS}))
+    @pytest.mark.parametrize(
+        "n, kind", [pytest.param(*pin[:2], id=_pin_id(*pin[:2])) for pin in SEARCH_PINS]
+    )
+    def test_representatives_meet_the_degree_sum_premises(self, n, kind):
+        # The degree-sum cut assumes of every leaf it may keep: vertex 0 has
+        # the least degree, sum deg = 2E = 3 * 2(n - chi) - 2b, and a
+        # boundary has at least 3 edges.  Read from build's own values.
+        budget = 2 * (n - kind.euler_characteristic)
+        for tri in enumeration._search_cached(n, kind):
+            degrees, b = tri.degrees, len(tri.boundary_edges)
+            assert degrees[0] == min(degrees)
+            assert sum(degrees) == 3 * budget - 2 * b
+            assert b >= 3 if kind.boundary_components else b == 0
+
+    @pytest.mark.parametrize(
+        "n", sorted({pin[0] for pin in SEARCH_PINS if pin[1] in NAMED_KINDS})
+    )
     def test_search_returns_only_the_asked_surface(self, n):
-        for kind in NAMED_KINDS:
+        for kind in (*NAMED_KINDS, TORUS, KLEIN_BOTTLE):
             found = enumeration._search_cached(n, kind)
             assert {tri.surface_kind for tri in found} <= {kind}
 
@@ -202,9 +232,8 @@ class TestSearchContract:
     def test_torus_and_klein_bottle_are_told_apart(self):
         # The one pair that (chi, boundary) does not tell apart: the search
         # itself keeps only the asked orientability.
-        torus, klein = ts.SurfaceKind(0, True, 0), ts.SurfaceKind(0, False, 0)
-        assert len(ts.enumerate_exhaustive(torus, 8)) == 7
-        assert len(ts.enumerate_exhaustive(klein, 8)) == 6
+        assert len(ts.enumerate_exhaustive(TORUS, 8)) == 7
+        assert len(ts.enumerate_exhaustive(KLEIN_BOTTLE, 8)) == 6
 
 
 def test_each_query_searches_its_own_surface(monkeypatch):
