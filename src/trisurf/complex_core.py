@@ -87,11 +87,8 @@ _KIND_NAMES = {
 }
 
 SURFACE_BY_NAME = {
-    "sphere": SPHERE,
-    "projective-plane": PROJECTIVE_PLANE,
+    **{name: kind for kind, name in _KIND_NAMES.items()},
     "projective": PROJECTIVE_PLANE,
-    "disk": DISK,
-    "moebius-band": MOEBIUS_BAND,
     "moebius": MOEBIUS_BAND,
 }
 

@@ -48,35 +48,41 @@ no leaf at all, and it leaves the traversal order alone, so the first
 copy reached of each class, and with it every catalog, ``BASES`` and the
 certificate, stays the same.
 
-A query is a surface kind and an order n, and one budget bounds its
-tree.  Euler's formula V - E + F = chi with 3F + b = 2E, where b counts
-the boundary edges, gives F + b = 2(n - chi) for every surface, closed or
-bordered.  Each face and each boundary declaration adds 1 to F + b.  A
-step that adds a vertex closes one open edge and opens two, and any other
-step closes at most three, so a branch is cut once F + b, plus one step
-per missing vertex, plus a third of the open edges, exceeds 2(n - chi).
-The bound comes from Euler's formula and the search's own bookkeeping,
-not from the moves, so the engines stay independent.  A leaf whose F + b
-misses the budget has another chi, and one with b > 0 on a closed query
-(or b = 0 on a bordered one) another boundary; both are dropped before
-``build``.  Every copy of a class shares its chi and boundary, so no class
-of the kind loses a copy and the first copy reached stays the same.
+A query is a surface kind and an order n.  Euler's formula
+V - E + F = chi with 3F + b = 2E, where b counts the boundary edges,
+gives F + b = B = 2(n - chi) for every surface, closed or bordered.  Each
+face and each boundary declaration is one step, so a kept leaf has spent
+exactly B steps and degrees summing to 2E = 3B - 2b.  At a node that has
+spent s steps and has o open edges the degrees sum to 3s - 2b + o; the
+leaf filter makes vertex 0's degree the least, and degrees only grow.  So
+a branch holds a kept leaf only if
 
-Two more cuts come from the same sums.  A kept leaf has
-2E = 3F + b = 3 * 2(n - chi) - 2b, and by the leaf filter vertex 0 has
-its least degree.  Degrees only grow, so a branch is cut once the sum over
-all vertices of max(deg x, deg 0) exceeds 3 * 2(n - chi) - 2b', where
-b' <= b counts the boundary edges declared, plus one for each open piece
-of the apex link that must still be closed, and at least 3 on a bordered
-query: every leaf below fails the filter, the budget or the boundary
-rule.  On an orientable query, each face after the root 0 -> 1 -> 2 is
-glued across an open edge whose one face fixes its direction, since the
-complex stays connected.  A face that would run a directed edge that
-another face already runs makes every leaf below it non-orientable, and
-such leaves are of another kind, so the torus query no longer builds the
-Klein bottles.  Neither cut reads a move or an automorphism or reorders
-the traversal, so every kept leaf and the first copy of each class stay
-the same.
+    sum_x max(deg x, deg 0) <= 3B - 2b',
+
+where b' <= b counts the boundary edges declared, plus one for each open
+piece of the apex link that must still be closed, and is at least 3 on a
+bordered query.  With deficit = sum_x max(0, deg 0 - deg x), to which
+each unused vertex adds deg 0 >= 2, the test reads
+
+    3(B - s) >= o + deficit + 2(b' - b):
+
+three units per remaining step pay for every open edge, every missing
+degree and every boundary edge still owed.  It is the search's one Euler
+bound.  A leaf passed it before it was entered, so a leaf that has spent
+B steps has deficit 0, and so uses every vertex, and has b = b', which is
+at least 3 on a bordered query and 0 on a closed one, which declares no
+boundary edge.  So of its chi and its boundary a leaf checks only s = B.
+The bound reads Euler's formula and the search's own bookkeeping, not the
+moves, so the engines stay independent.
+
+On an orientable query, each face after the root 0 -> 1 -> 2 is glued
+across an open edge whose one face fixes its direction, since the complex
+stays connected.  A face that would run a directed edge that another face
+already runs makes every leaf below it non-orientable, of another kind,
+so the torus query does not build the Klein bottles.  Neither cut reads a
+move or an automorphism or reorders the traversal, and every copy of a
+class shares its chi, boundary and orientability, so no class of the kind
+loses a copy and the first copy reached of each class stays the same.
 
 ``compare_catalogs`` diffs the code sets of two catalogs; agreement of
 the two engines over a surface and order range is the central correctness
@@ -299,24 +305,8 @@ def enumerate_splitting_range(
 
 def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
     """All triangulations of ``kind`` on exactly ``n`` vertices, one per
-    class, in code order; ``kind`` has at most one boundary cycle.
-
-    V - E + F = chi and 3F + b = 2E, where b counts boundary edges, give
-    F + b = 2(n - chi).  Faces and boundary declarations are the search's
-    steps, so a branch is cut once the steps it has taken and the fewest
-    it still needs exceed 2(n - chi), and a leaf is kept only if it has
-    spent exactly that many, with b > 0 exactly when ``kind`` is bordered.
-
-    Two cuts remove only leaves that are dropped anyway.  The degree-sum
-    cut removes leaves that fail the filter, the budget or the boundary
-    rule: a kept leaf's degrees sum to 2E = 3 * 2(n - chi) - 2b with
-    vertex 0's the least, and a partial complex whose degrees, each
-    raised to vertex 0's, already sum to more than that bound for the
-    fewest boundary edges b still possible has no such leaf below it.
-    The orientation cut, on orientable kinds, removes branches in which
-    two faces run one directed edge the same way, although the open
-    edge each was glued across forced its direction: every leaf below is
-    non-orientable.
+    class, in code order; ``kind`` has at most one boundary cycle.  The
+    degree-sum and orientation cuts are stated in the module docstring.
     """
     if n > MAX_SEARCH_ORDER:
         raise CeilingExceeded(
@@ -440,8 +430,8 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         return False
 
     def leaf(spent: int) -> None:
-        # spent is F + b, so spent - len(faces) counts the boundary edges.
-        if used != n or spent != budget or (spent > len(faces)) != bordered:
+        # The degree-sum test this leaf passed leaves only spent to check.
+        if spent != budget:
             return
         key = [(vdeg[x], 1 if ldeg[apex | x] else 0) for x in range(n)]
         identity = [key[0], key[1], key[2]]
@@ -459,10 +449,10 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         return sum(d if d > d0 else d0 for d in vdeg)
 
     def degree_cap(spent: int) -> int:
-        """3B - 2b' for the degree-sum cut in :func:`rec`."""
+        """3B - 2b', the bound on the degree sum below this node."""
         # spent - len(faces) boundary edges are declared, and closing the
         # lcomp[n] open pieces of the apex link into one cycle takes at
-        # least lcomp[n] more; a boundary cycle has at least 3 edges.
+        # least lcomp[n] more.
         b = spent - len(faces) + lcomp[n]
         return 3 * budget - 2 * max(b, 3 * bordered)
 
@@ -471,18 +461,10 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         if not open_set:
             leaf(spent)
             return
-        # Each further step adds 1 to F + b.  The n - used steps that add a
-        # vertex close one open edge and open two, so the other steps must
-        # close every open edge, at most three each.
-        if spent + n - used + (len(open_set) + 2) // 3 > budget:
-            return
         e = min(open_set)
         u, v = e >> 4, e & 15
         uv = (1 << u) | (1 << v)
-        # Degree sum: a leaf the filter keeps has sum deg = 2E = 3B - 2b
-        # and vertex 0 of least degree, and degrees only grow, so a branch
-        # is cut once dsum = sum_x max(vdeg[x], vdeg[0]) > 3B - 2b', with
-        # b' <= b from degree_cap.  Faces leave b' alone.
+        # dsum = sum_x max(vdeg[x], vdeg[0]); faces leave b' alone.
         cap = degree_cap(spent)
         d0 = vdeg[0]
         # Orientation: the one face on e runs it one way (u -> v if
@@ -507,7 +489,9 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
             # Each new edge adds 1 to dsum per end x of degree >= d0, counted
             # in commit order.  That is exact unless vertex 0 is an end, and
             # a lower bound then, since its growth also lifts the smaller
-            # degrees; dsum is recounted after the commit.
+            # degrees; dsum is recounted after the commit.  The test after
+            # the commit cuts every node this one does: this one only skips
+            # link_ok, the commit and the undo of the candidates it cuts.
             grow = 0
             if not cw:
                 grow = (vdeg[u] >= d0) + (vdeg[w] >= d0)

@@ -81,7 +81,7 @@ class Impediment(enum.Enum):
     MINIMAL = "minimal"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Corner:
     """Unordered pair of distinct edges ``vu``, ``vw`` at vertex ``v``."""
 
@@ -93,7 +93,7 @@ class Corner:
         return f"sp {self.v} {self.u} {self.w} a"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TruncatedCorner:
     """Edge ``vu`` at a boundary vertex ``v``; the cut runs out through ``v``."""
 

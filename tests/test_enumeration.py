@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import threading
 import types
 
 import pytest
@@ -177,13 +178,20 @@ class TestSearchContract:
                     and code.co_filename == search_file):
                 rec_calls.append(None)
 
+        def counted_search():
+            # The hook fires on every call the search makes, and it costs
+            # less on a thread's short stack than at pytest's depth.
+            sys.setprofile(count_rec)
+            try:
+                found.extend(enumeration._search(n, kind))
+            finally:
+                sys.setprofile(None)
+
         monkeypatch.setattr(enumeration, "build", counting_build)
-        previous = sys.getprofile()
-        sys.setprofile(count_rec)
-        try:
-            found = enumeration._search(n, kind)
-        finally:
-            sys.setprofile(previous)
+        found = []
+        thread = threading.Thread(target=counted_search)
+        thread.start()
+        thread.join()
         assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
         assert _digest(tri.faces for tri in found) == digest
 
