@@ -21,6 +21,12 @@ neighbours for a boundary vertex.
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
 the instance on first use, so it lives exactly as long as the value.
+A catalog stores each class's value bare, as ``Triangulation(faces,
+source_labels)`` with its code in the catalog entry: once a class is
+coded (and, in the splitting closure, split) no engine reads its derived
+data again, and the closure's top order, most of the classes, is never
+split.  A later reader recomputes what it reads through the same
+properties.
 The cables are set algebra on it: the edges minus the four impediment
 sets ``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
 ``minimal_edges``, each at most one pass over the edges (see :mod:`trisurf.moves` for the rule).

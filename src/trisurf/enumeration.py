@@ -153,10 +153,38 @@ BASES: dict[SurfaceKind, tuple[tuple[Face, ...], ...]] = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One class of a catalog: its canonical code, its order, one labelled
+    representative and how the engine reached it.
+
+    The code is the entry's, not the value's: ``triangulation`` is stored
+    bare (see :func:`_catalogued`), so derived data read from it, the
+    canonical code included, is recomputed on first read.
+    """
+
     code: bytes
     order: int
     triangulation: Triangulation
     provenance: str
+
+
+def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntry:
+    """The entry for ``tri``, its value stored bare.
+
+    This is the one catalog rule: every value a catalog holds, from either
+    engine or from catalog text, is stored through here, and holds only
+    the faces and source labels; the code lives in the entry.  What
+    ``build`` and ``canonical_code`` cached on ``tri`` is dropped because
+    no engine reads it again: a search class and a parsed record are done
+    once coded, and a closure class once its own children are expanded,
+    which a class of the top order, most of the classes, never is.  A
+    later reader recomputes what it reads through the same
+    ``cached_property`` definitions.  A fresh value is built rather than
+    keys deleted from ``tri.__dict__``, which measured slower in the
+    closure loop.
+    """
+    return CatalogEntry(
+        code, tri.order, Triangulation(tri.faces, tri.source_labels), provenance
+    )
 
 
 @dataclass(frozen=True)
@@ -249,15 +277,20 @@ def generate_by_splitting(
     elif len(seed_names) != len(seeds):
         raise ValueError(f"{len(seed_names)} seed names for {len(seeds)} seeds")
 
+    def entered(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntry:
+        # A class below the top keeps its links and labellings until its
+        # own children are expanded.
+        if tri.order < max_order:
+            return CatalogEntry(code, tri.order, tri, provenance)
+        return _catalogued(code, tri, provenance)
+
     entries: dict[bytes, CatalogEntry] = {}
     for name, seed in sorted(
         zip(seed_names, seeds),
         key=lambda item: (item[1].order, canonical_code(item[1])),
     ):
         code = canonical_code(seed)
-        entries.setdefault(
-            code, CatalogEntry(code, seed.order, seed, f"seed:{name}")
-        )
+        entries.setdefault(code, entered(code, seed, f"seed:{name}"))
 
     min_seed_order = min(seed.order for seed in seeds)
     for order in range(min_seed_order, max_order):
@@ -269,12 +302,14 @@ def generate_by_splitting(
             for descriptors, child in all_splits(entry.triangulation):
                 child_code = canonical_code(child)
                 if child_code not in entries:
-                    entries[child_code] = CatalogEntry(
+                    entries[child_code] = entered(
                         child_code,
-                        child.order,
                         child,
                         f"{entry.code.hex()}:{descriptors[0].descriptor()}",
                     )
+            entries[entry.code] = _catalogued(
+                entry.code, entry.triangulation, entry.provenance
+            )
     ordered = tuple(sorted(entries.values(), key=lambda e: (e.order, e.code)))
     return Catalog(kind, min_seed_order, max_order, "splitting", ordered)
 
@@ -303,9 +338,9 @@ def enumerate_splitting_range(
 # ---------------------------------------------------------------------------
 
 
-def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
-    """All triangulations of ``kind`` on exactly ``n`` vertices, one per
-    class, in code order; ``kind`` has at most one boundary cycle.  The
+def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
+    """All triangulations of ``kind`` on exactly ``n`` vertices, one entry
+    per class, in code order; ``kind`` has at most one boundary cycle.  The
     degree-sum and orientation cuts are stated in the module docstring.
     """
     if n > MAX_SEARCH_ORDER:
@@ -331,7 +366,7 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
     faces: list[tuple[int, int, int]] = []
     face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
-    found: dict[bytes, Triangulation] = {}
+    found: dict[bytes, CatalogEntry] = {}
     bordered = kind.boundary_components == 1
     budget = 2 * (n - kind.euler_characteristic)
     oriented = kind.orientable
@@ -441,8 +476,11 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
                 return
         tri = build(faces)
         code = canonical_code(tri)
-        if code not in found:
-            found[code] = tri
+        # (chi, boundary) leaves only the torus and the Klein bottle to tell
+        # apart, and the orientation cut already drops the Klein bottles
+        # from a torus query.
+        if code not in found and tri.surface_kind == kind:
+            found[code] = _catalogued(code, tri, "exhaustive")
 
     def degree_sum() -> int:
         d0 = vdeg[0]
@@ -588,16 +626,13 @@ def _search(n: int, kind: SurfaceKind) -> list[Triangulation]:
         vdeg[b] += 1
     arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = arc[(2 << 4) | 0] = 1
     rec(1, degree_sum())
-    # (chi, boundary) leaves only the torus and the Klein bottle to tell
-    # apart, and the orientation cut already drops the Klein bottles from a
-    # torus query.
-    return [found[c] for c in sorted(found) if found[c].surface_kind == kind]
+    return [found[c] for c in sorted(found)]
 
 
 # Keyed on the query, not on a complex: the Moebius catalog, the certificate
 # and the cross-check share one order-8 search.
 @lru_cache(maxsize=64)
-def _search_cached(n: int, kind: SurfaceKind) -> tuple[Triangulation, ...]:
+def _search_cached(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
     return tuple(_search(n, kind))
 
 
@@ -610,11 +645,7 @@ def enumerate_exhaustive(
     _check_ceiling(order, order, ceiling)
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
-    entries = tuple(
-        CatalogEntry(canonical_code(tri), order, tri, "exhaustive")
-        for tri in _search_cached(order, kind)
-    )
-    return Catalog(kind, order, order, "exhaustive", entries)
+    return Catalog(kind, order, order, "exhaustive", _search_cached(order, kind))
 
 
 def _check_ceiling(min_order: int, max_order: int, ceiling: int) -> None:
@@ -747,7 +778,7 @@ def parse_catalog(text: str) -> Catalog:
                 f"line {lineno}: face list triangulates the "
                 f"{tri.surface_kind}, header says {kind}"
             )
-        entries.append(CatalogEntry(code, order, tri, provenance))
+        entries.append(_catalogued(code, tri, provenance))
     try:
         catalog = Catalog(kind, lo, hi, engine, tuple(entries))
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -14,7 +15,8 @@ import trisurf as ts
 from trisurf import enumeration, errors
 from trisurf.enumeration import BASES, Catalog
 
-from conftest import brute_force_isomorphic
+from conftest import brute_force_isomorphic, reference_build
+from test_complex_core import _outcome
 
 
 class TestExhaustive:
@@ -115,6 +117,11 @@ SEARCH_PINS = [
     (8, KLEIN_BOTTLE, 1682, 27, 6, "a3a1bef4db8bca8e08929f6d071a5a9cc415fb255b37926f8c340f91a25a72d3"),
 ]
 NAMED_KINDS = (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND)
+# link_commit calls: three per face committed, one per boundary edge
+# declared.  The degree-sum exit before link_ok cuts no node that the test
+# after the commit would not, so only this count shows it: without it
+# Moebius 7 makes 14,237 calls.
+LINK_COMMIT_PINS = {(7, ts.MOEBIUS_BAND): 11639}
 
 
 def _pin_id(n: int, kind) -> str:
@@ -169,19 +176,19 @@ class TestSearchContract:
             calls.append(None)
             return real_build(faces)
 
-        rec_calls = []
+        counts = {"rec": 0, "link_commit": 0}
         search_file = enumeration.__file__
 
-        def count_rec(frame, event, arg):
+        def count_calls(frame, event, arg):
             code = frame.f_code
-            if (event == "call" and code.co_name == "rec"
+            if (event == "call" and code.co_name in counts
                     and code.co_filename == search_file):
-                rec_calls.append(None)
+                counts[code.co_name] += 1
 
         def counted_search():
             # The hook fires on every call the search makes, and it costs
             # less on a thread's short stack than at pytest's depth.
-            sys.setprofile(count_rec)
+            sys.setprofile(count_calls)
             try:
                 found.extend(enumeration._search(n, kind))
             finally:
@@ -192,8 +199,10 @@ class TestSearchContract:
         thread = threading.Thread(target=counted_search)
         thread.start()
         thread.join()
-        assert (len(rec_calls), len(calls), len(found)) == (nodes, builds, classes)
-        assert _digest(tri.faces for tri in found) == digest
+        assert (counts["rec"], len(calls), len(found)) == (nodes, builds, classes)
+        assert _digest(e.triangulation.faces for e in found) == digest
+        if (n, kind) in LINK_COMMIT_PINS:
+            assert counts["link_commit"] == LINK_COMMIT_PINS[n, kind]
 
     @pytest.mark.parametrize(
         "n, kind", [pytest.param(*pin[:2], id=_pin_id(*pin[:2])) for pin in SEARCH_PINS]
@@ -203,7 +212,8 @@ class TestSearchContract:
         # the least degree, sum deg = 2E = 3 * 2(n - chi) - 2b, and a
         # boundary has at least 3 edges.  Read from build's own values.
         budget = 2 * (n - kind.euler_characteristic)
-        for tri in enumeration._search_cached(n, kind):
+        for entry in enumeration._search_cached(n, kind):
+            tri = entry.triangulation
             degrees, b = tri.degrees, len(tri.boundary_edges)
             assert degrees[0] == min(degrees)
             assert sum(degrees) == 3 * budget - 2 * b
@@ -215,17 +225,17 @@ class TestSearchContract:
     def test_search_returns_only_the_asked_surface(self, n):
         for kind in (*NAMED_KINDS, TORUS, KLEIN_BOTTLE):
             found = enumeration._search_cached(n, kind)
-            assert {tri.surface_kind for tri in found} <= {kind}
+            assert {e.triangulation.surface_kind for e in found} <= {kind}
 
     @pytest.mark.parametrize("n", sorted(BORDERED_CAP_DIGESTS))
     def test_face_cap_representatives_are_kept(self, n):
         # The cached queries, so order 8 shares the catalogs' searches.
         found = sorted(
-            (tri for kind in (ts.MOEBIUS_BAND, ts.DISK, ts.SPHERE)
-             for tri in enumeration._search_cached(n, kind)),
-            key=ts.canonical_code,
+            (entry for kind in (ts.MOEBIUS_BAND, ts.DISK, ts.SPHERE)
+             for entry in enumeration._search_cached(n, kind)),
+            key=lambda entry: entry.code,
         )
-        assert _digest(tri.faces for tri in found) == BORDERED_CAP_DIGESTS[n]
+        assert _digest(e.triangulation.faces for e in found) == BORDERED_CAP_DIGESTS[n]
 
     def test_order_8_bordered_representatives_are_pinned(self):
         # The cached query that the order-8 Moebius catalog and the
@@ -233,7 +243,7 @@ class TestSearchContract:
         # nodes would.
         found = enumeration._search_cached(8, ts.MOEBIUS_BAND)
         assert len(found) == 965
-        assert _digest(tri.faces for tri in found) == (
+        assert _digest(e.triangulation.faces for e in found) == (
             "48e255eab6ece6d0c9a372525cd3bb55c4e6f46083c94f8913503169716ea9e9"
         )
 
@@ -273,6 +283,33 @@ def test_exhaustive_search_shares_no_symmetry_or_split_code():
     assert names.isdisjoint(
         {"automorphisms", "all_splits", "vertex_orbits", "cable_subgraph"}
     )
+
+
+def test_catalog_values_are_stored_bare(monkeypatch):
+    # Both engines and the parser store each class bare: the value holds
+    # its fields alone, derived data read later equals the oracle's, and
+    # recoding the value gives the entry's code.  The search runs uncached,
+    # so no other test has read its values.
+    monkeypatch.setattr(
+        enumeration, "_search_cached", enumeration._search_cached.__wrapped__
+    )
+    closure = ts.generate_by_splitting(
+        [ts.build(faces) for faces in BASES[ts.MOEBIUS_BAND]], 8
+    )
+    catalogs = (
+        closure,
+        ts.parse_catalog(ts.serialize_catalog(closure)),
+        ts.enumerate_exhaustive(ts.MOEBIUS_BAND, 7),
+    )
+    fields = {field.name for field in dataclasses.fields(ts.Triangulation)}
+    entries = [entry for catalog in catalogs for entry in catalog.entries]
+    assert len(entries) == 2 * 1058 + 83
+    for entry in entries:
+        assert set(vars(entry.triangulation)) == fields, entry.provenance
+    for entry in entries:
+        tri = entry.triangulation
+        assert _outcome(lambda _: tri, None) == _outcome(reference_build, tri.faces)
+        assert ts.canonical_code(tri) == entry.code
 
 
 class TestSplittingClosure:
