@@ -29,8 +29,8 @@ print(f"witness bijection: {witness}")
 # Automorphisms: the quotient is flag-transitive, so its group has one
 # element per flag (10 faces, each with 6 vertex orderings: 60) and a
 # single vertex orbit.
-group = ts.automorphisms(projective)
-print(f"|Aut| = {group.size}, vertex orbits = {group.orbits}")
+print(f"|Aut| = {len(ts.automorphisms(projective))}, "
+      f"vertex orbits = {ts.vertex_orbits(projective)}")
 
 # The 7-vertex irreducible projective-plane member is less symmetric:
 # the vertices fall into two orbits, of sizes 4 and 3.

@@ -28,7 +28,6 @@ from .complex_core import (  # noqa: F401
     remove_vertex_star,
 )
 from .canon import (  # noqa: F401
-    AutomorphismGroup,
     CanonicalCode,
     automorphisms,
     canonical_code,

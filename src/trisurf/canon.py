@@ -49,36 +49,12 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 
 from .complex_core import Triangulation, build
 
 CanonicalCode = bytes
 Flag = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class AutomorphismGroup:
-    """All face-preserving vertex permutations of a triangulation.
-
-    ``elements`` maps vertex ``v`` to ``perm[v]``; the identity is always
-    present and the list is closed under composition and inverse.
-    """
-
-    order: int
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        # The elements form a group, so the images of v are its orbit.
-        return tuple(sorted({
-            tuple(sorted({perm[v] for perm in self.elements})) for v in range(self.order)
-        }))
 
 
 def _cross_map(tri: Triangulation) -> dict[int, tuple[int, int, int, int]]:
@@ -258,19 +234,21 @@ def isomorphism(t1: Triangulation, t2: Triangulation) -> dict[int, int] | None:
     return {v: inverse2[label1[v]] for v in range(t1.order)}
 
 
-def automorphisms(tri: Triangulation) -> AutomorphismGroup:
+def automorphisms(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
     """Every face-preserving vertex permutation, read off the canonical form.
+
+    Each permutation ``perm`` maps vertex ``v`` to ``perm[v]``; the tuple
+    is sorted, so the identity comes first.
 
     Each labelling realising the canonical code sends the complex onto the
     same face list, so any labelling followed by the inverse of the first
     is an automorphism, and every automorphism arises once this way.  (These
     are the inverses of the first followed by the inverse of each; the set,
-    and so the sorted list, is the same.)
+    and so the sorted tuple, is the same.)
     """
     labellings = tri._canonical[1]
     inverse = _inverse(labellings[0])
-    elements = sorted(tuple(map(inverse.__getitem__, label)) for label in labellings)
-    return AutomorphismGroup(order=tri.order, elements=tuple(elements))
+    return tuple(sorted(tuple(map(inverse.__getitem__, label)) for label in labellings))
 
 
 def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:

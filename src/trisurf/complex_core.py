@@ -1,10 +1,11 @@
 """Face-set model of surface triangulations.
 
-A triangulation is stored as nothing but its set of triangular faces;
-edges, vertex links, boundary cycles and the topological type of the
-underlying surface are all derived from the faces.  Construction always
-validates the surface conditions, so every ``Triangulation`` instance in
-circulation is a genuine triangulation of a (possibly bordered) surface:
+A triangulation is stored as nothing but its set of triangular faces
+and its vertex count; edges, vertex links, boundary cycles and the
+topological type of the underlying surface are all derived from the
+faces.  Construction always validates the surface conditions, so every
+``Triangulation`` instance in circulation is a genuine triangulation of
+a (possibly bordered) surface:
 
 * every edge lies in one face (boundary) or two faces (interior),
 * the link of every vertex is a single cycle or a single simple path,
@@ -22,17 +23,17 @@ Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
 the instance on first use, so it lives exactly as long as the value.
 A catalog stores each class's value bare, as ``Triangulation(faces,
-source_labels)`` with its code in the catalog entry: once a class is
-coded (and, in the splitting closure, split) no engine reads its derived
-data again, and the closure's top order, most of the classes, is never
-split.  A later reader recomputes what it reads through the same
-properties.
-The cables are set algebra on it: the edges minus the four impediment
-sets ``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
-``minimal_edges``, each at most one pass over the edges (see :mod:`trisurf.moves` for the rule).
-Vertex ids are always the dense range ``0..order-1``: arbitrary input
-labels are remapped by :func:`build` and the original labels are kept in
-``source_labels`` for reporting.
+order)`` with its code in the catalog entry: once a class is coded (and,
+in the splitting closure, split) no engine reads its derived data again,
+and the closure's top order, most of the classes, is never split.  A
+later reader recomputes what it reads through the same properties.
+
+The cables of a value are set algebra on its edges: the edges minus the
+four impediment sets ``nonfacial_edges``, ``chords``,
+``boundary_triangle_edges`` and ``minimal_edges``, each at most one pass
+over the edges (see :mod:`trisurf.moves` for the rule).
+Vertex ids are always the dense range ``0..order-1``: :func:`build`
+remaps arbitrary input labels to it.
 """
 
 from __future__ import annotations
@@ -111,17 +112,16 @@ def _normalise_face(face: Sequence[int]) -> Face:
 class Triangulation:
     """An immutable, validated face-set complex.
 
-    Do not call the constructor directly: use :func:`build`, which
-    validates the surface conditions and remaps vertex labels to the
-    dense range ``0..order-1``.
+    The constructor takes a face tuple that is already validated, dense
+    (its vertices are exactly ``0..order-1``) and sorted, each face sorted
+    too, and its order, and checks none of this.  Any other face list goes
+    through :func:`build`, which validates the surface conditions and
+    remaps vertex labels to that range.  The order is the vertex count and
+    takes no part in equality or hashing: equal faces make equal values.
     """
 
     faces: tuple[Face, ...]
-    source_labels: tuple[int, ...] = field(compare=False, default=())
-
-    @property
-    def order(self) -> int:
-        return len(self.source_labels)
+    order: int = field(compare=False)
 
     @property
     def vertices(self) -> range:
@@ -311,9 +311,8 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     """Validate a face list and return the triangulation it spans.
 
     Input labels may be any non-negative integers; they are remapped to
-    ``0..order-1`` (in increasing label order) and the original labels are
-    retained in ``source_labels``.  Labels that already are the ints
-    ``0..order-1`` are kept as they are.
+    ``0..order-1`` in increasing label order.  Labels that already are the
+    ints ``0..order-1`` are kept as they are.
 
     Validation takes one sweep over the faces.  It files every face under
     its three edges and, per vertex, joins the face's link edge to the
@@ -350,10 +349,8 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
         and max(labels) == n - 1
     ):
         dense = tuple(sorted(unique))
-        source_labels = tuple(range(n))
     else:
-        source_labels = tuple(sorted(labels))
-        index = {label: i for i, label in enumerate(source_labels)}
+        index = {label: i for i, label in enumerate(sorted(labels))}
         # The remap preserves order, so each remapped face stays sorted.
         dense = tuple(sorted((index[a], index[b], index[c]) for a, b, c in unique))
 
@@ -399,7 +396,7 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     if count != n:
         raise Disconnected(f"complex has {n - count} unreachable vertices")
 
-    tri = Triangulation(faces=dense, source_labels=source_labels)
+    tri = Triangulation(dense, n)
     # Seed the cached properties with what validation already computed.
     cache = tri.__dict__
     cache["edge_faces"] = edge_faces

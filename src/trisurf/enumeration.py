@@ -153,8 +153,9 @@ BASES: dict[SurfaceKind, tuple[tuple[Face, ...], ...]] = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One class of a catalog: its canonical code, its order, one labelled
-    representative and how the engine reached it.
+    """One class of a catalog: its canonical code, one labelled
+    representative, whose order is the entry's, and how the engine
+    reached it.
 
     The code is the entry's, not the value's: ``triangulation`` is stored
     bare (see :func:`_catalogued`), so derived data read from it, the
@@ -162,9 +163,12 @@ class CatalogEntry:
     """
 
     code: bytes
-    order: int
     triangulation: Triangulation
     provenance: str
+
+    @property
+    def order(self) -> int:
+        return self.triangulation.order
 
 
 def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntry:
@@ -172,7 +176,7 @@ def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntr
 
     This is the one catalog rule: every value a catalog holds, from either
     engine or from catalog text, is stored through here, and holds only
-    the faces and source labels; the code lives in the entry.  What
+    the faces and order; the code lives in the entry.  What
     ``build`` and ``canonical_code`` cached on ``tri`` is dropped because
     no engine reads it again: a search class and a parsed record are done
     once coded, and a closure class once its own children are expanded,
@@ -182,9 +186,7 @@ def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntr
     keys deleted from ``tri.__dict__``, which measured slower in the
     closure loop.
     """
-    return CatalogEntry(
-        code, tri.order, Triangulation(tri.faces, tri.source_labels), provenance
-    )
+    return CatalogEntry(code, Triangulation(tri.faces, tri.order), provenance)
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ def generate_by_splitting(
         # A class below the top keeps its links and labellings until its
         # own children are expanded.
         if tri.order < max_order:
-            return CatalogEntry(code, tri.order, tri, provenance)
+            return CatalogEntry(code, tri, provenance)
         return _catalogued(code, tri, provenance)
 
     entries: dict[bytes, CatalogEntry] = {}

@@ -271,7 +271,7 @@ def all_splits(
     """
     # Two descriptors lie in one orbit exactly when their least images
     # under the group are equal.
-    elements = automorphisms(tri).elements
+    elements = automorphisms(tri)
     orbits: dict[tuple[int, ...], list[Corner | TruncatedCorner]] = {}
     for corner in corners(tri):
         v, u, w = corner.v, corner.u, corner.w

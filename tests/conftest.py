@@ -1,5 +1,6 @@
 """Shared fixtures, the brute-force isomorphism oracle, the reference
-build, the reference canonical form and the reference orientability test.
+build, the reference canonical form, the reference vertex orbits and the
+reference orientability test.
 
 The heavyweight catalogs and the split scans over them are
 session-scoped: the exhaustive searches are cached per process, so the
@@ -96,6 +97,16 @@ def brute_force_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
     return extend(0)
 
 
+def group_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
+    """Reference for :func:`trisurf.vertex_orbits`: the orbit of each vertex
+    read off the listed automorphism group, one orbit per distinct set."""
+    elements = ts.automorphisms(tri)
+    # The elements form a group, so the images of v are its orbit.
+    return tuple(sorted({
+        tuple(sorted({perm[v] for perm in elements})) for v in range(tri.order)
+    }))
+
+
 def _reference_normalise_face(face) -> Face:
     values = tuple(face)
     if len(values) != 3 or len(set(values)) != 3:
@@ -129,7 +140,7 @@ def reference_build(faces) -> Triangulation:
     dense = tuple(sorted(
         tuple(sorted((index[a], index[b], index[c]))) for a, b, c in unique
     ))
-    tri = Triangulation(faces=dense, source_labels=tuple(labels))
+    tri = Triangulation(dense, len(labels))
     for edge, incident in tri.edge_faces.items():
         if len(incident) > 2:
             raise NonSurfaceEdge(

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import pytest
 
 import trisurf as ts
+from trisurf import cli
 from trisurf.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 # Pinned `trisurf classify` output: the rows, verdicts and impediment
 # order are part of the command's byte-identical contract.
@@ -111,6 +115,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 2\n1 1 2\n", "InvalidFace: line 2: face must have 3 distinct vertices\n"),
+        ("# no faces\n\n# at all\n", "EmptyComplex: no faces in input\n"),
+    ])
+    def test_invalid_complex_is_a_one_line_failure(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.tri"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == message
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.tri")]) == 2
 
@@ -191,6 +205,18 @@ class TestApply:
         path.write_text(ts.dumps(tetrahedron), encoding="utf-8")
         assert main(["apply", str(path), "sh 0 1"]) == 1
         assert capsys.readouterr().err == "RodEdge: edge 0-1 is a rod (minimal)\n"
+
+    @pytest.mark.parametrize("descriptor, message", [
+        ("spt 0 9", "UnknownEdge: 0-9 is not an edge\n"),
+        ("sp 9 0 1 a", "NotACorner: vertex 9 does not exist\n"),
+    ])
+    def test_descriptor_off_the_complex_is_a_one_line_failure(
+        self, capsys, descriptor, message
+    ):
+        assert main(["apply", str(DATA / "moebius_band_5.tri"), descriptor]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
     def test_bad_descriptor_is_usage_error(self, quotient_file, capsys):
         assert main(["apply", str(quotient_file), "flip 0 1"]) == 2
@@ -312,6 +338,38 @@ class TestVerifyMoebius:
         members = (out / "moebius_members.txt").read_text()
         assert "result: PASS" in certificate
         assert members.count("member M") == 6
+
+    def test_failed_certificate_names_each_clause_and_writes_both_reports(
+        self, monkeypatch, projective_catalog, tmp_path, capsys
+    ):
+        # A census catalog without its order-6 member fails six clauses.
+        damaged = dataclasses.replace(projective_catalog, entries=tuple(
+            e for e in projective_catalog.entries if e.order != 6
+        ))
+        real = cli.build_certificate
+        built = []
+
+        def with_damaged_catalog(**kwargs):
+            built.append(real(projective_catalog=damaged, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_certificate", with_damaged_catalog)
+        out = tmp_path / "cert"
+        assert main(["verify-moebius", "--max-order", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        (certificate,) = built
+        assert {c.ident for c in certificate.failures} == {
+            "census-counts", "irreducible-basis", "engine-agreement",
+            "orbit-structure", "derivation", "exhaustive-cross-check",
+        }
+        assert err == "".join(
+            f"FAILED clause [{c.ident}]: {c.evidence}\n" for c in certificate.failures
+        )
+        assert err.count("\n") == len(certificate.failures)
+        assert "result: FAIL" in (out / "moebius_certificate.txt").read_text()
+        assert (out / "moebius_members.txt").read_text() == (
+            ts.render_members_report(certificate)
+        )
 
     def test_ceiling_violation_runs_no_step(self, no_search, tmp_path, capsys):
         out = tmp_path / "cert"

@@ -84,7 +84,7 @@ def _outcome(build, soup) -> str:
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return repr((
-        tri.faces, tri.source_labels, tri.edges, tri.neighbors, tri.degrees,
+        tri.faces, tri.order, tri.edges, tri.neighbors, tri.degrees,
         sorted(tri.boundary_vertices), tri.links, tri.surface_kind,
     ))
 
@@ -100,7 +100,14 @@ class TestBuild:
     def test_labels_are_remapped_densely(self):
         tri = ts.build([(10, 20, 7)])
         assert tri.faces == ((0, 1, 2),)
-        assert tri.source_labels == (7, 10, 20)
+        assert tri.order == 3
+
+    def test_value_is_its_faces_and_order(self, proj_plane):
+        # The order is a field with no default: a value built without it
+        # is refused, not given 0 vertices.
+        assert ts.Triangulation(proj_plane.faces, proj_plane.order) == proj_plane
+        with pytest.raises(TypeError):
+            ts.Triangulation(proj_plane.faces)
 
     def test_empty_input_rejected(self):
         with pytest.raises(errors.EmptyComplex):

@@ -49,6 +49,10 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded):
             ts.enumerate_exhaustive(ts.SPHERE, 10)
 
+    def test_more_than_one_boundary_cycle_is_refused(self):
+        with pytest.raises(ValueError, match="at most one boundary cycle"):
+            ts.enumerate_exhaustive(ts.SurfaceKind(0, True, 2), 6)
+
     def test_order_beyond_the_search_limit_is_refused(self):
         with pytest.raises(errors.CeilingExceeded, match="limit 15"):
             ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
@@ -301,11 +305,16 @@ def test_catalog_values_are_stored_bare(monkeypatch):
         ts.parse_catalog(ts.serialize_catalog(closure)),
         ts.enumerate_exhaustive(ts.MOEBIUS_BAND, 7),
     )
+    assert [field.name for field in dataclasses.fields(ts.CatalogEntry)] == [
+        "code", "triangulation", "provenance",
+    ]
     fields = {field.name for field in dataclasses.fields(ts.Triangulation)}
+    assert fields == {"faces", "order"}
     entries = [entry for catalog in catalogs for entry in catalog.entries]
     assert len(entries) == 2 * 1058 + 83
     for entry in entries:
         assert set(vars(entry.triangulation)) == fields, entry.provenance
+        assert entry.order == len(set().union(*entry.triangulation.faces))
     for entry in entries:
         tri = entry.triangulation
         assert _outcome(lambda _: tri, None) == _outcome(reference_build, tri.faces)
@@ -388,6 +397,10 @@ class TestSplittingClosure:
     def test_surface_without_a_stored_basis_is_refused(self):
         with pytest.raises(ValueError, match="no stored splitting basis"):
             ts.enumerate_splitting_range(ts.SurfaceKind(0, True, 0), 7, 7)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            ts.generate_by_splitting([], 5)
 
     def test_seed_order_above_max_rejected(self, tetrahedron):
         with pytest.raises(ValueError):
@@ -519,6 +532,11 @@ class TestCatalogFile:
         ]
         assert ts.serialize_catalog(again) == text
 
+    def test_blank_lines_between_records_are_skipped(self, sphere_catalog_4_6):
+        text = ts.serialize_catalog(sphere_catalog_4_6)
+        spaced = text.replace("\n", "\n\n").replace("---\n\n", "---\n")
+        assert ts.serialize_catalog(ts.parse_catalog(spaced)) == text
+
     def test_tampered_face_list_is_rejected(self, sphere_catalog_4_6):
         text = ts.serialize_catalog(sphere_catalog_4_6)
         lines = text.splitlines()
@@ -556,6 +574,11 @@ class TestCatalogFile:
     def test_catalog_refuses_a_reversed_range(self):
         with pytest.raises(ValueError, match="9..4 runs backwards"):
             Catalog(ts.SPHERE, 9, 4, "splitting", ())
+
+    def test_get_of_an_absent_code_names_it(self, sphere_catalog_4_6):
+        assert sphere_catalog_4_6.get(sphere_catalog_4_6.codes()[0]).order == 4
+        with pytest.raises(KeyError, match="^'00'$"):
+            sphere_catalog_4_6.get(b"\0")
 
     def test_unknown_engine_is_a_parse_error(self):
         with pytest.raises(errors.ParseError, match="line 3: unknown engine 'bogus'"):

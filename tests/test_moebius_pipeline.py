@@ -263,9 +263,7 @@ class TestCertificate:
         self, monkeypatch, projective_catalog, proj_plane
     ):
         real = moebius_pipeline.enumerate_exhaustive_range
-        extra = CatalogEntry(
-            ts.canonical_code(proj_plane), proj_plane.order, proj_plane, "injected"
-        )
+        extra = CatalogEntry(ts.canonical_code(proj_plane), proj_plane, "injected")
 
         def with_extra(kind, min_order, max_order, ceiling):
             catalog = real(kind, min_order, max_order, ceiling)
