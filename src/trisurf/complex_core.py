@@ -38,11 +38,10 @@ remaps arbitrary input labels to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     Disconnected,
@@ -61,8 +60,7 @@ Face = tuple[int, int, int]
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SurfaceKind:
+class SurfaceKind(NamedTuple):
     """Topological type of the surface underlying a triangulation."""
 
     euler_characteristic: int
@@ -108,7 +106,9 @@ def _normalise_face(face: Sequence[int]) -> Face:
     return (a, b, c)
 
 
-@dataclass(frozen=True)
+_set_field = object.__setattr__
+
+
 class Triangulation:
     """An immutable, validated face-set complex.
 
@@ -118,10 +118,31 @@ class Triangulation:
     through :func:`build`, which validates the surface conditions and
     remaps vertex labels to that range.  The order is the vertex count and
     takes no part in equality or hashing: equal faces make equal values.
+
+    Assignment is refused; derived data is written straight to the
+    instance ``__dict__``, by ``cached_property`` and by :func:`build`.
     """
 
     faces: tuple[Face, ...]
-    order: int = field(compare=False)
+    order: int
+
+    def __init__(self, faces: tuple[Face, ...], order: int) -> None:
+        _set_field(self, "faces", faces)
+        _set_field(self, "order", order)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.faces == other.faces
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.faces,))
 
     @property
     def vertices(self) -> range:
@@ -316,10 +337,10 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
 
     Validation takes one sweep over the faces.  It files every face under
     its three edges and, per vertex, joins the face's link edge to the
-    partial link paths seen so far, counting the pieces.  Then every edge
-    must lie in at most two faces, every link must be one piece (a single
-    path or cycle), and the graph, whose sorted neighbour lists come from
-    the sorted edges, must be connected.  Edges, edge faces, neighbours,
+    partial link paths seen so far, counting the cycles it closes.  Then
+    every edge must lie in at most two faces, every link must be one piece
+    (a single path or cycle), and the graph, whose sorted neighbour lists
+    come from the sorted edges, must be connected.  Edges, edge faces, neighbours,
     degrees and boundary vertices (those whose link is a path) stay cached
     on the result; vertex links are built on first use.
 
@@ -329,7 +350,16 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     :class:`Disconnected`, checked in that order, when the input is not a
     surface complex.
     """
-    normalised = [_normalise_face(face) for face in faces]
+    normalised = []
+    append = normalised.append
+    for face in faces:
+        # A face that is already three sorted ints is kept as it is.
+        if type(face) is tuple and len(face) == 3:
+            a, b, c = face
+            if type(a) is type(b) is type(c) is int and a < b < c:
+                append(face)
+                continue
+        append(_normalise_face(face))
     if not normalised:
         raise EmptyComplex("a triangulation needs at least one face")
     unique = set(normalised)
@@ -354,25 +384,56 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
         # The remap preserves order, so each remapped face stays sorted.
         dense = tuple(sorted((index[a], index[b], index[c]) for a, b, c in unique))
 
+    # Each face is filed under its three edges and gives each of its
+    # vertices one link edge.  ``ends[v]`` maps each end of an open path
+    # piece of v's partial link to the path's other end; a link vertex not
+    # yet seen is a path with both ends on itself.  A link edge joins two
+    # pieces into one unless it closes a path into a cycle.  (A vertex that
+    # has had both its link edges is no end; a third would put an edge in
+    # three faces, which is reported first.)
     edge_map: dict[Edge, tuple[Face, ...]] = {}
     get = edge_map.get
     ends: list[dict[int, int]] = [{} for _ in range(n)]
-    pieces = [0] * n
+    cycles = 0
     for face in dense:
         a, b, c = face
-        for edge in ((a, b), (a, c), (b, c)):
-            edge_map[edge] = get(edge, ()) + (face,)
-        pieces[a] += _join_link_edge(ends[a], b, c)
-        pieces[b] += _join_link_edge(ends[b], a, c)
-        pieces[c] += _join_link_edge(ends[c], a, b)
+        edge_map[a, b] = get((a, b), ()) + (face,)
+        edge_map[a, c] = get((a, c), ()) + (face,)
+        edge_map[b, c] = get((b, c), ()) + (face,)
+        link = ends[a]
+        x = link.pop(b, b)
+        y = link.pop(c, c)
+        if x == c:
+            cycles += 1
+        else:
+            link[x], link[y] = y, x
+        link = ends[b]
+        x = link.pop(a, a)
+        y = link.pop(c, c)
+        if x == c:
+            cycles += 1
+        else:
+            link[x], link[y] = y, x
+        link = ends[c]
+        x = link.pop(a, a)
+        y = link.pop(b, b)
+        if x == b:
+            cycles += 1
+        else:
+            link[x], link[y] = y, x
 
     if max(map(len, edge_map.values())) > 2:
         u, v = min(e for e, inc in edge_map.items() if len(inc) > 2)
         raise NonSurfaceEdge(f"edge {u}-{v} lies in {len(edge_map[u, v])} faces")
-    if pieces.count(1) != n:
-        v = next(v for v, k in enumerate(pieces) if k != 1)
-        _vertex_link(v, [face for face in dense if v in face])
-        raise AssertionError(f"the link of vertex {v} is in {pieces[v]} pieces")
+    # A vertex's link starts as one piece per link vertex, its degree, and
+    # each of its link edges, one per face at the vertex, joins two pieces
+    # unless it closes a cycle: over all links, 2E - 3F + cycles pieces.
+    # No link is empty, so every link is one piece exactly when that is n.
+    if 2 * len(edge_map) - 3 * len(dense) + cycles != n:
+        # The lowest vertex whose link is not one piece raises.
+        for v in range(n):
+            _vertex_link(v, [face for face in dense if v in face])
+        raise AssertionError("a vertex link is in more than one piece")
 
     # Sorting on the edge alone keeps the comparisons off the face tuples.
     edge_faces = dict(sorted(edge_map.items(), key=itemgetter(0)))
@@ -407,30 +468,6 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     # on the boundary.
     cache["boundary_vertices"] = frozenset(compress(range(n), ends))
     return tri
-
-
-def _join_link_edge(ends: dict[int, int], x: int, y: int) -> int:
-    """Add link edge ``x-y`` to a vertex's partial link; return the change
-    in its number of pieces.
-
-    ``ends`` maps each end of an open path piece to the path's other end.
-    A link vertex is an end until its second link edge arrives; a third
-    would put an edge in three faces, which :func:`build` reports first.
-    """
-    ex = ends.pop(x, None)
-    ey = ends.pop(y, None)
-    if ex is None and ey is None:
-        ends[x], ends[y] = y, x
-        return 1
-    if ex is None:
-        ends[ey], ends[x] = x, ey
-    elif ey is None:
-        ends[ex], ends[y] = y, ex
-    elif ex != y:
-        # Two paths merge; ex == y would close one path into a cycle.
-        ends[ex], ends[ey] = ey, ex
-        return -1
-    return 0
 
 
 def _vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:

@@ -91,8 +91,8 @@ check of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import __version__
 from .canon import canonical_code
@@ -151,8 +151,7 @@ BASES: dict[SurfaceKind, tuple[tuple[Face, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One class of a catalog: its canonical code, one labelled
     representative, whose order is the entry's, and how the engine
     reached it.
@@ -189,24 +188,68 @@ def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntr
     return CatalogEntry(code, Triangulation(tri.faces, tri.order), provenance)
 
 
-@dataclass(frozen=True)
 class Catalog:
+    """The classes of one surface kind over an order range, from one
+    engine, sorted by (order, code).
+
+    The constructor refuses a range that runs backwards, repeated codes
+    and unsorted entries.  Values compare and hash on their five fields and
+    refuse assignment.
+    """
+
     kind: SurfaceKind
     min_order: int
     max_order: int
     engine: str
     entries: tuple[CatalogEntry, ...]
 
-    def __post_init__(self) -> None:
-        if self.min_order > self.max_order:
+    def __init__(
+        self,
+        kind: SurfaceKind,
+        min_order: int,
+        max_order: int,
+        engine: str,
+        entries: tuple[CatalogEntry, ...],
+    ) -> None:
+        if min_order > max_order:
             raise ValueError(
-                f"catalog order range {self.min_order}..{self.max_order} runs backwards"
+                f"catalog order range {min_order}..{max_order} runs backwards"
             )
-        codes = [entry.code for entry in self.entries]
+        codes = [entry.code for entry in entries]
         if len(set(codes)) != len(codes):
             raise ValueError("catalog entries must have distinct codes")
-        if list(self.entries) != sorted(self.entries, key=lambda e: (e.order, e.code)):
+        if list(entries) != sorted(entries, key=lambda e: (e.order, e.code)):
             raise ValueError("catalog entries must be sorted by (order, code)")
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)
+        set_field(self, "min_order", min_order)
+        set_field(self, "max_order", max_order)
+        set_field(self, "engine", engine)
+        set_field(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.min_order, self.max_order, self.engine, self.entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Catalog(kind={self.kind!r}, min_order={self.min_order!r}, "
+            f"max_order={self.max_order!r}, engine={self.engine!r}, "
+            f"entries={self.entries!r})"
+        )
 
     def codes(self) -> tuple[bytes, ...]:
         return tuple(entry.code for entry in self.entries)
@@ -230,8 +273,7 @@ class Catalog:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class CatalogDiff:
+class CatalogDiff(NamedTuple):
     only_in_a: tuple[CatalogEntry, ...]
     only_in_b: tuple[CatalogEntry, ...]
 

@@ -28,8 +28,8 @@ step.  The tests run the same clauses on a sphere -> disk record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .canon import canonical_code, vertex_orbits
 from .complex_core import (
@@ -52,8 +52,7 @@ from .errors import IncompleteCatalog, NotBordered, NotClosed, NotIrreducible
 from .moves import all_splits, cable_subgraph, is_irreducible
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     """What the argument expects of a closed surface and of ``bordered``,
     the same surface less one vertex star (chi one lower, one boundary
     cycle); one certificate clause checks each expectation.
@@ -100,8 +99,7 @@ def pylonic_vertices(tri: Triangulation) -> frozenset[int]:
     return frozenset(common)
 
 
-@dataclass(frozen=True)
-class PatchConfinementReport:
+class PatchConfinementReport(NamedTuple):
     """Checks on the cone over an irreducible bordered triangulation."""
 
     coned_code: bytes
@@ -144,8 +142,7 @@ def verify_patch_confinement(tri: Triangulation) -> PatchConfinementReport:
     )
 
 
-@dataclass(frozen=True)
-class DerivationRecord:
+class DerivationRecord(NamedTuple):
     parent_code: bytes
     parent_order: int
     removed_vertex: int
@@ -193,8 +190,7 @@ def derive_irreducible_moebius(
     return sorted(records.values(), key=lambda r: (r.triangulation.order, r.code))
 
 
-@dataclass(frozen=True)
-class SplitScanReport:
+class SplitScanReport(NamedTuple):
     """Outcome of checking every split of a set of catalog members."""
 
     checked: tuple[tuple[bytes, int], ...]
@@ -259,16 +255,14 @@ def check_no_pylonic_creation(catalog: Catalog) -> SplitScanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     ident: str
     statement: str
     passed: bool
     evidence: str
 
 
-@dataclass(frozen=True)
-class CompletenessCertificate:
+class CompletenessCertificate(NamedTuple):
     argument: Argument
     max_cross_check_order: int
     catalog: Catalog

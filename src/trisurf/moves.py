@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import automorphisms
 from .complex_core import Edge, Face, Triangulation, build
@@ -81,8 +81,7 @@ class Impediment(enum.Enum):
     MINIMAL = "minimal"
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """Unordered pair of distinct edges ``vu``, ``vw`` at vertex ``v``."""
 
     v: int
@@ -93,8 +92,7 @@ class Corner:
         return f"sp {self.v} {self.u} {self.w} a"
 
 
-@dataclass(frozen=True)
-class TruncatedCorner:
+class TruncatedCorner(NamedTuple):
     """Edge ``vu`` at a boundary vertex ``v``; the cut runs out through ``v``."""
 
     v: int

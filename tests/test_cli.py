@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -343,9 +342,11 @@ class TestVerifyMoebius:
         self, monkeypatch, projective_catalog, tmp_path, capsys
     ):
         # A census catalog without its order-6 member fails six clauses.
-        damaged = dataclasses.replace(projective_catalog, entries=tuple(
-            e for e in projective_catalog.entries if e.order != 6
-        ))
+        damaged = ts.Catalog(
+            projective_catalog.kind, projective_catalog.min_order,
+            projective_catalog.max_order, projective_catalog.engine,
+            tuple(e for e in projective_catalog.entries if e.order != 6),
+        )
         real = cli.build_certificate
         built = []
 

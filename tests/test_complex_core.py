@@ -64,7 +64,8 @@ def relabelled_children(draw):
 @st.composite
 def mixed_label_soups(draw):
     """A face soup or relabelled child in which labels may become floats,
-    and 0 and 1 may become booleans (equal, but not the same labels)."""
+    and 0 and 1 may become booleans (equal, but not the same labels); each
+    face is a list or a tuple."""
     soup = draw(st.one_of(FACE_SOUPS, relabelled_children()))
     convert = {
         "int": lambda v: v,
@@ -72,7 +73,9 @@ def mixed_label_soups(draw):
         "bool": lambda v: bool(v) if v in (0, 1) else v,
     }
     return [
-        [convert[draw(st.sampled_from(sorted(convert)))](v) for v in face]
+        draw(st.sampled_from((list, tuple)))(
+            convert[draw(st.sampled_from(sorted(convert)))](v) for v in face
+        )
         for face in soup
     ]
 
@@ -324,6 +327,7 @@ class TestReferenceBuild:
     @pytest.mark.parametrize("soup", [
         [(0, 1, 2), (True, 2, 3)],
         [(1, 0.0, 2), (1, 2, 3)],
+        [(0, 1, 2), (1, 2.0, 3)],
         [(0, 1, 2), (1, 2, 3), (1, 2, 4)],
         # Vertex 0's link: two cycles, then a cycle and a path.
         [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5), (0, 5, 6), (0, 6, 4)],

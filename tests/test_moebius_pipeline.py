@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import Counter
 
@@ -30,8 +29,9 @@ SPHERE_DISK = Argument(
 
 def _without(catalog, drop):
     """The catalog, same kind and order range, less the entries ``drop`` picks."""
-    return dataclasses.replace(
-        catalog, entries=tuple(e for e in catalog.entries if not drop(e))
+    return Catalog(
+        catalog.kind, catalog.min_order, catalog.max_order, catalog.engine,
+        tuple(e for e in catalog.entries if not drop(e)),
     )
 
 
@@ -317,7 +317,7 @@ class TestArgument:
         certificate = ts.build_certificate(
             max_cross_check_order=7,
             projective_catalog=projective_catalog,
-            argument=dataclasses.replace(MOEBIUS, **{field: wrong}),
+            argument=MOEBIUS._replace(**{field: wrong}),
         )
         assert {c.ident for c in certificate.failures} == {clause}
 
@@ -329,7 +329,7 @@ class TestArgument:
             ts.build_certificate(
                 max_cross_check_order=7,
                 projective_catalog=projective_catalog,
-                argument=dataclasses.replace(MOEBIUS, closed=ts.SPHERE),
+                argument=MOEBIUS._replace(closed=ts.SPHERE),
             )
 
 
