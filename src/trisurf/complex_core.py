@@ -574,7 +574,7 @@ def remove_vertex_star(tri: Triangulation, v: int) -> Triangulation:
     """
     if not tri.is_closed:
         raise NotClosed("star removal is only defined on closed complexes")
-    if not 0 <= v < tri.order:
+    if v not in range(tri.order):
         raise ResultNotSurface(f"vertex {v} does not exist")
     remaining = [face for face in tri.faces if v not in face]
     try:

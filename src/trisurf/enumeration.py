@@ -31,7 +31,12 @@ exactly one path.  The boundary is the link of an apex: the extra vertex
 ``n`` that ``cone_boundary`` would add.  Declaring an edge boundary adds
 it to the apex's link, and the edge counts that cone face as its second
 face, so the boundary obeys the same partial-link rules as every vertex
-link and closes only as the apex's one link piece.  Partial-link
+link and closes only as the apex's one link piece.  Each partial link is
+a set of paths with one slot per (vertex x, link vertex y): -1 while y is
+not in the link of x, the path's other end while y is an end, and -2 once
+y is inside a path or cycle, so the slot also reads y's link degree 0, 1
+or 2.  With a count of open paths per vertex that is the whole link state:
+a link with an edge and no open path is a closed cycle.  Partial-link
 feasibility and edge multiplicities prune the tree; new vertices must
 appear in discovery order, which cuts the labelled duplicates per
 isomorphism class down to one per flag.  A final invariant filter keeps
@@ -398,15 +403,15 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
     # ``cone_boundary`` adds: declaring edge u-v boundary adds link edge u-v
     # at n, so the boundary is the link of n, and the cone face counts as
     # the edge's second face.  A vertex's boundary degree is its link degree
-    # at n.  Edge keys are (u << 4) | v with u < v; link keys (x << 8) | y
-    # stay below 4096 at n <= 15.
+    # at n.  Edge keys are (u << 4) | v with u < v, and link keys (x << 4) | y
+    # hold the slots of the module docstring.  At n = MAX_SEARCH_ORDER = 15
+    # the apex is 15 and no link holds it, so y <= 14 and every key is at
+    # most (15 << 4) | 14 = 254: both tables fit in 256 slots.
     ecount = bytearray(256)        # edge key -> faces, the cone face included
-    ldeg = bytearray(4096)         # (x << 8) | y -> link degree of y at x
-    lend = [-1] * 4096             # path endpoint -> opposite endpoint
+    lend = [-1] * 256              # link key -> -1, opposite end, or -2
     lcomp = [0] * (n + 1)          # open link-path components per vertex
-    lclosed = bytearray(n + 1)     # link already a full cycle
     vdeg = [0] * n
-    apex = n << 8                  # link keys of the apex
+    apex = n << 4                  # link keys of the apex
     faces: list[tuple[int, int, int]] = []
     face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
@@ -419,16 +424,12 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
     used = 3
 
     def link_ok(x: int, p: int, q: int) -> bool:
-        """May link edge p-q be added at x?  (Pure check, no mutation.)"""
-        if lclosed[x]:
+        """May link edge p-q be added at the open link of x?  (Pure check,
+        no mutation; the caller refuses a closed link.)"""
+        ep = lend[(x << 4) | p]
+        if ep == -2 or lend[(x << 4) | q] == -2:
             return False
-        kp = (x << 8) | p
-        kq = (x << 8) | q
-        dp = ldeg[kp]
-        dq = ldeg[kq]
-        if dp == 2 or dq == 2:
-            return False
-        if dp == 1 and dq == 1 and lend[kp] == q:
+        if ep == q:
             # Would close a cycle: legal only as the link's one piece.  The
             # link of a boundary vertex never closes: its boundary edges are
             # full, so no face offers a link edge at their ends.
@@ -436,83 +437,71 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
         return True
 
     def link_commit(x: int, p: int, q: int) -> tuple[int, int]:
-        """Add link edge p-q at x; return the ends p and q had before, for
+        """Add link edge p-q at x; return the slots of p and q before, for
         :func:`link_undo`.  The link of x was open (``link_ok``)."""
-        kp = (x << 8) | p
-        kq = (x << 8) | q
+        kp = (x << 4) | p
+        kq = (x << 4) | q
         ep, eq = lend[kp], lend[kq]
-        dp, dq = ldeg[kp], ldeg[kq]
-        ldeg[kp] = dp + 1
-        ldeg[kq] = dq + 1
-        if dp == 0 and dq == 0:
+        if ep == -1 and eq == -1:
             lend[kp] = q
             lend[kq] = p
             lcomp[x] += 1
-        elif dp == 1 and dq == 1:
-            if ep == q:
-                lclosed[x] = 1
-                lend[kp] = -1
-                lend[kq] = -1
-            else:
-                lend[(x << 8) | ep] = eq
-                lend[(x << 8) | eq] = ep
-                lend[kp] = -1
-                lend[kq] = -1
-            lcomp[x] -= 1
-        elif dp == 1:
-            lend[(x << 8) | ep] = q
-            lend[kq] = ep
-            lend[kp] = -1
-        else:
-            lend[(x << 8) | eq] = p
+        elif ep == -1:
+            lend[(x << 4) | eq] = p
             lend[kp] = eq
-            lend[kq] = -1
+            lend[kq] = -2
+        elif eq == -1:
+            lend[(x << 4) | ep] = q
+            lend[kq] = ep
+            lend[kp] = -2
+        else:
+            # Two ends: join two paths, or close the one path p ... q.
+            if ep != q:
+                lend[(x << 4) | ep] = eq
+                lend[(x << 4) | eq] = ep
+            lend[kp] = lend[kq] = -2
+            lcomp[x] -= 1
         return ep, eq
 
     def link_undo(x: int, p: int, q: int, ends: tuple[int, int]) -> None:
         ep, eq = ends
-        kp = (x << 8) | p
-        kq = (x << 8) | q
-        dp = ldeg[kp] - 1
-        dq = ldeg[kq] - 1
-        ldeg[kp] = dp
-        ldeg[kq] = dq
-        lclosed[x] = 0
-        lend[kp] = ep
-        lend[kq] = eq
-        if dp == 0 and dq == 0:
+        lend[(x << 4) | p] = ep
+        lend[(x << 4) | q] = eq
+        if ep == -1 and eq == -1:
             lcomp[x] -= 1
-        elif dp == 1 and dq == 1:
+        elif ep >= 0 and eq >= 0:
             lcomp[x] += 1
         # Endpoints always point back at each other, so the far ends can
         # be restored from the recorded opposite endpoints alone.
         if ep >= 0 and ep != q:
-            lend[(x << 8) | ep] = p
+            lend[(x << 4) | ep] = p
         if eq >= 0 and eq != p:
-            lend[(x << 8) | eq] = q
+            lend[(x << 4) | eq] = q
 
     def beats_root(x: int) -> bool:
         """Is the key of ``x`` final and smaller than vertex 0's?
 
-        A vertex is finished when its link is a closed cycle, or when it
-        is one path with both ends on the boundary (link degree 2 at the
-        apex): a further face at such a vertex starts a second link
+        ``x`` is on a face, so its link is not empty.  A vertex is
+        finished when its link is a closed cycle (no open piece), or when
+        it is one path with both ends on the boundary (link degree 2 at
+        the apex): a further face at such a vertex starts a second link
         piece, which can neither close nor end on the boundary, so no leaf
         lies below it.  Vertex 0's key never shrinks, so then ``leaf``
         rejects every leaf below this node.  For ``x == 0`` the answer is
         always False.
         """
-        b = ldeg[apex | x]
-        if lclosed[x] or (b == 2 and lcomp[x] == 1):
+        b = lend[apex | x]
+        pieces = lcomp[x]
+        if not pieces or (b == -2 and pieces == 1):
             d, d0 = vdeg[x], vdeg[0]
-            return d < d0 or (d == d0 and not b and ldeg[apex] > 0)
+            return d < d0 or (d == d0 and b == -1 and lend[apex] != -1)
         return False
 
     def leaf(spent: int) -> None:
         # The degree-sum test this leaf passed leaves only spent to check.
         if spent != budget:
             return
-        key = [(vdeg[x], 1 if ldeg[apex | x] else 0) for x in range(n)]
+        key = [(vdeg[x], lend[apex | x] != -1) for x in range(n)]
         identity = [key[0], key[1], key[2]]
         # Of a face's six key orders the sorted one is the smallest.
         for a, b, c in faces:
@@ -588,6 +577,10 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
                     a1, a2 = (v << 4) | w, (w << 4) | u
                 if arc[a1] or arc[a2]:
                     continue
+            # The open edge e keeps the links of u and v open; a used w
+            # with no open link piece has a closed one.
+            if vdeg[w] and not lcomp[w]:
+                continue
             if not (link_ok(u, v, w) and link_ok(v, u, w) and link_ok(w, u, v)):
                 continue
 
@@ -645,7 +638,9 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
             link_undo(u, v, w, ends_u)
 
         # Or declare e boundary: the cone face (u, v, n) is its second face.
-        if bordered and link_ok(n, u, v):
+        # The apex link is closed once it has an edge (spent - len(faces)
+        # are declared) and no open piece.
+        if bordered and (lcomp[n] or spent == len(faces)) and link_ok(n, u, v):
             ends = link_commit(n, u, v)
             ecount[e] = 2
             open_set.discard(e)

@@ -192,7 +192,7 @@ def _corner_faces(tri: Triangulation, corner: Corner) -> list[Face]:
     v, u, w = corner.v, corner.u, corner.w
     if u == w:
         raise AmbiguousArc("corner needs two distinct edges")
-    if not (0 <= v < tri.order):
+    if v not in range(tri.order):
         raise NotACorner(f"vertex {v} does not exist")
     link = tri.links[v]
     for x in (u, w):
@@ -219,7 +219,7 @@ def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulatio
 
 def _truncated_faces(tri: Triangulation, corner: TruncatedCorner) -> list[Face]:
     v, u = corner.v, corner.u
-    if not (0 <= v < tri.order) or v not in tri.boundary_vertices:
+    if v not in tri.boundary_vertices:
         raise NotBoundaryVertex(f"vertex {v} is not a boundary vertex")
     if not tri.has_edge(v, u):
         raise UnknownEdge(f"{v}-{u} is not an edge")

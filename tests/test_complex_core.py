@@ -254,9 +254,10 @@ class TestConeAndRemove:
         assert ts.isomorphic(coned, proj_plane)
         assert ts.isomorphic(ts.remove_vertex_star(coned, 5), k5_moebius)
 
-    def test_remove_missing_vertex_is_not_a_surface(self, tetrahedron):
-        with pytest.raises(errors.ResultNotSurface, match="vertex 4 does not exist"):
-            ts.remove_vertex_star(tetrahedron, tetrahedron.order)
+    @pytest.mark.parametrize("v", [4, -1, 1.5])
+    def test_remove_missing_vertex_is_not_a_surface(self, tetrahedron, v):
+        with pytest.raises(errors.ResultNotSurface, match=f"vertex {v} does not exist"):
+            ts.remove_vertex_star(tetrahedron, v)
 
 
 class TestDerivedDataLifetime:

@@ -207,6 +207,9 @@ class TestSplitCorner:
             ts.split_corner(k5_moebius, Corner(v=0, u=1, w=1))
         with pytest.raises(errors.NotACorner):
             ts.split_corner(k5_moebius, Corner(v=0, u=1, w=9))
+        for v in (5, -1, 1.5):
+            with pytest.raises(errors.NotACorner, match=f"vertex {v} does not exist"):
+                ts.split_corner(k5_moebius, Corner(v=v, u=0, w=2))
 
 
 class TestSplitTruncated:
