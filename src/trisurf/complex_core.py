@@ -180,14 +180,12 @@ class Triangulation:
         The definition itself, off every hot path; the tests check
         ``nonfacial_edges`` against it.
         """
-        face_set = set(self.faces)
-        found = set()
-        for u, v in self.edges:
-            for w in set(self.neighbors[u]).intersection(self.neighbors[v]):
-                triple = tuple(sorted((u, v, w)))
-                if triple not in face_set:
-                    found.add(triple)
-        return frozenset(found)
+        cliques = {
+            tuple(sorted((u, v, w)))
+            for u, v in self.edges
+            for w in set(self.neighbors[u]).intersection(self.neighbors[v])
+        }
+        return frozenset(cliques.difference(self.faces))
 
     @cached_property
     def nonfacial_edges(self) -> frozenset[Edge]:

@@ -43,6 +43,13 @@ isomorphism class down to one per flag.  A final invariant filter keeps
 only leaves whose identity labelling starts at a minimal flag, so only a
 handful of labelled copies per class are ever validated and coded.
 
+No face is committed twice, and no face set is kept to see to it.  A
+repeat of (u, v, w) on the open edge u-v would close link edge v-w into a
+cycle at u, and likewise at v and w, which the link rules allow only as
+each link's one piece: a complex of one face.  Every later face is glued
+onto an open edge, so that complex is the root, and its repeat of
+(0, 1, 2) on edge 0-1 is the one candidate refused as a repeat.
+
 That filter rejects every labelling in which some vertex has a smaller
 (degree, on-boundary) key than vertex 0, and vertex 0's key only grows
 along a branch.  So the search cuts a branch as soon as a vertex other
@@ -96,7 +103,7 @@ check of the package.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import re
 from typing import NamedTuple
 
 from . import __version__
@@ -387,7 +394,7 @@ def enumerate_splitting_range(
 # ---------------------------------------------------------------------------
 
 
-def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
+def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
     """All triangulations of ``kind`` on exactly ``n`` vertices, one entry
     per class, in code order; ``kind`` has at most one boundary cycle.  The
     degree-sum and orientation cuts are stated in the module docstring.
@@ -397,7 +404,7 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
             f"order {n} above the exhaustive search limit {MAX_SEARCH_ORDER}"
         )
     if n < 3:
-        return []
+        return ()
 
     # Vertex n is the apex of the cone over the boundary, the vertex
     # ``cone_boundary`` adds: declaring edge u-v boundary adds link edge u-v
@@ -413,7 +420,6 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
     vdeg = [0] * n
     apex = n << 4                  # link keys of the apex
     faces: list[tuple[int, int, int]] = []
-    face_set: set[int] = set()     # faces as vertex bitmasks
     open_set: set[int] = set()
     found: dict[bytes, CatalogEntry] = {}
     bordered = kind.boundary_components == 1
@@ -534,7 +540,6 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
             return
         e = min(open_set)
         u, v = e >> 4, e & 15
-        uv = (1 << u) | (1 << v)
         # dsum = sum_x max(vdeg[x], vdeg[0]); faces leave b' alone.
         cap = degree_cap(spent)
         d0 = vdeg[0]
@@ -547,10 +552,8 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
 
         top = used + 1 if used < n else used
         for w in range(top):
-            if w == u or w == v:
-                continue
-            fid = uv | (1 << w)
-            if fid in face_set:
+            # The root's repeat is refused here (module docstring).
+            if w == u or w == v or (spent == 1 and w == 2):
                 continue
             ew = ((u << 4) | w) if u < w else ((w << 4) | u)
             ev = ((v << 4) | w) if v < w else ((w << 4) | v)
@@ -605,7 +608,6 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
             # Unsorted: leaf()'s filter sorts the keys and build()
             # normalises.
             faces.append((u, v, w))
-            face_set.add(fid)
             if oriented:
                 arc[back] = arc[a1] = arc[a2] = 1
             child = dsum + grow
@@ -617,7 +619,6 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
 
             if oriented:
                 arc[back] = arc[a1] = arc[a2] = 0
-            face_set.discard(fid)
             faces.pop()
             if grew:
                 used -= 1
@@ -653,26 +654,14 @@ def _search(n: int, kind: SurfaceKind) -> list[CatalogEntry]:
     # Root: every triangulation has a labelling in which (0, 1, 2) is a
     # face, so it is fixed as the first face.
     faces.append((0, 1, 2))
-    face_set.add(0b111)
-    link_commit(0, 1, 2)
-    link_commit(1, 0, 2)
-    link_commit(2, 0, 1)
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        ek = (a << 4) | b
-        ecount[ek] = 1
-        open_set.add(ek)
-        vdeg[a] += 1
-        vdeg[b] += 1
+    for x, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        link_commit(x, p, q)
+        ecount[(p << 4) | q] = 1  # the edge opposite x
+        open_set.add((p << 4) | q)
+        vdeg[x] = 2
     arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = arc[(2 << 4) | 0] = 1
     rec(1, degree_sum())
-    return [found[c] for c in sorted(found)]
-
-
-# Keyed on the query, not on a complex: the Moebius catalog, the certificate
-# and the cross-check share one order-8 search.
-@lru_cache(maxsize=64)
-def _search_cached(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
-    return tuple(_search(n, kind))
+    return tuple(found[c] for c in sorted(found))
 
 
 def enumerate_exhaustive(
@@ -684,7 +673,7 @@ def enumerate_exhaustive(
     _check_ceiling(order, order, ceiling)
     if kind.boundary_components > 1:
         raise ValueError("exhaustive enumeration supports at most one boundary cycle")
-    return Catalog(kind, order, order, "exhaustive", _search_cached(order, kind))
+    return Catalog(kind, order, order, "exhaustive", _search(order, kind))
 
 
 def _check_ceiling(min_order: int, max_order: int, ceiling: int) -> None:
@@ -744,6 +733,19 @@ def serialize_catalog(catalog: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_kind(surface: str) -> SurfaceKind:
+    """The kind a catalog header names: a name of ``SURFACE_BY_NAME``, or
+    an unnamed kind exactly as ``SurfaceKind.name`` prints it."""
+    if surface in SURFACE_BY_NAME:
+        return SURFACE_BY_NAME[surface]
+    fields = re.fullmatch(r"chi=(-?\d+) (\S+) boundary=(\d+)", surface)
+    if fields:
+        kind = SurfaceKind(int(fields[1]), fields[2] == "orientable", int(fields[3]))
+        if kind.name == surface:
+            return kind
+    raise ParseError(f"catalog header: unknown surface {surface!r}")
+
+
 def parse_catalog(text: str) -> Catalog:
     """Read a catalog written by :func:`serialize_catalog`.
 
@@ -771,9 +773,7 @@ def parse_catalog(text: str) -> Catalog:
         surface, orders, engine = header["surface"], header["orders"], header["engine"]
     except KeyError as exc:
         raise ParseError(f"catalog header missing field: {exc}") from None
-    if surface not in SURFACE_BY_NAME:
-        raise ParseError(f"catalog header: unknown surface {surface!r}")
-    kind = SURFACE_BY_NAME[surface]
+    kind = _parse_kind(surface)
     try:
         lo, hi = (int(bound) for bound in orders.split(".."))
     except ValueError:

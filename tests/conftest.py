@@ -3,12 +3,13 @@ build, the reference canonical form, the reference vertex orbits and the
 reference orientability test.
 
 The heavyweight catalogs and the split scans over them are
-session-scoped: the exhaustive searches are cached per process, so the
-Moebius order-8 run happens exactly once for the whole suite.
+session-scoped.  The package caches no search, so tests that only read a
+search's values share each query through the ``search`` fixture.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import deque
 from itertools import chain
@@ -388,5 +389,10 @@ def no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the exhaustive search was entered")
 
-    monkeypatch.setattr(enumeration, "_search_cached", refuse)
     monkeypatch.setattr(enumeration, "_search", refuse)
+
+
+@pytest.fixture(scope="session")
+def search():
+    """``enumeration._search``, each query run once for the session."""
+    return functools.cache(enumeration._search)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import gc
+import importlib
+import pkgutil
 import random
 import weakref
 
@@ -275,6 +278,17 @@ class TestDerivedDataLifetime:
         del child
         gc.collect()
         assert ref() is None
+
+    def test_no_module_binds_a_cache(self):
+        # Derived data lives on the value it derives from, so no module
+        # holds a cache that would outlive or share it.
+        for info in pkgutil.iter_modules(ts.__path__, "trisurf."):
+            module = importlib.import_module(info.name)
+            cached = [
+                name for name, value in vars(module).items()
+                if isinstance(value, functools._lru_cache_wrapper)
+            ]
+            assert not cached, (info.name, cached)
 
     def test_cables_are_computed_once_per_value(self, proj_plane):
         child = ts.split_corner(proj_plane, ts.corners(proj_plane)[0])

@@ -1,7 +1,7 @@
 """The demos run to completion against the current public API.
 
-Demo 05 repeats the full certificate; its exhaustive searches hit the
-per-process search cache once the session fixtures have run them.
+Demo 05 runs the full certificate, its order-8 Moebius-band search
+included (about 1 s).
 """
 
 from __future__ import annotations

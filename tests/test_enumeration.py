@@ -55,6 +55,10 @@ class TestExhaustive:
     def test_order_beyond_the_search_limit_is_refused(self):
         with pytest.raises(errors.CeilingExceeded, match="limit 15"):
             ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
+        # Every public path stops at _check_ceiling first; the search's own
+        # guard keeps its 256-slot edge and link tables in range.
+        with pytest.raises(errors.CeilingExceeded, match="limit 15$"):
+            enumeration._search(16, ts.SPHERE)
 
     @pytest.mark.parametrize("min_order, max_order, ceiling, message", [
         (4, 12, 9, "order 10 above ceiling 9"),
@@ -209,12 +213,12 @@ class TestSearchContract:
     @pytest.mark.parametrize(
         "n, kind", [pytest.param(*pin[:2], id=_pin_id(*pin[:2])) for pin in SEARCH_PINS]
     )
-    def test_representatives_meet_the_degree_sum_premises(self, n, kind):
+    def test_representatives_meet_the_degree_sum_premises(self, search, n, kind):
         # The degree-sum cut assumes of every leaf it may keep: vertex 0 has
         # the least degree, sum deg = 2E = 3 * 2(n - chi) - 2b, and a
         # boundary has at least 3 edges.  Read from build's own values.
         budget = 2 * (n - kind.euler_characteristic)
-        for entry in enumeration._search_cached(n, kind):
+        for entry in search(n, kind):
             tri = entry.triangulation
             degrees, b = tri.degrees, len(tri.boundary_edges)
             assert degrees[0] == min(degrees)
@@ -224,26 +228,23 @@ class TestSearchContract:
     @pytest.mark.parametrize(
         "n", sorted({pin[0] for pin in SEARCH_PINS if pin[1] in NAMED_KINDS})
     )
-    def test_search_returns_only_the_asked_surface(self, n):
+    def test_search_returns_only_the_asked_surface(self, search, n):
         for kind in (*NAMED_KINDS, TORUS, KLEIN_BOTTLE):
-            found = enumeration._search_cached(n, kind)
+            found = search(n, kind)
             assert {e.triangulation.surface_kind for e in found} <= {kind}
 
     @pytest.mark.parametrize("n", sorted(BORDERED_CAP_DIGESTS))
-    def test_face_cap_representatives_are_kept(self, n):
-        # The cached queries, so order 8 shares the catalogs' searches.
+    def test_face_cap_representatives_are_kept(self, search, n):
         found = sorted(
             (entry for kind in (ts.MOEBIUS_BAND, ts.DISK, ts.SPHERE)
-             for entry in enumeration._search_cached(n, kind)),
+             for entry in search(n, kind)),
             key=lambda entry: entry.code,
         )
         assert _digest(e.triangulation.faces for e in found) == BORDERED_CAP_DIGESTS[n]
 
-    def test_order_8_bordered_representatives_are_pinned(self):
-        # The cached query that the order-8 Moebius catalog and the
-        # certificate make, so the pin runs no second search; counting its
-        # nodes would.
-        found = enumeration._search_cached(8, ts.MOEBIUS_BAND)
+    def test_order_8_bordered_representatives_are_pinned(self, search):
+        # Counting this query's nodes as the pins do would run it again.
+        found = search(8, ts.MOEBIUS_BAND)
         assert len(found) == 965
         assert _digest(e.triangulation.faces for e in found) == (
             "48e255eab6ece6d0c9a372525cd3bb55c4e6f46083c94f8913503169716ea9e9"
@@ -265,7 +266,7 @@ def test_each_query_searches_its_own_surface(monkeypatch):
         queries.append(query)
         return ()
 
-    monkeypatch.setattr(enumeration, "_search_cached", record)
+    monkeypatch.setattr(enumeration, "_search", record)
     for kind in NAMED_KINDS:
         assert len(ts.enumerate_exhaustive(kind, 6)) == 0
     assert queries == [(6, kind) for kind in NAMED_KINDS]
@@ -287,14 +288,10 @@ def test_exhaustive_search_shares_no_symmetry_or_split_code():
     )
 
 
-def test_catalog_values_are_stored_bare(monkeypatch):
+def test_catalog_values_are_stored_bare():
     # Both engines and the parser store each class bare: the value holds
     # its fields alone, derived data read later equals the oracle's, and
-    # recoding the value gives the entry's code.  The search runs uncached,
-    # so no other test has read its values.
-    monkeypatch.setattr(
-        enumeration, "_search_cached", enumeration._search_cached.__wrapped__
-    )
+    # recoding the value gives the entry's code.
     closure = ts.generate_by_splitting(
         [ts.build(faces) for faces in BASES[ts.MOEBIUS_BAND]], 8
     )
@@ -314,6 +311,21 @@ def test_catalog_values_are_stored_bare(monkeypatch):
         tri = entry.triangulation
         assert _outcome(lambda _: tri, None) == _outcome(reference_build, tri.faces)
         assert ts.canonical_code(tri) == entry.code
+
+
+def test_each_search_hands_out_its_own_values():
+    # No query is cached, so what one caller reads on its values stays off
+    # the values of the next caller, which get them bare.
+    first = ts.enumerate_exhaustive(ts.MOEBIUS_BAND, 7)
+    second = ts.enumerate_exhaustive(ts.MOEBIUS_BAND, 7)
+    assert first == second
+    pairs = list(zip(first.entries, second.entries))
+    assert all(a.triangulation is not b.triangulation for a, b in pairs)
+    for entry in first.entries:
+        ts.is_irreducible(entry.triangulation)
+        ts.vertex_orbits(entry.triangulation)
+    for entry in second.entries:
+        assert vars(entry.triangulation).keys() == {"faces", "order"}
 
 
 class TestSplittingClosure:
@@ -579,9 +591,34 @@ class TestCatalogFile:
         with pytest.raises(errors.ParseError, match="line 3: unknown engine 'bogus'"):
             ts.parse_catalog("surface: sphere\norders: 4..6\nengine: bogus\n---\n")
 
-    def test_unknown_surface_is_a_parse_error(self):
-        with pytest.raises(errors.ParseError, match="catalog header: unknown surface 'foo'"):
-            ts.parse_catalog("surface: foo\norders: 4..6\nengine: exhaustive\n---\n")
+    @pytest.mark.parametrize(
+        "kind, order", [(TORUS, 7), (KLEIN_BOTTLE, 8)], ids=["torus-7", "klein-bottle-8"]
+    )
+    def test_round_trip_of_an_unnamed_surface(self, kind, order):
+        # The header names the kind as SurfaceKind.name falls back to.
+        catalog = ts.enumerate_exhaustive(kind, order)
+        text = ts.serialize_catalog(catalog)
+        assert text.splitlines()[1] == f"surface: {kind.name}"
+        assert kind.name.startswith("chi=0 ")
+        again = ts.parse_catalog(text)
+        assert again == catalog
+        assert ts.serialize_catalog(again) == text
+
+    @pytest.mark.parametrize("surface", [
+        "foo",
+        "chi=x orientable boundary=0",
+        "chi=0 orientable",
+        "chi=0 orientable boundary=-1",
+        "chi=00 orientable boundary=0",
+        "chi=1 non-orientable boundary=0",  # printed as projective-plane
+    ])
+    def test_unknown_surface_is_a_parse_error(self, surface):
+        with pytest.raises(
+            errors.ParseError, match=f"catalog header: unknown surface '{surface}'"
+        ):
+            ts.parse_catalog(
+                f"surface: {surface}\norders: 4..6\nengine: exhaustive\n---\n"
+            )
 
     def test_missing_header_field_is_named(self):
         with pytest.raises(errors.ParseError, match="missing field: 'engine'"):

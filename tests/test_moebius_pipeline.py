@@ -220,7 +220,9 @@ class TestCertificate:
             projective_catalog.engine,
             projective_catalog.entries[:-1],
         )
-        certificate = ts.build_certificate(projective_catalog=damaged)
+        certificate = ts.build_certificate(
+            max_cross_check_order=7, projective_catalog=damaged
+        )
         assert not certificate.passed
         failed = {clause.ident for clause in certificate.failures}
         assert "census-counts" in failed
