@@ -14,21 +14,26 @@ The same sweep gives the automorphism group.  Two flags f and g whose
 sweeps give the same face list differ by exactly one automorphism,
 sigma = L_g^-1 o L_f, where L_f is the labelling of f's sweep, and an
 automorphism maps each candidate flag onto another (the keys are
-invariant), so the group is read off the labellings of the tying flags.
+invariant), so the automorphisms that map the first minimal flag onto
+the tying flags are the whole group.
 
 The flag loop is pruned by the automorphisms it finds (McKay's
-automorphism pruning, 1981).  Each tie with the best flag adds a
-generator; every candidate flag in the best flag's orbit under the
-generators found so far is labelled without a sweep, and when a new best
-appears its orbit is closed under the same generators, which are still
-automorphisms.  The result is the sweep-every-flag result, labelling for
-labelling: the sweep depends only on its flag and the cross map, so it is
-equivariant, L_sigma(f)[sigma[x]] = L_f[x], and a flag in the orbit gives
-the minimal face list exactly as its sweep would.  A tie is swept only
-outside the orbit of the group found so far, so its generator at least
-doubles that group: at most log2 |Aut| ties are swept, not |Aut| - 1,
-and a torus grid, where every flag ties, costs about 1 + log2 |Aut|
-sweeps.
+automorphism pruning, 1981).  Each swept tie with the best flag adds its
+automorphism as a generator, and the best flag's orbit under the
+generators found so far, a set of flags, is skipped without a sweep.
+The orbit is closed incrementally: a new generator acts on every flag
+already in it, and every generator acts on the flags that adds; when a
+new best appears its orbit is closed afresh under the same generators,
+which are still automorphisms.  The code and the canonical labelling are
+the sweep-every-flag result: the sweep depends only on its flag and the
+cross map, so it is equivariant, L_sigma(f)[sigma[x]] = L_f[x], and a
+flag in the orbit gives the minimal face list exactly as its sweep
+would.  A tie is swept only outside the orbit of the group found so far,
+so its generator at least doubles that group: at most log2 |Aut| ties
+are swept and kept as generators, not |Aut| - 1, and a torus grid, where
+every flag ties, costs about 1 + log2 |Aut| sweeps.  The group and the
+vertex orbits are generated from the generators, which is how nauty
+returns a group (McKay & Piperno, 2014).
 
 The sweep reads one cross map: each interior edge ``x-y`` is keyed by the
 int ``x * order + y`` in both directions and maps to (apex, face index) of
@@ -41,8 +46,8 @@ records order, face count and boundary length (counted as 2E - 3F) in
 one byte each; at 256 or more of any of them the code is wide: a 0 byte,
 then the header and the labels as 2-byte big-endian numbers.
 
-All functions are pure; the code and the tying labellings are cached on
-the value.
+All functions are pure; the code, the canonical labelling and the
+generators are cached on the value.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .complex_core import Triangulation, build
 
 CanonicalCode = bytes
 Flag = tuple[int, int, int]
+Permutation = tuple[int, ...]
 
 
 def _cross_map(tri: Triangulation) -> dict[int, tuple[int, int, int, int]]:
@@ -139,67 +145,61 @@ def _inverse(label: Sequence[int]) -> list[int]:
     return back
 
 
-def _automorphism(source: list[int], target: list[int]) -> tuple[list[int], list[int]]:
+def _automorphism(source: list[int], target: list[int]) -> Permutation:
     """The automorphism sigma that maps the flag with labelling ``source``
-    onto the flag with labelling ``target`` (``target[sigma[x]] == source[x]``),
-    and its inverse."""
-    back_source, back_target = _inverse(source), _inverse(target)
-    return list(map(back_target.__getitem__, source)), list(map(back_source.__getitem__, target))
+    onto the flag with labelling ``target``: ``target[sigma[x]] == source[x]``."""
+    back = _inverse(target)
+    return tuple(map(back.__getitem__, source))
 
 
-def _close(orbit: dict[Flag, tuple[int, ...]],
-           generators: list[tuple[list[int], list[int]]]) -> None:
-    """Extend ``orbit`` (flag -> labelling) to its closure under the
-    generators, each image sigma(f) labelled by ``label_f`` after sigma^-1."""
-    queue = list(orbit)
-    for flag in queue:
-        label = orbit[flag]
-        a, b, c = flag
-        for perm, inverse in generators:
-            image = (perm[a], perm[b], perm[c])
-            if image not in orbit:
-                orbit[image] = tuple(map(label.__getitem__, inverse))
-                queue.append(image)
+def _close(orbit: set[Flag], generators: list[Permutation],
+           fresh: list[Permutation]) -> None:
+    """Close ``orbit``, already closed under every generator not in
+    ``fresh``: the fresh ones act on every flag in it, and all of them act
+    on the flags they add."""
+    added: list[Flag] = []
+    for flags, acting in ((tuple(orbit), fresh), (added, generators)):
+        for a, b, c in flags:
+            for perm in acting:
+                image = (perm[a], perm[b], perm[c])
+                if image not in orbit:
+                    orbit.add(image)
+                    added.append(image)
 
 
-def _canonical_form(tri: Triangulation) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """The code, and the labelling of every flag whose sweep gives it, the
-    first minimal flag's first."""
+def _canonical_form(
+    tri: Triangulation,
+) -> tuple[bytes, tuple[int, ...], tuple[Permutation, ...]]:
+    """The code, the labelling of the first minimal flag, and the
+    automorphisms that the swept ties gave, which generate the group."""
     # The relabelled face lists share a fixed-width byte encoding, so the
     # list order is the code order; the first minimal flag wins ties.
     cross = _cross_map(tri)
-    candidates = _candidate_flags(tri)
-    best = orbit = None
-    for start, flag in candidates:
-        if orbit is not None and flag in orbit:
+    best, orbit, generators = None, set(), []
+    for start, flag in _candidate_flags(tri):
+        if flag in orbit:
             continue
         queue, label = _traverse(tri, cross, flag, start)
         faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
         if faces == best:
             # A tie is a new automorphism: the best flag's orbit under all
-            # found so far is labelled without a sweep.
-            if orbit is None:
-                generators, orbit = [], {first: tuple(first_label)}
+            # found so far is skipped without a sweep.
             generators.append(_automorphism(first_label, label))
-            _close(orbit, generators)
+            _close(orbit, generators, generators[-1:])
         elif best is None or faces < best:
-            best, first, first_label = faces, flag, label
-            if orbit is not None:
-                orbit = {flag: tuple(label)}
-                _close(orbit, generators)
-    if orbit is None:
-        labellings = (tuple(first_label),)
-    else:
-        labellings = tuple(orbit[flag] for _, flag in candidates if flag in orbit)
+            best, first_label, orbit = faces, label, {flag}
+            _close(orbit, generators, generators)
     # Each interior edge lies on two faces and each boundary edge on one,
     # so 3F = 2E - B.
     boundary = 2 * len(tri.edges) - 3 * len(tri.faces)
     values = (tri.order, len(tri.faces), boundary, *chain.from_iterable(best))
     if max(values[:3]) < 256:
-        return bytes(values), labellings
-    # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
-    # big-endian header fields and labels.
-    return b"\0" + struct.pack(f">{len(values)}H", *values), labellings
+        code = bytes(values)
+    else:
+        # Wide code: a 0 byte (no narrow code starts with one), then 2-byte
+        # big-endian header fields and labels.
+        code = b"\0" + struct.pack(f">{len(values)}H", *values)
+    return code, tuple(first_label), tuple(generators)
 
 
 def canonical_code(tri: Triangulation) -> CanonicalCode:
@@ -209,7 +209,7 @@ def canonical_code(tri: Triangulation) -> CanonicalCode:
 
 def canonical_labeling(tri: Triangulation) -> tuple[int, ...]:
     """A vertex relabelling realising the canonical code."""
-    return tri._canonical[1][0]
+    return tri._canonical[1]
 
 
 def canonical_faces(tri: Triangulation) -> tuple[tuple[int, int, int], ...]:
@@ -230,45 +230,53 @@ def isomorphism(t1: Triangulation, t2: Triangulation) -> dict[int, int] | None:
         return None
     label1 = canonical_labeling(t1)
     label2 = canonical_labeling(t2)
-    inverse2 = {new: old for old, new in enumerate(label2)}
+    inverse2 = _inverse(label2)
     return {v: inverse2[label1[v]] for v in range(t1.order)}
 
 
-def automorphisms(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
-    """Every face-preserving vertex permutation, read off the canonical form.
+def automorphisms(tri: Triangulation) -> tuple[Permutation, ...]:
+    """Every face-preserving vertex permutation, generated by the
+    automorphisms that the canonical form keeps.
 
     Each permutation ``perm`` maps vertex ``v`` to ``perm[v]``; the tuple
-    is sorted, so the identity comes first.
-
-    Each labelling realising the canonical code sends the complex onto the
-    same face list, so any labelling followed by the inverse of the first
-    is an automorphism, and every automorphism arises once this way.  (These
-    are the inverses of the first followed by the inverse of each; the set,
-    and so the sorted tuple, is the same.)
+    is sorted, so the identity comes first.  The group is listed breadth
+    first from the identity, each element times each generator: at most
+    |Aut| * log2 |Aut| products of length ``order``.
     """
-    labellings = tri._canonical[1]
-    inverse = _inverse(labellings[0])
-    return tuple(sorted(tuple(map(inverse.__getitem__, label)) for label in labellings))
+    generators = tri._canonical[2]
+    identity = tuple(range(tri.order))
+    group = {identity}
+    queue = [identity]
+    for element in queue:
+        for perm in generators:
+            product = tuple(map(perm.__getitem__, element))
+            if product not in group:
+                group.add(product)
+                queue.append(product)
+    return tuple(sorted(group))
 
 
 def vertex_orbits(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the vertices under the automorphism group, read
-    off the tying labellings as :func:`automorphisms` reads the group.
+    """Orbit partition of the vertices under the automorphism group, each
+    vertex closed under the generators that the canonical form keeps.
 
-    The orbit of ``v`` is its image under every element.  Each vertex not
-    yet placed is the least of a new orbit, so the orbits come out sorted,
-    and no group is listed or sorted.
+    Each vertex not yet placed is the least of a new orbit, so the orbits
+    come out sorted, and no group is listed.
     """
-    labellings = tri._canonical[1]
-    inverse = _inverse(labellings[0])
+    generators = tri._canonical[2]
     placed = bytearray(tri.order)
     orbits = []
     for v in range(tri.order):
         if not placed[v]:
-            orbit = sorted({inverse[label[v]] for label in labellings})
+            placed[v] = 1
+            orbit = [v]
             for w in orbit:
-                placed[w] = 1
-            orbits.append(tuple(orbit))
+                for perm in generators:
+                    image = perm[w]
+                    if not placed[image]:
+                        placed[image] = 1
+                        orbit.append(image)
+            orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
 

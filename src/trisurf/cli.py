@@ -65,11 +65,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"vertices: {tri.order}")
     print(f"edges: {len(tri.edges)}")
     print(f"faces: {len(tri.faces)}")
-    print(
-        f"chi={kind.euler_characteristic} "
-        f"{'orientable' if kind.orientable else 'non-orientable'} "
-        f"boundary={kind.boundary_components}"
-    )
+    print(kind.invariants)
     print(f"surface: {kind}")
     return OK
 

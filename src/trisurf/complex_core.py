@@ -68,12 +68,18 @@ class SurfaceKind(NamedTuple):
     boundary_components: int
 
     @property
-    def name(self) -> str:
-        return _KIND_NAMES.get(self, "chi={} {} boundary={}".format(
+    def invariants(self) -> str:
+        """``chi=<Euler characteristic> orientable|non-orientable
+        boundary=<components>``, the name of a kind without one of its own."""
+        return "chi={} {} boundary={}".format(
             self.euler_characteristic,
             "orientable" if self.orientable else "non-orientable",
             self.boundary_components,
-        ))
+        )
+
+    @property
+    def name(self) -> str:
+        return _KIND_NAMES.get(self) or self.invariants
 
     def __str__(self) -> str:
         return self.name
@@ -234,9 +240,10 @@ class Triangulation:
         return frozenset()
 
     @cached_property
-    def _canonical(self) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-        # The code and every labelling realising it, the canonical one
-        # first.  A local import: canon imports this module.
+    def _canonical(self) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        # The code, the canonical labelling, and generators of the
+        # automorphism group, as permutations.  A local import: canon
+        # imports this module.
         from .canon import _canonical_form
 
         return _canonical_form(self)

@@ -334,7 +334,7 @@ def generate_by_splitting(
         raise ValueError(f"{len(seed_names)} seed names for {len(seeds)} seeds")
 
     def entered(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntry:
-        # A class below the top keeps its links and labellings until its
+        # A class below the top keeps its links and canonical form until its
         # own children are expanded.
         if tri.order < max_order:
             return CatalogEntry(code, tri, provenance)

@@ -230,8 +230,10 @@ def reference_canonical_form(
     own tuple-keyed cross map, sweep and candidate rule.
 
     Every candidate flag is swept, and each tying flag's labelling comes
-    from its own sweep.  The pruned form must equal it byte for byte: the
-    code, and every tying labelling in candidate-flag order.
+    from its own sweep.  Returns the code and every tying labelling in
+    candidate-flag order: the pruned form's code and canonical labelling
+    must equal the code and the first, and its group the automorphisms
+    that the labellings give.
     """
     cross = _reference_cross_map(tri)
     best = None

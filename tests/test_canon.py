@@ -218,6 +218,24 @@ class TestAutomorphisms:
             ts.vertex_orbits(tri)
         assert sweeps == []
 
+    def test_kernel_queries_never_list_the_group(self, monkeypatch):
+        # Codes, canonical faces, witnesses and orbits read the canonical
+        # form and its generators; none of them enumerates the group.
+        def refuse(tri):
+            raise AssertionError("the automorphism group was listed")
+
+        for module in (ts, canon, moves):
+            monkeypatch.setattr(module, "automorphisms", refuse)
+        tri = _shuffled(_torus_grid(7), random.Random(7))
+        other = _shuffled(tri, random.Random(70))
+        assert ts.canonical_code(other) == ts.canonical_code(tri)
+        assert ts.canonical_faces(other) == ts.canonical_faces(tri)
+        witness = ts.isomorphism(tri, other)
+        assert {
+            tuple(sorted((witness[a], witness[b], witness[c]))) for a, b, c in tri.faces
+        } == set(other.faces)
+        assert ts.vertex_orbits(tri) == (tuple(range(49)),)
+
     @pytest.mark.parametrize("k", range(3, 9))
     def test_vertex_orbits_equal_the_group_orbits_on_torus_grids(self, k):
         tri = _shuffled(_torus_grid(k), random.Random(k))
@@ -255,18 +273,29 @@ def oracle_pool(closures):
 MEMBER_SWEEPS = {"sphere": 66, "projective-plane": 85, "moebius-band": 266}
 
 
+def _assert_equals_every_flag_sweep(tri):
+    """The code and canonical labelling are the reference's code and first
+    tying labelling, and the group is the one its tying labellings give:
+    L -> L0^-1 o L is injective, so this checks every tying labelling."""
+    code, labellings = reference_canonical_form(tri)
+    back = sorted(tri.vertices, key=labellings[0].__getitem__)
+    group = sorted(tuple(back[label[v]] for v in tri.vertices) for label in labellings)
+    assert ts.canonical_code(tri) == code
+    assert ts.canonical_labeling(tri) == labellings[0]
+    assert ts.automorphisms(tri) == tuple(group)
+
+
 class TestAutomorphismPruning:
     def test_pruned_form_equals_every_flag_sweep(self, oracle_pool):
         for tri in oracle_pool:
-            assert tri._canonical == reference_canonical_form(tri)
+            _assert_equals_every_flag_sweep(tri)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_pruned_form_equals_every_flag_sweep_under_relabelling(self, oracle_pool, data):
         tri = data.draw(st.sampled_from(oracle_pool))
         perm = tuple(data.draw(st.permutations(list(tri.vertices))))
-        other = ts.relabel(tri, perm)
-        assert other._canonical == reference_canonical_form(other)
+        _assert_equals_every_flag_sweep(ts.relabel(tri, perm))
 
     @pytest.mark.parametrize("k", [4, 5, 7, 12])
     def test_torus_grid_sweeps_about_log2_of_its_group(self, monkeypatch, k):
@@ -275,7 +304,14 @@ class TestAutomorphismPruning:
         sweeps = _count_sweeps(monkeypatch)
         ts.canonical_code(tri)
         assert len(sweeps) <= 1 + math.log2(12 * k * k)
-        assert len(tri._canonical[1]) == 12 * k * k
+        assert len(ts.automorphisms(tri)) == 12 * k * k
+
+    def test_generators_number_at_most_log2_of_the_group(self, oracle_pool):
+        # Each swept tie lies outside the orbit of the group found so far,
+        # so its generator at least doubles that group.
+        grid = _shuffled(_torus_grid(12), random.Random(12))
+        for tri in (*oracle_pool, grid, ts.remove_vertex_star(grid, 0)):
+            assert 2 ** len(tri._canonical[2]) <= len(ts.automorphisms(tri))
 
     @pytest.mark.parametrize("surface", sorted(MEMBER_SWEEPS))
     def test_closure_member_sweeps_are_pinned(self, monkeypatch, closures, surface):

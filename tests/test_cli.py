@@ -91,14 +91,32 @@ def quotient_file(tmp_path, proj_plane):
 class TestValidate:
     def test_triangle(self, triangle_file, capsys):
         assert main(["validate", str(triangle_file)]) == 0
-        out = capsys.readouterr().out
-        assert "chi=1 orientable boundary=1" in out
-        assert "surface: disk" in out
+        assert capsys.readouterr().out == (
+            "vertices: 3\nedges: 3\nfaces: 1\n"
+            "chi=1 orientable boundary=1\nsurface: disk\n"
+        )
 
     def test_projective_plane(self, quotient_file, capsys):
         assert main(["validate", str(quotient_file)]) == 0
         out = capsys.readouterr().out
         assert "chi=1 non-orientable boundary=0" in out
+
+    def test_unnamed_kind_prints_its_invariants_as_its_name(self, tmp_path, capsys):
+        # The 3 x 3 grid on the torus, each square cut by the same diagonal.
+        path = tmp_path / "torus_9.tri"
+        path.write_text("".join(
+            f"{a} {b} {c}\n"
+            for i in range(3)
+            for j in range(3)
+            for a, b, c in (
+                (3 * i + j, 3 * ((i + 1) % 3) + j, 3 * ((i + 1) % 3) + (j + 1) % 3),
+                (3 * i + j, 3 * i + (j + 1) % 3, 3 * ((i + 1) % 3) + (j + 1) % 3),
+            )
+        ), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "chi=0 orientable boundary=0"
+        assert lines[4] == f"surface: {lines[3]}"
 
     def test_duplicate_face_exit_code_and_line(self, tmp_path, capsys):
         path = tmp_path / "dup.tri"
