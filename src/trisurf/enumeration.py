@@ -27,21 +27,22 @@ requested vertex count from scratch, sharing nothing with the splitting
 engine.  The search grows a complex one face at a time, always completing
 the lexicographically smallest open edge (an edge on one face that has
 not been declared boundary), so each labelled complex is reached along
-exactly one path.  The boundary is the link of an apex: the extra vertex
-``n`` that ``cone_boundary`` would add.  Declaring an edge boundary adds
-it to the apex's link, and the edge counts that cone face as its second
-face, so the boundary obeys the same partial-link rules as every vertex
-link and closes only as the apex's one link piece.  Each partial link is
-a set of paths with one slot per (vertex x, link vertex y): -1 while y is
-not in the link of x, the path's other end while y is an end, and -2 once
-y is inside a path or cycle, so the slot also reads y's link degree 0, 1
-or 2.  With a count of open paths per vertex that is the whole link state:
-a link with an edge and no open path is a closed cycle.  Partial-link
-feasibility and edge multiplicities prune the tree; new vertices must
-appear in discovery order, which cuts the labelled duplicates per
-isomorphism class down to one per flag.  A final invariant filter keeps
-only leaves whose identity labelling starts at a minimal flag, so only a
-handful of labelled copies per class are ever validated and coded.
+exactly one path.  The search builds the cone over the boundary: the
+boundary is the link of an apex, the extra vertex ``n`` that
+``cone_boundary`` would add, and declaring edge u-v boundary commits the
+cone face (u, v, n) at u, v and n.  So every link, the apex's included,
+obeys one set of partial-link rules, and the boundary closes only as the
+apex's one link piece.  Each partial link is a set of paths with one slot
+per (vertex x, link vertex y): -1 while y is not in the link of x, the
+path's other end while y is an end, and -2 once y is inside a path or
+cycle, so the slot also reads y's link degree 0, 1 or 2, the number of
+faces on edge x-y.  With a count of open paths per vertex that is the
+whole link state: a link with an edge and no open path is a closed cycle.
+Partial-link feasibility prunes the tree; new vertices must appear in
+discovery order, which cuts the labelled duplicates per isomorphism class
+down to one per flag.  A final invariant filter keeps only leaves whose
+identity labelling starts at a minimal flag, so only a handful of
+labelled copies per class are ever validated and coded.
 
 No face is committed twice, and no face set is kept to see to it.  A
 repeat of (u, v, w) on the open edge u-v would close link edge v-w into a
@@ -53,12 +54,12 @@ onto an open edge, so that complex is the root, and its repeat of
 That filter rejects every labelling in which some vertex has a smaller
 (degree, on-boundary) key than vertex 0, and vertex 0's key only grows
 along a branch.  So the search cuts a branch as soon as a vertex other
-than 0 is finished (its link is a closed cycle, or one path whose two ends
-lie on the boundary) with a key below vertex 0's: every leaf below would
-fail the filter.  The cut removes only such leaves and subtrees that hold
-no leaf at all, and it leaves the traversal order alone, so the first
-copy reached of each class, and with it every catalog, ``BASES`` and the
-certificate, stays the same.
+than 0 is finished (its link, the apex included, is a closed cycle) with
+a key below vertex 0's: every leaf below would fail the filter.  The cut
+removes only such leaves and subtrees that hold no leaf at all, and it
+leaves the traversal order alone, so the first copy reached of each
+class, and with it every catalog, ``BASES`` and the certificate, stays
+the same.
 
 A query is a surface kind and an order n.  Euler's formula
 V - E + F = chi with 3F + b = 2E, where b counts the boundary edges,
@@ -407,20 +408,19 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         return ()
 
     # Vertex n is the apex of the cone over the boundary, the vertex
-    # ``cone_boundary`` adds: declaring edge u-v boundary adds link edge u-v
-    # at n, so the boundary is the link of n, and the cone face counts as
-    # the edge's second face.  A vertex's boundary degree is its link degree
-    # at n.  Edge keys are (u << 4) | v with u < v, and link keys (x << 4) | y
-    # hold the slots of the module docstring.  At n = MAX_SEARCH_ORDER = 15
-    # the apex is 15 and no link holds it, so y <= 14 and every key is at
-    # most (15 << 4) | 14 = 254: both tables fit in 256 slots.
-    ecount = bytearray(256)        # edge key -> faces, the cone face included
+    # ``cone_boundary`` adds: declaring edge u-v boundary commits the cone
+    # face (u, v, n) at all three of its vertices, so the boundary is the
+    # link of n and a vertex's boundary degree is its link degree at n.
+    # Link keys (x << 4) | y hold the slots of the module docstring, and a
+    # slot also counts the faces on edge x-y: -1 none, a path end one, -2
+    # two.  At n = MAX_SEARCH_ORDER = 15 the keys reach (14 << 4) | 15 = 239
+    # in rows 0..14 and (15 << 4) | 14 = 254 in the apex row: 256 slots.
     lend = [-1] * 256              # link key -> -1, opposite end, or -2
     lcomp = [0] * (n + 1)          # open link-path components per vertex
     vdeg = [0] * n
     apex = n << 4                  # link keys of the apex
     faces: list[tuple[int, int, int]] = []
-    open_set: set[int] = set()
+    open_set: set[int] = set()     # edge keys (u << 4) | v, u < v, on one face
     found: dict[bytes, CatalogEntry] = {}
     bordered = kind.boundary_components == 1
     budget = 2 * (n - kind.euler_characteristic)
@@ -430,17 +430,11 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
     used = 3
 
     def link_ok(x: int, p: int, q: int) -> bool:
-        """May link edge p-q be added at the open link of x?  (Pure check,
-        no mutation; the caller refuses a closed link.)"""
-        ep = lend[(x << 4) | p]
-        if ep == -2 or lend[(x << 4) | q] == -2:
-            return False
-        if ep == q:
-            # Would close a cycle: legal only as the link's one piece.  The
-            # link of a boundary vertex never closes: its boundary edges are
-            # full, so no face offers a link edge at their ends.
-            return lcomp[x] == 1
-        return True
+        """May link edge p-q be added at x?  It closes a cycle when q is
+        p's other end, which is legal only as the link's one piece.  (Pure
+        check; the caller refuses a closed link and a p or q inside a
+        path, a slot of -2.)"""
+        return lend[(x << 4) | p] != q or lcomp[x] == 1
 
     def link_commit(x: int, p: int, q: int) -> tuple[int, int]:
         """Add link edge p-q at x; return the slots of p and q before, for
@@ -488,20 +482,15 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         """Is the key of ``x`` final and smaller than vertex 0's?
 
         ``x`` is on a face, so its link is not empty.  A vertex is
-        finished when its link is a closed cycle (no open piece), or when
-        it is one path with both ends on the boundary (link degree 2 at
-        the apex): a further face at such a vertex starts a second link
-        piece, which can neither close nor end on the boundary, so no leaf
-        lies below it.  Vertex 0's key never shrinks, so then ``leaf``
-        rejects every leaf below this node.  For ``x == 0`` the answer is
-        always False.
+        finished when its link, the apex included, is a closed cycle: no
+        face or boundary edge is added at it again.  Vertex 0's key never
+        shrinks, so then ``leaf`` rejects every leaf below this node.  For
+        ``x == 0`` the answer is always False.
         """
-        b = lend[apex | x]
-        pieces = lcomp[x]
-        if not pieces or (b == -2 and pieces == 1):
-            d, d0 = vdeg[x], vdeg[0]
-            return d < d0 or (d == d0 and b == -1 and lend[apex] != -1)
-        return False
+        if lcomp[x]:
+            return False
+        d, d0 = vdeg[x], vdeg[0]
+        return d < d0 or (d == d0 and lend[apex | x] == -1 and lend[apex] != -1)
 
     def leaf(spent: int) -> None:
         # The degree-sum test this leaf passed leaves only spent to check.
@@ -555,10 +544,9 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             # The root's repeat is refused here (module docstring).
             if w == u or w == v or (spent == 1 and w == 2):
                 continue
-            ew = ((u << 4) | w) if u < w else ((w << 4) | u)
-            ev = ((v << 4) | w) if v < w else ((w << 4) | v)
-            cw, cv = ecount[ew], ecount[ev]
-            if cw == 2 or cv == 2:
+            # w's slots at u and v count the faces on edges uw and vw.
+            su, sv = lend[(u << 4) | w], lend[(v << 4) | w]
+            if su == -2 or sv == -2:
                 continue
             # Each new edge adds 1 to dsum per end x of degree >= d0, counted
             # in commit order.  That is exact unless vertex 0 is an end, and
@@ -567,10 +555,10 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             # the commit cuts every node this one does: this one only skips
             # link_ok, the commit and the undo of the candidates it cuts.
             grow = 0
-            if not cw:
+            if su == -1:
                 grow = (vdeg[u] >= d0) + (vdeg[w] >= d0)
-            if not cv:
-                grow += (vdeg[v] >= d0) + (vdeg[w] + (not cw) >= d0)
+            if sv == -1:
+                grow += (vdeg[v] >= d0) + (vdeg[w] + (su == -1) >= d0)
             if dsum + grow > cap:
                 continue
             if oriented:
@@ -590,18 +578,17 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             ends_u = link_commit(u, v, w)
             ends_v = link_commit(v, u, w)
             ends_w = link_commit(w, u, v)
-            # e had one face; ew and ev get their first or second.
-            ecount[e] = 2
+            # e had one face; uw and vw get their first or second.
+            ew = ((u << 4) | w) if u < w else ((w << 4) | u)
+            ev = ((v << 4) | w) if v < w else ((w << 4) | v)
             open_set.discard(e)
-            for ek in (ew, ev):
-                if ecount[ek]:
-                    ecount[ek] = 2
-                    open_set.discard(ek)
-                else:
-                    ecount[ek] = 1
+            for ek, slot in ((ew, su), (ev, sv)):
+                if slot == -1:
                     open_set.add(ek)
                     vdeg[ek >> 4] += 1
                     vdeg[ek & 15] += 1
+                else:
+                    open_set.discard(ek)
             grew = w == used
             if grew:
                 used += 1
@@ -622,42 +609,42 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             faces.pop()
             if grew:
                 used -= 1
-            # An edge now on two faces had one before the commit.
-            for ek in (ew, ev):
-                if ecount[ek] == 2:
-                    ecount[ek] = 1
-                    open_set.add(ek)
-                else:
-                    ecount[ek] = 0
+            for ek, slot in ((ew, su), (ev, sv)):
+                if slot == -1:
                     open_set.discard(ek)
                     vdeg[ek >> 4] -= 1
                     vdeg[ek & 15] -= 1
-            ecount[e] = 1
+                else:
+                    open_set.add(ek)
             open_set.add(e)
             link_undo(w, u, v, ends_w)
             link_undo(v, u, w, ends_v)
             link_undo(u, v, w, ends_u)
 
-        # Or declare e boundary: the cone face (u, v, n) is its second face.
-        # The apex link is closed once it has an edge (spent - len(faces)
-        # are declared) and no open piece.
-        if bordered and (lcomp[n] or spent == len(faces)) and link_ok(n, u, v):
-            ends = link_commit(n, u, v)
-            ecount[e] = 2
+        # Or declare e boundary: commit the cone face (u, v, n) at u, v and
+        # n.  The apex's slots of u and v count the faces on edges un and
+        # vn.  The apex link is closed once it has an edge (spent -
+        # len(faces) are declared) and no open piece.
+        if (bordered and (lcomp[n] or spent == len(faces))
+                and lend[apex | u] != -2 and lend[apex | v] != -2
+                and link_ok(n, u, v) and link_ok(u, v, n) and link_ok(v, u, n)):
+            ends_n = link_commit(n, u, v)
+            ends_u = link_commit(u, v, n)
+            ends_v = link_commit(v, u, n)
             open_set.discard(e)
             if dsum <= degree_cap(spent + 1) and not (beats_root(u) or beats_root(v)):
                 rec(spent + 1, dsum)
-            ecount[e] = 1
             open_set.add(e)
-            link_undo(n, u, v, ends)
+            link_undo(v, u, n, ends_v)
+            link_undo(u, v, n, ends_u)
+            link_undo(n, u, v, ends_n)
 
     # Root: every triangulation has a labelling in which (0, 1, 2) is a
     # face, so it is fixed as the first face.
     faces.append((0, 1, 2))
     for x, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         link_commit(x, p, q)
-        ecount[(p << 4) | q] = 1  # the edge opposite x
-        open_set.add((p << 4) | q)
+        open_set.add((p << 4) | q)  # the edge opposite x
         vdeg[x] = 2
     arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = arc[(2 << 4) | 0] = 1
     rec(1, degree_sum())

@@ -56,7 +56,7 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded, match="limit 15"):
             ts.enumerate_exhaustive(ts.SPHERE, 16, ceiling=20)
         # Every public path stops at _check_ceiling first; the search's own
-        # guard keeps its 256-slot edge and link tables in range.
+        # guard keeps its 256-slot link and arc tables in range.
         with pytest.raises(errors.CeilingExceeded, match="limit 15$"):
             enumeration._search(16, ts.SPHERE)
 
@@ -89,43 +89,49 @@ class TestExhaustive:
 
 EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"  # of []
 TORUS, KLEIN_BOTTLE = ts.SurfaceKind(0, True, 0), ts.SurfaceKind(0, False, 0)
+PUNCTURED_TORUS = ts.SurfaceKind(-1, True, 1)
+PUNCTURED_KLEIN_BOTTLE = ts.SurfaceKind(-1, False, 1)
 
 # (order, surface, rec calls, link_commit calls, build calls, classes,
 # sha256 of the representatives' face lists) for the query of each
 # surface.  The rec calls count the nodes of the search tree, so a cut that
 # stops cutting shows here; the builds count the leaves that reach
-# ``build``.  link_commit runs three times per face committed and once per
-# boundary edge declared.  The degree-sum exit before link_ok cuts no node
-# that the test after the commit would not, so only that count shows it:
-# without it Moebius 7 makes 14,237 calls.  The torus query builds fewer
-# leaves than the Klein bottle query of its order: the orientation cut
-# removes the non-orientable ones before ``build``.
+# ``build``.  link_commit runs three times per face committed, the cone
+# face of a boundary declaration included.  The degree-sum exit before
+# link_ok cuts no node that the test after the commit would not, so only
+# that count shows it: without it Moebius 7 makes 16,584 calls.  The
+# torus query builds fewer leaves than the Klein bottle query of its
+# order: the orientation cut removes the non-orientable ones before
+# ``build``.  The chi = -1 bordered rows are where refusing a face or a
+# boundary edge at a closed link cuts the largest share of nodes.
 SEARCH_PINS = [
     (4, ts.PROJECTIVE_PLANE, 4, 12, 0, 0, EMPTY),
     (5, ts.PROJECTIVE_PLANE, 9, 33, 0, 0, EMPTY),
     (6, ts.PROJECTIVE_PLANE, 29, 108, 1, 1, "8f6ff8e9c1716f6b90740b685ec7b4b64a34423faa6d1a0e491d110bd7448547"),
     (7, ts.PROJECTIVE_PLANE, 113, 396, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
     (8, ts.PROJECTIVE_PLANE, 787, 2586, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
-    (3, ts.MOEBIUS_BAND, 4, 6, 0, 0, EMPTY),
-    (4, ts.MOEBIUS_BAND, 17, 37, 0, 0, EMPTY),
-    (5, ts.MOEBIUS_BAND, 80, 194, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
-    (6, ts.MOEBIUS_BAND, 514, 1357, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
-    (7, ts.MOEBIUS_BAND, 4484, 11639, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
+    (3, ts.MOEBIUS_BAND, 4, 12, 0, 0, EMPTY),
+    (4, ts.MOEBIUS_BAND, 17, 63, 0, 0, EMPTY),
+    (5, ts.MOEBIUS_BAND, 78, 306, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
+    (6, ts.MOEBIUS_BAND, 476, 1917, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
+    (7, ts.MOEBIUS_BAND, 3953, 15180, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
     (4, ts.SPHERE, 4, 12, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
     (5, ts.SPHERE, 7, 24, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
     (6, ts.SPHERE, 22, 72, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
     (7, ts.SPHERE, 71, 228, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
     (8, ts.SPHERE, 323, 1014, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
-    (3, ts.DISK, 4, 6, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
-    (4, ts.DISK, 17, 37, 2, 2, "c2e6ff8412fe68bf69f5bdc2feb2596c129fd41400e34ea2bd745619efea34aa"),
-    (5, ts.DISK, 51, 121, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
-    (6, ts.DISK, 251, 619, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
-    (7, ts.DISK, 1356, 3446, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
+    (3, ts.DISK, 4, 12, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
+    (4, ts.DISK, 17, 63, 2, 2, "c2e6ff8412fe68bf69f5bdc2feb2596c129fd41400e34ea2bd745619efea34aa"),
+    (5, ts.DISK, 51, 195, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
+    (6, ts.DISK, 251, 969, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
+    (7, ts.DISK, 1341, 5091, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
     (7, TORUS, 113, 411, 2, 1, "5627ba84f03c802fb1d422eee055af0424c8a76f00990ea7a9776aa37be113a7"),
     (8, TORUS, 724, 2436, 15, 7, "0b7dac3a2b7d3472642ae7912a927262eddcb681c9264406f9414dda2a5e0b75"),
     (9, TORUS, 8858, 28209, 232, 112, "e886eaa95b9bded09def74ae176029e32cadaf47433c1eedefc6cbd2a0031c27"),
     (7, KLEIN_BOTTLE, 166, 630, 2, 0, EMPTY),
     (8, KLEIN_BOTTLE, 1682, 5931, 27, 6, "a3a1bef4db8bca8e08929f6d071a5a9cc415fb255b37926f8c340f91a25a72d3"),
+    (7, PUNCTURED_TORUS, 4771, 17736, 68, 25, "5d92afc3d6d5a1251329118c8ef1e57df063d49880980a8644586563eec65fbc"),
+    (7, PUNCTURED_KLEIN_BOTTLE, 8504, 32607, 135, 29, "d985ea35b7cc1b1fec516596d188afcaba360b01ff06aff78dc78f5775b33067"),
 ]
 NAMED_KINDS = (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND)
 
@@ -751,6 +757,7 @@ class TestSubsetOracle:
         "n,kind,face_counts",
         [
             (4, ts.DISK, (2, 3)),
+            (5, ts.DISK, (3, 4, 5)),
             (5, ts.MOEBIUS_BAND, (5, 6, 7)),
             (5, ts.SPHERE, (6,)),
             (6, ts.SPHERE, (8,)),
