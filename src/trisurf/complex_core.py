@@ -11,9 +11,16 @@ a (possibly bordered) surface:
 * the link of every vertex is a single cycle or a single simple path,
 * the complex is connected.
 
-:func:`build` checks all three in a single sweep over the faces, which
-also yields the edges, their faces, the sorted neighbour lists, the
-degrees and the boundary vertices that most callers read next.  Vertex
+:func:`build` works in two steps.  It first normalises its input: each
+face and the face list sorted, malformed and repeated faces refused, the
+labels remapped to ``0..order-1``.  Then ``_validate`` checks all three
+conditions in a single sweep over the faces, which also yields the
+edges, their faces, the sorted neighbour lists, the degrees and the
+boundary vertices that most callers read next.  ``_validate`` is the
+only validator.  The splitting moves (:mod:`trisurf.moves`) call it
+directly: they write a child's faces already in normalised form, so
+normalising them again would check nothing, while the surface conditions
+are still checked on every child.  Vertex
 links are built on first use, since only complexes that are split further
 need them; ``links[v]`` is the tuple of the neighbours of ``v`` in star
 order, a cycle for an interior vertex and a path between its two boundary
@@ -336,9 +343,12 @@ class Triangulation:
 def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     """Validate a face list and return the triangulation it spans.
 
-    Input labels may be any non-negative integers; they are remapped to
-    ``0..order-1`` in increasing label order.  Labels that already are the
-    ints ``0..order-1`` are kept as they are.
+    Two steps: the input is normalised, then :func:`_validate` checks the
+    surface conditions.  Normalisation sorts each face and the face list,
+    refuses a face that is not three distinct values and a face given
+    twice, and remaps the labels, which may be any non-negative integers,
+    to ``0..order-1`` in increasing label order.  Labels that already are
+    the ints ``0..order-1`` are kept as they are.
 
     Validation takes one sweep over the faces.  It files every face under
     its three edges and, per vertex, joins the face's link edge to the
@@ -388,7 +398,19 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
         index = {label: i for i, label in enumerate(sorted(labels))}
         # The remap preserves order, so each remapped face stays sorted.
         dense = tuple(sorted((index[a], index[b], index[c]) for a, b, c in unique))
+    return _validate(dense, n)
 
+
+def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
+    """The validation sweep of :func:`build`, on a face tuple in the form
+    :func:`build` normalises its input to.
+
+    ``faces`` must be distinct sorted int triples, themselves sorted, whose
+    vertices are exactly ``0..order-1``; none of this is checked here.  The
+    surface conditions are all checked, raising :class:`NonSurfaceEdge`,
+    :class:`PinchedVertex` or :class:`Disconnected` as :func:`build`
+    documents, and the cached properties are seeded on the result.
+    """
     # Each face is filed under its three edges and gives each of its
     # vertices one link edge.  ``ends[v]`` maps each end of an open path
     # piece of v's partial link to the path's other end; a link vertex not
@@ -398,9 +420,9 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     # three faces, which is reported first.)
     edge_map: dict[Edge, tuple[Face, ...]] = {}
     get = edge_map.get
-    ends: list[dict[int, int]] = [{} for _ in range(n)]
+    ends: list[dict[int, int]] = [{} for _ in range(order)]
     cycles = 0
-    for face in dense:
+    for face in faces:
         a, b, c = face
         edge_map[a, b] = get((a, b), ()) + (face,)
         edge_map[a, c] = get((a, c), ()) + (face,)
@@ -433,11 +455,12 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     # A vertex's link starts as one piece per link vertex, its degree, and
     # each of its link edges, one per face at the vertex, joins two pieces
     # unless it closes a cycle: over all links, 2E - 3F + cycles pieces.
-    # No link is empty, so every link is one piece exactly when that is n.
-    if 2 * len(edge_map) - 3 * len(dense) + cycles != n:
+    # No link is empty, so every link is one piece exactly when that count
+    # is the order.
+    if 2 * len(edge_map) - 3 * len(faces) + cycles != order:
         # The lowest vertex whose link is not one piece raises.
-        for v in range(n):
-            _vertex_link(v, [face for face in dense if v in face])
+        for v in range(order):
+            _vertex_link(v, [face for face in faces if v in face])
         raise AssertionError("a vertex link is in more than one piece")
 
     # Sorting on the edge alone keeps the comparisons off the face tuples.
@@ -445,11 +468,11 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     edges = tuple(edge_faces)
     # Edges are sorted, so each list gets its smaller neighbours in order,
     # then its larger ones: sorted without a sort.
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[list[int]] = [[] for _ in range(order)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    reached = bytearray(n)
+    reached = bytearray(order)
     reached[0] = 1
     stack = [0]
     count = 1
@@ -459,10 +482,10 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
                 reached[w] = 1
                 count += 1
                 stack.append(w)
-    if count != n:
-        raise Disconnected(f"complex has {n - count} unreachable vertices")
+    if count != order:
+        raise Disconnected(f"complex has {order - count} unreachable vertices")
 
-    tri = Triangulation(dense, n)
+    tri = Triangulation(faces, order)
     # Seed the cached properties with what validation already computed.
     cache = tri.__dict__
     cache["edge_faces"] = edge_faces
@@ -471,7 +494,7 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     cache["degrees"] = tuple(map(len, adjacency))
     # A link with open ends left after the sweep is a path: its vertex is
     # on the boundary.
-    cache["boundary_vertices"] = frozenset(compress(range(n), ends))
+    cache["boundary_vertices"] = frozenset(compress(range(order), ends))
     return tri
 
 

@@ -780,8 +780,7 @@ def parse_catalog(text: str) -> Catalog:
             code_hex, order_text, face_text, provenance = line.split(" ", 3)
             code, order = bytes.fromhex(code_hex), int(order_text)
             parsed = [
-                tuple(int(value) for value in face.split(","))
-                for face in face_text.split(";")
+                tuple(map(int, face.split(","))) for face in face_text.split(";")
             ]
         except ValueError:
             raise ParseError(f"line {lineno}: bad catalog record") from None

@@ -55,7 +55,7 @@ from collections.abc import Collection
 from typing import NamedTuple
 
 from .canon import automorphisms
-from .complex_core import Edge, Face, Triangulation, build
+from .complex_core import Edge, Face, Triangulation, _validate, build
 from .errors import (
     AmbiguousArc,
     Disconnected,
@@ -155,24 +155,44 @@ def truncated_corners(tri: Triangulation) -> list[TruncatedCorner]:
 
 def _split_star(
     tri: Triangulation, v: int, moved: Collection[int], ends: tuple[int, ...]
-) -> list[Face]:
+) -> tuple[Face, ...]:
     """The faces after giving a fresh vertex the faces of the star of ``v``
     at the link positions ``moved`` and closing the cut with a face
-    ``{v, v', x}`` for each ``x`` in ``ends``.
+    ``{v, v', x}`` for each link entry ``x`` of ``v`` in ``ends``.
 
     Position ``i`` is the face of ``v`` on link entries ``i`` and ``i + 1``,
     wrapping around when the link is a cycle.  Faces that avoid ``v`` are
-    copied.
+    copied.  The faces come in the form ``build`` normalises to, so the
+    caller hands them to ``_validate`` as they are: each face sorted, the
+    tuple sorted, the vertices exactly ``0..tri.order``, the fresh vertex
+    ``v'`` being ``tri.order``.  Every vertex but ``v`` keeps a face (a
+    neighbour of ``v`` is in the star's faces), and ``v`` keeps the
+    closing faces.
     """
     link = tri.links[v]
+    # The label itself, as ``build`` would store it: a descriptor field
+    # may be an equal value of another type, such as ``True`` for 1.
+    v = range(tri.order)[v]
     after = link[1:] if v in tri.boundary_vertices else link[1:] + link[:1]
     fresh = tri.order
     new_faces = [face for face in tri.faces if v not in face]
-    new_faces += [
-        (fresh if i in moved else v, x, y) for i, (x, y) in enumerate(zip(link, after))
-    ]
-    new_faces += [(v, fresh, x) for x in ends]
-    return new_faces
+    append = new_faces.append
+    # The fresh vertex is the largest, so it goes last.
+    for i, (x, y) in enumerate(zip(link, after)):
+        if x > y:
+            x, y = y, x
+        if i in moved:
+            append((x, y, fresh))
+        elif v < x:
+            append((v, x, y))
+        elif v < y:
+            append((x, v, y))
+        else:
+            append((x, y, v))
+    for x in ends:
+        append((v, x, fresh) if v < x else (x, v, fresh))
+    new_faces.sort()
+    return tuple(new_faces)
 
 
 def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
@@ -185,10 +205,10 @@ def split_corner(tri: Triangulation, corner: Corner) -> Triangulation:
     choice of arc only renames the two copies of ``v``, so the result is
     well defined up to isomorphism.
     """
-    return build(_corner_faces(tri, corner))
+    return _validate(_corner_faces(tri, corner), tri.order + 1)
 
 
-def _corner_faces(tri: Triangulation, corner: Corner) -> list[Face]:
+def _corner_faces(tri: Triangulation, corner: Corner) -> tuple[Face, ...]:
     v, u, w = corner.v, corner.u, corner.w
     if u == w:
         raise AmbiguousArc("corner needs two distinct edges")
@@ -204,7 +224,7 @@ def _corner_faces(tri: Triangulation, corner: Corner) -> list[Face]:
     else:
         d = len(link)
         moved = {i % d for i in range(iu, iu + (iw - iu) % d)}
-    return _split_star(tri, v, moved, (u, w))
+    return _split_star(tri, v, moved, (link[iu], link[iw]))
 
 
 def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulation:
@@ -214,17 +234,20 @@ def split_truncated(tri: Triangulation, corner: TruncatedCorner) -> Triangulatio
     vertex; the new edge between the two copies of ``v`` is a boundary
     edge, so the boundary cycle grows by one.
     """
-    return build(_truncated_faces(tri, corner))
+    return _validate(_truncated_faces(tri, corner), tri.order + 1)
 
 
-def _truncated_faces(tri: Triangulation, corner: TruncatedCorner) -> list[Face]:
+def _truncated_faces(
+    tri: Triangulation, corner: TruncatedCorner
+) -> tuple[Face, ...]:
     v, u = corner.v, corner.u
     if v not in tri.boundary_vertices:
         raise NotBoundaryVertex(f"vertex {v} is not a boundary vertex")
     if not tri.has_edge(v, u):
         raise UnknownEdge(f"{v}-{u} is not an edge")
     link = tri.links[v]
-    return _split_star(tri, v, range(link.index(u), len(link) - 1), (u,))
+    iu = link.index(u)
+    return _split_star(tri, v, range(iu, len(link) - 1), (link[iu],))
 
 
 def shrink_edge(tri: Triangulation, edge: Edge) -> Triangulation:
@@ -264,8 +287,10 @@ def all_splits(
     and shrinking the edge from the first descriptor's ``v`` to the fresh
     vertex ``tri.order`` restores ``tri``.  Orbits whose children have
     equal face lists share one child value: the three corners that
-    subdivide one face give the same list, so each distinct child is built
-    and validated once.
+    subdivide one face give the same list, so each distinct child is
+    validated once.  A child skips ``build``'s input normalisation, since
+    :func:`_split_star` writes its faces in normalised form, but not the
+    validation sweep: it is ``_validate``'s result.
     """
     # Two descriptors lie in one orbit exactly when their least images
     # under the group are equal.
@@ -281,13 +306,13 @@ def all_splits(
         v, u = truncated.v, truncated.u
         least = min((p[v], p[u]) for p in elements)
         orbits.setdefault(least, []).append(truncated)
-    # The key is exact: ``build`` sorts each face and the face list, so two
-    # lists with one face set give equal values, and neither list can hold
-    # a duplicate that the set would hide (``build`` would refuse it).
-    # ``_split_star`` never emits a face twice: the copied faces avoid v and
-    # the fresh vertex, each star face holds one of them and a distinct
-    # link pair, and each closing face holds both and a distinct end.
-    children: dict[frozenset[frozenset[int]], Triangulation] = {}
+    # The key is the child's face tuple, which ``_split_star`` returns
+    # sorted, so two children with one face set have equal keys.  It holds
+    # no duplicate face, the check that ``_validate`` leaves to ``build``:
+    # the copied faces avoid v and the fresh vertex, each star face holds
+    # one of them and a distinct link pair, and each closing face holds
+    # both and a distinct end.
+    children: dict[tuple[Face, ...], Triangulation] = {}
     results: list[tuple[tuple[Corner | TruncatedCorner, ...], Triangulation]] = []
     for orbit in orbits.values():
         first = orbit[0]
@@ -295,10 +320,9 @@ def all_splits(
             faces = _corner_faces(tri, first)
         else:
             faces = _truncated_faces(tri, first)
-        key = frozenset(map(frozenset, faces))
-        child = children.get(key)
+        child = children.get(faces)
         if child is None:
-            child = children[key] = build(faces)
+            child = children[faces] = _validate(faces, tri.order + 1)
         results.append((tuple(orbit), child))
     return results
 

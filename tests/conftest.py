@@ -2,13 +2,17 @@
 build, the reference canonical form, the reference vertex orbits and the
 reference orientability test.
 
-The heavyweight catalogs and the split scans over them are
+The heavyweight catalogs, the certificates and the split scans are
 session-scoped.  The package caches no search, so tests that only read a
-search's values share each query through the ``search`` fixture.
+search's values share each query through the ``search`` fixture: the
+session catalogs and certificates of the Moebius band are built through
+it, and a test that builds its own certificate from altered inputs sends
+its searches through it with ``shared_search``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import struct
 from collections import deque
@@ -351,13 +355,15 @@ def projective_catalog():
 
 
 @pytest.fixture(scope="session")
-def moebius_catalog_5_7():
-    return ts.enumerate_exhaustive_range(ts.MOEBIUS_BAND, 5, 7)
+def moebius_catalog_5_7(search):
+    with _searching_through(search):
+        return ts.enumerate_exhaustive_range(ts.MOEBIUS_BAND, 5, 7)
 
 
 @pytest.fixture(scope="session")
-def moebius_catalog_5_8():
-    return ts.enumerate_exhaustive_range(ts.MOEBIUS_BAND, 5, 8)
+def moebius_catalog_5_8(search):
+    with _searching_through(search):
+        return ts.enumerate_exhaustive_range(ts.MOEBIUS_BAND, 5, 8)
 
 
 @pytest.fixture(scope="session")
@@ -381,8 +387,19 @@ def no_pylonic_creation(projective_catalog):
 
 
 @pytest.fixture(scope="session")
-def certificate(projective_catalog):
-    return ts.build_certificate(projective_catalog=projective_catalog)
+def certificate(projective_catalog, search):
+    with _searching_through(search):
+        return ts.build_certificate(projective_catalog=projective_catalog)
+
+
+@pytest.fixture(scope="session")
+def certificate_7(projective_catalog, search):
+    """The certificate with its cross-check at order 7, for the tests that
+    only read it."""
+    with _searching_through(search):
+        return ts.build_certificate(
+            max_cross_check_order=7, projective_catalog=projective_catalog
+        )
 
 
 @pytest.fixture()
@@ -398,3 +415,19 @@ def no_search(monkeypatch):
 def search():
     """``enumeration._search``, each query run once for the session."""
     return functools.cache(enumeration._search)
+
+
+@contextlib.contextmanager
+def _searching_through(search):
+    """Send every exhaustive search made in the block through ``search``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_search", search)
+        yield
+
+
+@pytest.fixture()
+def shared_search(search):
+    """Send the test's exhaustive searches through ``search``, for tests
+    that only read the values searched."""
+    with _searching_through(search):
+        yield

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
-from trisurf import canon, enumeration, moves
+from trisurf import canon, complex_core, enumeration, moves
 
 from conftest import brute_force_isomorphic, group_orbits, reference_canonical_form
 
@@ -49,31 +49,33 @@ def _count_sweeps(monkeypatch):
 @pytest.fixture(scope="module")
 def counted_closures():
     """Splitting closures of the sphere 4..8, projective plane 6..8 and
-    Moebius band 5..7, and the (``build`` calls, canonical forms) each took.
+    Moebius band 5..7, and the (validation sweeps, canonical forms) each
+    took.  A sweep is a ``_validate`` call, made by ``build`` for the seeds
+    and by ``moves`` for each split child.
 
     Each closure builds its seeds afresh, so no value it codes was coded
     before and the counts do not depend on which tests ran first.
     """
-    calls = {"build": 0, "form": 0}
+    calls = {"validate": 0, "form": 0}
 
     def counting(name, real):
-        def wrapper(arg):
+        def wrapper(*args):
             calls[name] += 1
-            return real(arg)
+            return real(*args)
         return wrapper
 
     catalogs, work = {}, {}
     with pytest.MonkeyPatch.context() as mp:
-        counting_build = counting("build", moves.build)
-        mp.setattr(moves, "build", counting_build)
-        mp.setattr(enumeration, "build", counting_build)
+        counting_validate = counting("validate", complex_core._validate)
+        mp.setattr(complex_core, "_validate", counting_validate)
+        mp.setattr(moves, "_validate", counting_validate)
         mp.setattr(canon, "_canonical_form", counting("form", canon._canonical_form))
         for kind, low, top in (
             (ts.SPHERE, 4, 8), (ts.PROJECTIVE_PLANE, 6, 8), (ts.MOEBIUS_BAND, 5, 7)
         ):
-            calls.update(build=0, form=0)
+            calls.update(validate=0, form=0)
             catalogs[str(kind)] = ts.enumerate_splitting_range(kind, low, top)
-            work[str(kind)] = (calls["build"], calls["form"])
+            work[str(kind)] = (calls["validate"], calls["form"])
     return catalogs, work
 
 
@@ -389,11 +391,11 @@ CATALOG_BYTES = {
     "moebius-band": "32896d0b73ff5baa557156d2c594a56a4a957e079b575d32a196cbcc165f176f",
 }
 
-# (build calls, canonical forms computed) by each closure.  ``all_splits``
-# builds one child per automorphism orbit of a parent's split descriptors
-# and the closure codes each, so every value built is coded once; building
-# a child nobody codes, or coding one twice, shows here though no catalog
-# byte changes.
+# (validation sweeps, canonical forms computed) by each closure.
+# ``all_splits`` validates one child per automorphism orbit of a parent's
+# split descriptors and the closure codes each, so every value validated
+# is coded once; validating a child nobody codes, or coding one twice,
+# shows here though no catalog byte changes.
 CLOSURE_WORK = {
     "sphere": (82, 82),
     "projective-plane": (44, 44),

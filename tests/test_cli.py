@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -346,18 +348,25 @@ class TestEnumerate:
 
 
 class TestVerifyMoebius:
-    def test_certificate_files_written(self, tmp_path, capsys):
-        out = tmp_path / "cert"
-        assert main(["verify-moebius", "--max-order", "7",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """``verify-moebius --max-order 7 --out``, run once for the tests
+        that only read what it writes: its exit code and output directory."""
+        out = tmp_path_factory.mktemp("verify") / "cert"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify-moebius", "--max-order", "7", "--out", str(out)])
+        return code, out
+
+    def test_certificate_files_written(self, written):
+        code, out = written
+        assert code == 0
         certificate = (out / "moebius_certificate.txt").read_text()
         members = (out / "moebius_members.txt").read_text()
         assert "result: PASS" in certificate
         assert members.count("member M") == 6
 
     def test_failed_certificate_names_each_clause_and_writes_both_reports(
-        self, monkeypatch, projective_catalog, tmp_path, capsys
+        self, monkeypatch, projective_catalog, shared_search, tmp_path, capsys
     ):
         # A census catalog without its order-6 member fails six clauses.
         damaged = ts.Catalog(
@@ -414,12 +423,10 @@ class TestVerifyMoebius:
         )
         assert not out.exists()
 
-    def test_face_list_round_trip_of_written_members(self, tmp_path, capsys):
+    def test_face_list_round_trip_of_written_members(self, written):
         # Face lists embedded in the members report rebuild to the same codes.
-        out = tmp_path / "cert"
-        assert main(["verify-moebius", "--max-order", "7",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
+        code, out = written
+        assert code == 0
         members = (out / "moebius_members.txt").read_text()
         face_lines = [
             line.split(":", 1)[1].strip()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 import threading
 import types
@@ -559,6 +560,35 @@ class TestCatalogFile:
         lines[7] = " ".join(record)
         with pytest.raises(errors.ParseError, match="does not match"):
             ts.parse_catalog("\n".join(lines))
+
+    @pytest.mark.parametrize("face_text, bad", [
+        ("1,2,3,4;5,6", "(1, 2, 3, 4)"),
+        ("0,1;0,2,3", "(0, 1)"),
+        ("0,1,2;0,1,3;0,2,3;1,2,3,4", "(1, 2, 3, 4)"),
+        ("0,1,2;0,1,3;0,2,3;1,2", "(1, 2)"),
+        ("7", "(7,)"),
+    ])
+    def test_face_of_other_than_three_values_is_named(
+        self, sphere_catalog_4_6, face_text, bad
+    ):
+        # The first holds as many values as two whole faces would, but
+        # each face must have three of its own.
+        lines = ts.serialize_catalog(sphere_catalog_4_6).splitlines()
+        record = lines[7].split(" ", 3)
+        record[2] = face_text
+        lines[7] = " ".join(record)
+        message = f"face {bad} must have 3 distinct vertices"
+        with pytest.raises(errors.InvalidFace, match=f"^{re.escape(message)}$"):
+            ts.parse_catalog("\n".join(lines))
+
+    def test_face_field_with_signs_reads_as_before(self, sphere_catalog_4_6):
+        # int() accepts a sign, so a signed label reads as the plain one.
+        text = ts.serialize_catalog(sphere_catalog_4_6)
+        lines = text.splitlines()
+        record = lines[7].split(" ", 3)
+        record[2] = "+" + record[2]
+        lines[7] = " ".join(record)
+        assert ts.serialize_catalog(ts.parse_catalog("\n".join(lines))) == text
 
     def test_missing_separator_rejected(self):
         with pytest.raises(errors.ParseError):

@@ -212,7 +212,7 @@ class TestCertificate:
         assert report.count("member M") == 6
         assert "boundary degrees" in report
 
-    def test_corrupted_catalog_fails_localized(self, projective_catalog):
+    def test_corrupted_catalog_fails_localized(self, projective_catalog, shared_search):
         damaged = Catalog(
             projective_catalog.kind,
             projective_catalog.min_order,
@@ -232,28 +232,30 @@ class TestCertificate:
         with pytest.raises(errors.CeilingExceeded, match="^order 8 above ceiling 7$"):
             ts.build_certificate(max_cross_check_order=7, ceiling=7)
 
-    def test_lower_cross_check_order_still_passes(self, projective_catalog):
-        certificate = ts.build_certificate(
-            max_cross_check_order=7, projective_catalog=projective_catalog
-        )
-        assert certificate.passed
+    def test_lower_cross_check_order_still_passes(self, certificate_7):
+        assert certificate_7.passed
 
     @pytest.mark.parametrize("max_order, beyond", [
         (7, "order 8"), (8, "order 8"), (9, "orders 8..9"),
     ])
     def test_cross_check_statement_names_the_orders_beyond_the_members(
-        self, monkeypatch, projective_catalog, max_order, beyond
+        self, monkeypatch, projective_catalog, certificate_7, shared_search,
+        max_order, beyond,
     ):
         # The order-7 search stands in for the longer ones: no irreducible
         # member has order 8 or 9, so the clause sees the same code set.
-        real = moebius_pipeline.enumerate_exhaustive_range
-        monkeypatch.setattr(
-            moebius_pipeline, "enumerate_exhaustive_range",
-            lambda kind, min_order, max_order, ceiling: real(kind, min_order, 7, ceiling),
-        )
-        certificate = ts.build_certificate(
-            max_cross_check_order=max_order, projective_catalog=projective_catalog
-        )
+        certificate = certificate_7
+        if max_order > 7:
+            real = moebius_pipeline.enumerate_exhaustive_range
+            monkeypatch.setattr(
+                moebius_pipeline, "enumerate_exhaustive_range",
+                lambda kind, min_order, max_order, ceiling: real(
+                    kind, min_order, 7, ceiling
+                ),
+            )
+            certificate = ts.build_certificate(
+                max_cross_check_order=max_order, projective_catalog=projective_catalog
+            )
         (clause,) = [c for c in certificate.clauses if c.ident == "exhaustive-cross-check"]
         assert clause.passed
         assert clause.statement == (
@@ -262,7 +264,7 @@ class TestCertificate:
         )
 
     def test_extra_irreducible_member_fails_the_cross_check(
-        self, monkeypatch, projective_catalog, proj_plane
+        self, monkeypatch, projective_catalog, proj_plane, shared_search
     ):
         real = moebius_pipeline.enumerate_exhaustive_range
         extra = CatalogEntry(ts.canonical_code(proj_plane), proj_plane, "injected")
@@ -314,7 +316,7 @@ class TestArgument:
         ("degree_ties", (4,), "degree-evidence"),
     ])
     def test_each_expectation_feeds_one_clause(
-        self, projective_catalog, field, wrong, clause
+        self, projective_catalog, shared_search, field, wrong, clause
     ):
         certificate = ts.build_certificate(
             max_cross_check_order=7,
@@ -348,7 +350,9 @@ class TestCertificateContract:
                 max_cross_check_order=7, projective_catalog=sphere_catalog_4_6
             )
 
-    def test_missing_irreducible_members_fail_named_clauses(self, projective_catalog):
+    def test_missing_irreducible_members_fail_named_clauses(
+        self, projective_catalog, shared_search
+    ):
         damaged = _without(
             projective_catalog, lambda e: ts.is_irreducible(e.triangulation)
         )
@@ -361,7 +365,9 @@ class TestCertificateContract:
             "exhaustive-cross-check",
         }
 
-    def test_missing_order_six_member_fails_named_clauses(self, projective_catalog):
+    def test_missing_order_six_member_fails_named_clauses(
+        self, projective_catalog, shared_search
+    ):
         damaged = _without(projective_catalog, lambda e: e.order == 6)
         certificate = ts.build_certificate(
             max_cross_check_order=7, projective_catalog=damaged

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
-from trisurf import errors
+from trisurf import errors, moves
 from trisurf.moves import Corner, TruncatedCorner
 from tests.conftest import split_children
 
@@ -299,6 +299,64 @@ def test_each_split_child_is_isomorphic_to_the_first_of_its_orbit():
                 splits += len(descriptors)
             parents += 1
     assert (parents, splits, later) == (30, 1491, 1039)
+
+
+# Closures whose every split is checked against ``build``.
+NORMAL_FORM_RANGES = [
+    (ts.SPHERE, 4, 7), (ts.PROJECTIVE_PLANE, 6, 7), (ts.DISK, 3, 6),
+    (ts.MOEBIUS_BAND, 5, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, lo, hi", NORMAL_FORM_RANGES,
+    ids=[f"{kind}-{lo}..{hi}" for kind, lo, hi in NORMAL_FORM_RANGES],
+)
+def test_split_faces_are_normalised_and_validate_as_build_does(kind, lo, hi):
+    # A split child skips build's normalisation and goes straight to the
+    # validation sweep, so its faces must already be in build's form, and
+    # the child must be the value build makes of them.
+    checked = 0
+    for entry in ts.enumerate_splitting_range(kind, lo, hi).entries:
+        parent = entry.triangulation
+        order = parent.order + 1
+        for d in [*ts.corners(parent), *ts.truncated_corners(parent)]:
+            if isinstance(d, Corner):
+                faces = moves._corner_faces(parent, d)
+                child = ts.split_corner(parent, d)
+            else:
+                faces = moves._truncated_faces(parent, d)
+                child = ts.split_truncated(parent, d)
+            assert type(faces) is tuple
+            for face in faces:
+                assert type(face) is tuple and len(face) == 3, face
+                assert all(type(x) is int for x in face), face
+                assert face[0] < face[1] < face[2], face
+            assert all(f < g for f, g in zip(faces, faces[1:])), d
+            assert {x for face in faces for x in face} == set(range(order))
+            rebuilt = ts.build(faces)
+            assert child.faces == faces and child.order == order
+            assert rebuilt == child and rebuilt.order == child.order
+            for name in (
+                "edge_faces", "edges", "neighbors", "degrees", "boundary_vertices"
+            ):
+                assert getattr(child, name) == getattr(rebuilt, name), (d, name)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("v, u, w", [(0, 1.0, 2), (0, True, 2), (True, 0, 2)])
+def test_corner_fields_of_another_type_store_int_labels(tetrahedron, v, u, w):
+    child = ts.split_corner(tetrahedron, Corner(v, u, w))
+    assert child == ts.split_corner(tetrahedron, Corner(int(v), int(u), w))
+    assert {type(x) for face in child.faces for x in face} == {int}
+
+
+@pytest.mark.parametrize("v, u", [(0, 1.0), (0, True), (True, 0)])
+def test_truncated_fields_of_another_type_store_int_labels(triangle, v, u):
+    child = ts.split_truncated(triangle, TruncatedCorner(v, u))
+    assert child == ts.split_truncated(triangle, TruncatedCorner(int(v), int(u)))
+    assert {type(x) for face in child.faces for x in face} == {int}
 
 
 def test_equal_split_children_share_one_value(proj_plane, k5_moebius, tetrahedron):
