@@ -17,14 +17,14 @@ labels remapped to ``0..order-1``.  Then ``_validate`` checks all three
 conditions in a single sweep over the faces, which also yields the
 edges, their faces, the sorted neighbour lists, the degrees and the
 boundary vertices that most callers read next.  ``_validate`` is the
-only validator.  The splitting moves (:mod:`trisurf.moves`) call it
-directly: they write a child's faces already in normalised form, so
-normalising them again would check nothing, while the surface conditions
-are still checked on every child.  Vertex
-links are built on first use, since only complexes that are split further
-need them; ``links[v]`` is the tuple of the neighbours of ``v`` in star
-order, a cycle for an interior vertex and a path between its two boundary
-neighbours for a boundary vertex.
+only validator and the only code that computes those five fields.  The
+splitting moves (:mod:`trisurf.moves`) call it directly: they write a
+child's faces already in normalised form, so normalising them again
+would check nothing, while the surface conditions are still checked on
+every child.  Vertex links are built on first use, since only complexes
+that are split further need them; ``links[v]`` is the tuple of the
+neighbours of ``v`` in star order, a cycle for an interior vertex and a
+path between its two boundary neighbours for a boundary vertex.
 
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
@@ -33,7 +33,8 @@ A catalog stores each class's value bare, as ``Triangulation(faces,
 order)`` with its code in the catalog entry: once a class is coded (and,
 in the splitting closure, split) no engine reads its derived data again,
 and the closure's top order, most of the classes, is never split.  A
-later reader recomputes what it reads through the same properties.
+later reader's first read of a seeded field re-runs ``_validate`` on the
+stored faces, and the other derived data is recomputed on first use.
 
 The cables of a value are set algebra on its edges: the edges minus the
 four impediment sets ``nonfacial_edges``, ``chords``,
@@ -121,6 +122,9 @@ def _normalise_face(face: Sequence[int]) -> Face:
 
 _set_field = object.__setattr__
 
+# The derived fields that ``_validate`` alone computes, seeded on its values.
+_SEEDED = frozenset(("edge_faces", "edges", "neighbors", "degrees", "boundary_vertices"))
+
 
 class Triangulation:
     """An immutable, validated face-set complex.
@@ -133,15 +137,34 @@ class Triangulation:
     takes no part in equality or hashing: equal faces make equal values.
 
     Assignment is refused; derived data is written straight to the
-    instance ``__dict__``, by ``cached_property`` and by :func:`build`.
+    instance ``__dict__``.  The edges, their faces, the neighbour lists,
+    the degrees and the boundary vertices come from ``_validate`` alone: it
+    seeds them on every value it returns, and a bare value re-runs it on
+    the first read of any of them.  The rest is ``cached_property``.
     """
 
     faces: tuple[Face, ...]
     order: int
+    edge_faces: dict[Edge, tuple[Face, ...]]
+    edges: tuple[Edge, ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+    boundary_vertices: frozenset[int]
 
     def __init__(self, faces: tuple[Face, ...], order: int) -> None:
         _set_field(self, "faces", faces)
         _set_field(self, "order", order)
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only when the instance ``__dict__`` misses: on a bare
+        # value, the first read of a seeded field.  Its faces came from a
+        # validated value, so the sweep cannot raise; the swept value holds
+        # this value's own faces and order, and the seeded fields.
+        if name not in _SEEDED:
+            raise AttributeError(f"'Triangulation' object has no attribute {name!r}")
+        cache = self.__dict__
+        cache.update(_validate(self.faces, self.order).__dict__)
+        return cache[name]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -160,31 +183,6 @@ class Triangulation:
     @property
     def vertices(self) -> range:
         return range(self.order)
-
-    @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[Face, ...]]:
-        mapping: dict[Edge, list[Face]] = {}
-        for face in self.faces:
-            a, b, c = face
-            for edge in ((a, b), (a, c), (b, c)):
-                mapping.setdefault(edge, []).append(face)
-        return {edge: tuple(incident) for edge, incident in sorted(mapping.items())}
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.edge_faces)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adjacency: list[set[int]] = [set() for _ in range(self.order)]
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.neighbors)
 
     @cached_property
     def nonfacial_triangles(self) -> frozenset[Face]:
@@ -267,10 +265,6 @@ class Triangulation:
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
         return frozenset(e for e, inc in self.edge_faces.items() if len(inc) == 1)
-
-    @cached_property
-    def boundary_vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.boundary_edges for v in e)
 
     @property
     def is_closed(self) -> bool:
@@ -409,7 +403,7 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
     vertices are exactly ``0..order-1``; none of this is checked here.  The
     surface conditions are all checked, raising :class:`NonSurfaceEdge`,
     :class:`PinchedVertex` or :class:`Disconnected` as :func:`build`
-    documents, and the cached properties are seeded on the result.
+    documents, and the ``_SEEDED`` fields are stored on the result.
     """
     # Each face is filed under its three edges and gives each of its
     # vertices one link edge.  ``ends[v]`` maps each end of an open path
@@ -486,7 +480,7 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
         raise Disconnected(f"complex has {order - count} unreachable vertices")
 
     tri = Triangulation(faces, order)
-    # Seed the cached properties with what validation already computed.
+    # Seed the ``_SEEDED`` fields with what validation already computed.
     cache = tri.__dict__
     cache["edge_faces"] = edge_faces
     cache["edges"] = edges

@@ -171,7 +171,8 @@ class CatalogEntry(NamedTuple):
 
     The code is the entry's, not the value's: ``triangulation`` is stored
     bare (see :func:`_catalogued`), so derived data read from it, the
-    canonical code included, is recomputed on first read.
+    canonical code included, is recomputed on first read; its edge data
+    by re-running ``_validate`` on the stored faces.
     """
 
     code: bytes
@@ -193,10 +194,11 @@ def _catalogued(code: bytes, tri: Triangulation, provenance: str) -> CatalogEntr
     no engine reads it again: a search class and a parsed record are done
     once coded, and a closure class once its own children are expanded,
     which a class of the top order, most of the classes, never is.  A
-    later reader recomputes what it reads through the same
-    ``cached_property`` definitions.  A fresh value is built rather than
-    keys deleted from ``tri.__dict__``, which measured slower in the
-    closure loop.
+    later reader's first read of the edges, edge faces, neighbours,
+    degrees or boundary vertices re-runs ``_validate`` on the stored
+    faces, and the rest is recomputed on first use.  A fresh value is
+    built rather than keys deleted from ``tri.__dict__``, which measured
+    slower in the closure loop.
     """
     return CatalogEntry(code, Triangulation(tri.faces, tri.order), provenance)
 
@@ -579,7 +581,8 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             ends_v = link_commit(v, u, w)
             ends_w = link_commit(w, u, v)
             # e had one face; uw and vw get their first or second.
-            ew = ((u << 4) | w) if u < w else ((w << 4) | u)
+            # w > u: a smaller w has only closed edges, so its closed link refused it.
+            ew = (u << 4) | w
             ev = ((v << 4) | w) if v < w else ((w << 4) | v)
             open_set.discard(e)
             for ek, slot in ((ew, su), (ev, sv)):
@@ -646,7 +649,8 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         link_commit(x, p, q)
         open_set.add((p << 4) | q)  # the edge opposite x
         vdeg[x] = 2
-    arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = arc[(2 << 4) | 0] = 1
+    # Arc 2 -> 0 is never read: edge 0-2 closes before a face could run it.
+    arc[(0 << 4) | 1] = arc[(1 << 4) | 2] = 1
     rec(1, degree_sum())
     return tuple(found[c] for c in sorted(found))
 

@@ -123,11 +123,12 @@ def _reference_normalise_face(face) -> Face:
 def reference_build(faces) -> Triangulation:
     """Independent oracle for :func:`trisurf.build`: the staged pipeline.
 
-    It normalises every face, always remaps the labels, and then validates
-    through the value's cached properties, one after another: edge faces,
-    every vertex link (built eagerly) and a breadth-first connectivity
-    sweep over the neighbours.  ``build`` must agree with it on every
-    field and on every error type and message.
+    It normalises every face, always remaps the labels, derives the fields
+    that ``build``'s sweep stores, each by its own definition, and then
+    validates through them, one after another: edge faces, every vertex
+    link (built eagerly) and a breadth-first connectivity sweep over the
+    neighbours.  ``build`` must agree with it on every field and on every
+    error type and message.
     """
     normalised = [_reference_normalise_face(face) for face in faces]
     if not normalised:
@@ -146,6 +147,28 @@ def reference_build(faces) -> Triangulation:
         tuple(sorted((index[a], index[b], index[c]))) for a, b, c in unique
     ))
     tri = Triangulation(dense, len(labels))
+    # Stored on the value before any read, so that no read re-runs the
+    # validation sweep that this oracle checks.
+    mapping: dict[tuple[int, int], list[Face]] = {}
+    for face in dense:
+        a, b, c = face
+        for edge in ((a, b), (a, c), (b, c)):
+            mapping.setdefault(edge, []).append(face)
+    edge_faces = {edge: tuple(incident) for edge, incident in sorted(mapping.items())}
+    adjacency: list[set[int]] = [set() for _ in labels]
+    for u, v in edge_faces:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+    vars(tri).update(
+        edge_faces=edge_faces,
+        edges=tuple(edge_faces),
+        neighbors=neighbors,
+        degrees=tuple(map(len, neighbors)),
+        boundary_vertices=frozenset(
+            v for e, incident in edge_faces.items() if len(incident) == 1 for v in e
+        ),
+    )
     for edge, incident in tri.edge_faces.items():
         if len(incident) > 2:
             raise NonSurfaceEdge(

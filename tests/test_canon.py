@@ -354,6 +354,20 @@ class TestWideCode:
         assert len(code) == 1 + 2 * (3 + 3 * 288)
         assert len(ts.automorphisms(tri)) == 1728
 
+    def test_sphere_with_exactly_256_faces_gets_the_wide_code(self):
+        # The bipyramid over a 128-cycle: 130 vertices and 256 faces, the
+        # least face count a one-byte header field cannot hold.
+        ring = 128
+        tri = ts.build(
+            (i, (i + 1) % ring, apex) for i in range(ring) for apex in (ring, ring + 1)
+        )
+        assert (tri.order, len(tri.faces), tri.surface_kind) == (130, 256, ts.SPHERE)
+        code = ts.canonical_code(tri)
+        assert ts.canonical_code(_shuffled(tri, random.Random(256))) == code
+        assert code[0] == 0
+        assert code[1:7] == bytes((0, 130, 1, 0, 0, 0))
+        assert len(code) == 1 + 2 * (3 + 3 * 256)
+
     def test_torus_grid_with_256_vertices_needs_the_wide_order_field(self):
         tri = _torus_grid(16)
         code = ts.canonical_code(tri)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
 from trisurf import errors
-from trisurf.complex_core import _is_orientable
+from trisurf.complex_core import _SEEDED, _is_orientable, _validate
 from trisurf.enumeration import BASES
 from tests.conftest import (
     ANTIPODAL,
@@ -90,7 +90,7 @@ def _outcome(build, soup) -> str:
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return repr((
-        tri.faces, tri.order, tri.edges, tri.neighbors, tri.degrees,
+        tri.faces, tri.order, tri.edges, tri.edge_faces, tri.neighbors, tri.degrees,
         sorted(tri.boundary_vertices), tri.links, tri.surface_kind,
     ))
 
@@ -317,6 +317,53 @@ class TestDerivedDataLifetime:
         assert not any("links" in vars(child) for child in children)
         for child in children:
             assert child.links == reference_build(child.faces).links
+
+
+class TestSeededFields:
+    """The fields ``_validate`` seeds have no other definition: a bare value
+    re-runs it on its first read of any of them."""
+
+    NAMES = sorted(_SEEDED)
+
+    def test_the_fallback_serves_exactly_what_validate_seeds(self, proj_plane):
+        seeded = vars(_validate(proj_plane.faces, proj_plane.order))
+        assert set(seeded) - {"faces", "order"} == _SEEDED
+        assert not any(hasattr(ts.Triangulation, name) for name in _SEEDED)
+        bare = ts.Triangulation(proj_plane.faces, proj_plane.order)
+        with pytest.raises(AttributeError, match="no attribute 'edge_count'"):
+            bare.edge_count
+        assert set(vars(bare)) == {"faces", "order"}
+
+    @pytest.fixture(scope="class")
+    def expected(self, closure_members, search):
+        """Closure and search members, each with its fields as ``build``
+        gives them, which must also be the reference pipeline's."""
+        members = [*closure_members] + [
+            entry.triangulation
+            for kind, order in (
+                (ts.SPHERE, 7), (ts.PROJECTIVE_PLANE, 7), (ts.DISK, 6),
+                (ts.MOEBIUS_BAND, 7),
+            )
+            for entry in search(order, kind)
+        ]
+        pairs = []
+        for tri in members:
+            fields = self.fields(ts.build(tri.faces))
+            assert fields == self.fields(reference_build(tri.faces))
+            pairs.append((tri, fields))
+        return pairs
+
+    @classmethod
+    def fields(cls, tri) -> str:
+        return repr([getattr(tri, name) for name in cls.NAMES])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_first_read_of_any_field_fills_all_of_them(self, name, expected):
+        for tri, fields in expected:
+            bare = ts.Triangulation(tri.faces, tri.order)
+            getattr(bare, name)
+            assert set(vars(bare)) == {"faces", "order", *_SEEDED}
+            assert self.fields(bare) == fields
 
 
 class TestFaceSoupProperty:

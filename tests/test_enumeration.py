@@ -61,6 +61,13 @@ class TestExhaustive:
         with pytest.raises(errors.CeilingExceeded, match="limit 15$"):
             enumeration._search(16, ts.SPHERE)
 
+    def test_search_answers_at_its_limit_and_refuses_past_it(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_SEARCH_ORDER", 6)
+        assert len(enumeration._search(6, ts.SPHERE)) == 2
+        message = "^order 7 above the exhaustive search limit 6$"
+        with pytest.raises(errors.CeilingExceeded, match=message):
+            enumeration._search(7, ts.SPHERE)
+
     @pytest.mark.parametrize("min_order, max_order, ceiling, message", [
         (4, 12, 9, "order 10 above ceiling 9"),
         (11, 12, 9, "order 11 above ceiling 9"),
