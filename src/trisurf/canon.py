@@ -35,16 +35,20 @@ every flag ties, costs about 1 + log2 |Aut| sweeps.  The group and the
 vertex orbits are generated from the generators, which is how nauty
 returns a group (McKay & Piperno, 2014).
 
-The sweep reads one cross map: each interior edge ``x-y`` is keyed by the
-int ``x * order + y`` in both directions and maps to (apex, face index) of
-both its faces.  The face the sweep stands in is always seen, so it enters
-whichever face of the pair is unseen, and skips the edge when both are.
+The sweep reads one cross map, the one that validation seeds on the value
+(``tri._cross``): each interior edge ``x-y`` with ``x < y`` is keyed by the
+int ``x * order + y`` and maps to (apex, face index) of both its faces, so
+the sweep keys an edge by its smaller end.  The face the sweep stands in
+is always seen, so it enters whichever face of the pair is unseen, and
+skips the edge when both are.  Each swept face is relabelled and sorted
+by three compare-and-swaps, with no sort call per face.
 
 Boundary participates automatically: boundary edges are exactly the
 edges on one face, so the face list determines them.  The code header
-records order, face count and boundary length (counted as 2E - 3F) in
-one byte each; at 256 or more of any of them the code is wide: a 0 byte,
-then the header and the labels as 2-byte big-endian numbers.
+records order, face count and boundary length (the size of the seeded
+boundary-edge map) in one byte each; at 256 or more of any of them the
+code is wide: a 0 byte, then the header and the labels as 2-byte
+big-endian numbers.
 
 All functions are pure; the code, the canonical labelling and the
 generators are cached on the value.
@@ -63,27 +67,11 @@ Flag = tuple[int, int, int]
 Permutation = tuple[int, ...]
 
 
-def _cross_map(tri: Triangulation) -> dict[int, tuple[int, int, int, int]]:
-    """Map each interior edge x-y, keyed ``x * order + y`` in both
-    directions, to (apex, index) of both its faces; boundary edges are
-    absent."""
-    n = tri.order
-    index = {face: i for i, face in enumerate(tri.faces)}
-    cross: dict[int, tuple[int, int, int, int]] = {}
-    for (u, v), incident in tri.edge_faces.items():
-        if len(incident) == 2:
-            f, g = incident
-            cross[u * n + v] = cross[v * n + u] = (
-                f[0] + f[1] + f[2] - u - v, index[f], g[0] + g[1] + g[2] - u - v, index[g]
-            )
-    return cross
-
-
-def _traverse(tri: Triangulation, cross: dict[int, tuple[int, int, int, int]],
-              flag: Flag, start: int):
+def _traverse(tri: Triangulation, flag: Flag, start: int):
     """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
     them as oriented triples in sweep order, and the old->new labeling."""
     n = tri.order
+    get = tri._cross.get
     label = [-1] * n
     a, b, c = flag
     label[a], label[b], label[c] = 0, 1, 2
@@ -93,7 +81,7 @@ def _traverse(tri: Triangulation, cross: dict[int, tuple[int, int, int, int]],
     queue = [flag]
     for u, v, w in queue:
         for x, y in ((u, v), (v, w), (w, u)):
-            across = cross.get(x * n + y)
+            across = get(x * n + y if x < y else y * n + x)
             if across is None:
                 continue
             # The face the sweep stands in is seen, so the unseen face of
@@ -125,9 +113,14 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     """
     boundary = tri.boundary_vertices
     key = [2 * d + (v in boundary) for v, d in enumerate(tri.degrees)]
+    # The least face key starts with the least vertex key, so only faces
+    # at a vertex of that key can hold it.
+    least = min(key)
     best: list[int] | None = None
     found: list[tuple[int, Flag]] = []
     for i, (a, b, c) in enumerate(tri.faces):
+        if key[a] != least and key[b] != least and key[c] != least:
+            continue
         face_key = sorted((key[a], key[b], key[c]))
         if best is None or face_key < best:
             best, found = face_key, []
@@ -174,13 +167,24 @@ def _canonical_form(
     automorphisms that the swept ties gave, which generate the group."""
     # The relabelled face lists share a fixed-width byte encoding, so the
     # list order is the code order; the first minimal flag wins ties.
-    cross = _cross_map(tri)
     best, orbit, generators = None, set(), []
     for start, flag in _candidate_flags(tri):
         if flag in orbit:
             continue
-        queue, label = _traverse(tri, cross, flag, start)
-        faces = sorted(tuple(sorted((label[u], label[v], label[w]))) for u, v, w in queue)
+        queue, label = _traverse(tri, flag, start)
+        faces = []
+        append = faces.append
+        for u, v, w in queue:
+            # Each face's new labels, sorted by three compare-and-swaps.
+            x, y, z = label[u], label[v], label[w]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            append((x, y, z))
+        faces.sort()
         if faces == best:
             # A tie is a new automorphism: the best flag's orbit under all
             # found so far is skipped without a sweep.
@@ -189,10 +193,7 @@ def _canonical_form(
         elif best is None or faces < best:
             best, first_label, orbit = faces, label, {flag}
             _close(orbit, generators, generators)
-    # Each interior edge lies on two faces and each boundary edge on one,
-    # so 3F = 2E - B.
-    boundary = 2 * len(tri.edges) - 3 * len(tri.faces)
-    values = (tri.order, len(tri.faces), boundary, *chain.from_iterable(best))
+    values = (tri.order, len(tri.faces), len(tri._boundary), *chain.from_iterable(best))
     if max(values[:3]) < 256:
         code = bytes(values)
     else:

@@ -14,17 +14,25 @@ a (possibly bordered) surface:
 :func:`build` works in two steps.  It first normalises its input: each
 face and the face list sorted, malformed and repeated faces refused, the
 labels remapped to ``0..order-1``.  Then ``_validate`` checks all three
-conditions in a single sweep over the faces, which also yields the
-edges, their faces, the sorted neighbour lists, the degrees and the
-boundary vertices that most callers read next.  ``_validate`` is the
-only validator and the only code that computes those five fields.  The
-splitting moves (:mod:`trisurf.moves`) call it directly: they write a
-child's faces already in normalised form, so normalising them again
-would check nothing, while the surface conditions are still checked on
-every child.  Vertex links are built on first use, since only complexes
-that are split further need them; ``links[v]`` is the tuple of the
-neighbours of ``v`` in star order, a cycle for an interior vertex and a
-path between its two boundary neighbours for a boundary vertex.
+conditions in a single sweep over the faces, which also yields the face
+adjacency that most callers read next.  It seeds four fields: the cross
+map ``_cross``, which keys each interior edge ``u-v`` (``u < v``) by the
+int ``u * order + v`` and maps it to (apex, face index) of both its
+faces; ``_boundary``, which maps each boundary edge's key to (apex, face
+index) of its one face; the degrees; and the boundary vertices.
+``_validate`` is the only validator and the only code that finds edge
+incidences.  The edges, their faces and the sorted neighbour lists are
+plain derivations of the two key maps, computed on first read, so a
+split child or search leaf that is only validated and coded never builds
+them.  The canonical form, orientability and the cable sets read the key
+maps themselves.  The splitting moves (:mod:`trisurf.moves`) call
+``_validate`` directly: they write a child's faces already in normalised
+form, so normalising them again would check nothing, while the surface
+conditions are still checked on every child.  Vertex links are built on
+first use, since only complexes that are split further need them;
+``links[v]`` is the tuple of the neighbours of ``v`` in star order, a
+cycle for an interior vertex and a path between its two boundary
+neighbours for a boundary vertex.
 
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
@@ -33,22 +41,23 @@ A catalog stores each class's value bare, as ``Triangulation(faces,
 order)`` with its code in the catalog entry: once a class is coded (and,
 in the splitting closure, split) no engine reads its derived data again,
 and the closure's top order, most of the classes, is never split.  A
-later reader's first read of a seeded field re-runs ``_validate`` on the
-stored faces, and the other derived data is recomputed on first use.
+later reader's first read of a seeded field, directly or through a
+derivation, re-runs ``_validate`` on the stored faces, and the other
+derived data is recomputed on first use.
 
 The cables of a value are set algebra on its edges: the edges minus the
 four impediment sets ``nonfacial_edges``, ``chords``,
 ``boundary_triangle_edges`` and ``minimal_edges``, each at most one pass
-over the edges (see :mod:`trisurf.moves` for the rule).
+over the key maps or the faces (see :mod:`trisurf.moves` for the rule).
 Vertex ids are always the dense range ``0..order-1``: :func:`build`
 remaps arbitrary input labels to it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, combinations, compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -123,7 +132,7 @@ def _normalise_face(face: Sequence[int]) -> Face:
 _set_field = object.__setattr__
 
 # The derived fields that ``_validate`` alone computes, seeded on its values.
-_SEEDED = frozenset(("edge_faces", "edges", "neighbors", "degrees", "boundary_vertices"))
+_SEEDED = frozenset(("_cross", "_boundary", "degrees", "boundary_vertices"))
 
 
 class Triangulation:
@@ -137,17 +146,18 @@ class Triangulation:
     takes no part in equality or hashing: equal faces make equal values.
 
     Assignment is refused; derived data is written straight to the
-    instance ``__dict__``.  The edges, their faces, the neighbour lists,
-    the degrees and the boundary vertices come from ``_validate`` alone: it
-    seeds them on every value it returns, and a bare value re-runs it on
-    the first read of any of them.  The rest is ``cached_property``.
+    instance ``__dict__``.  The two edge key maps ``_cross`` and
+    ``_boundary``, the degrees and the boundary vertices come from
+    ``_validate`` alone: it seeds them on every value it returns, and a
+    bare value re-runs it on the first read of any of them.  The rest is
+    ``cached_property``; the edges, the edge faces and the neighbour lists
+    are derived from the key maps.
     """
 
     faces: tuple[Face, ...]
     order: int
-    edge_faces: dict[Edge, tuple[Face, ...]]
-    edges: tuple[Edge, ...]
-    neighbors: tuple[tuple[int, ...], ...]
+    _cross: dict[int, tuple[int, int, int, int]]
+    _boundary: dict[int, tuple[int, int]]
     degrees: tuple[int, ...]
     boundary_vertices: frozenset[int]
 
@@ -185,6 +195,31 @@ class Triangulation:
         return range(self.order)
 
     @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges, sorted."""
+        return tuple(map(divmod, sorted(chain(self._cross, self._boundary)), repeat(self.order)))
+
+    @cached_property
+    def edge_faces(self) -> dict[Edge, tuple[Face, ...]]:
+        """Each edge, in sorted order, with its one or two faces."""
+        faces = self.faces
+        incident = {k: (faces[i],) for k, (_, i) in self._boundary.items()}
+        for k, (_, i, _, j) in self._cross.items():
+            incident[k] = (faces[i], faces[j])
+        return {divmod(k, self.order): incident[k] for k in sorted(incident)}
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, sorted."""
+        # Edges are sorted, so each list gets its smaller neighbours in
+        # order, then its larger ones: sorted without a sort.
+        adjacency: list[list[int]] = [[] for _ in range(self.order)]
+        for u, v in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        return tuple(map(tuple, adjacency))
+
+    @cached_property
     def nonfacial_triangles(self) -> frozenset[Face]:
         """All 3-cliques of the graph that are not faces.
 
@@ -208,22 +243,26 @@ class Triangulation:
         facial 3-cycle exactly when ``uvw`` is one of those faces.
         Neighbourhoods are bit sets, so a count is one popcount.
         """
-        bits = [0] * self.order
-        for u, v in self.edge_faces:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        return frozenset(
-            (u, v) for (u, v), inc in self.edge_faces.items()
-            if (bits[u] & bits[v]).bit_count() > len(inc)
-        )
+        n = self.order
+        bits = [0] * n
+        for a, b, c in self.faces:
+            bits[a] |= (1 << b) | (1 << c)
+            bits[b] |= (1 << a) | (1 << c)
+            bits[c] |= (1 << a) | (1 << b)
+        return frozenset(chain(
+            (e for e in map(divmod, self._cross, repeat(n))
+             if (bits[e[0]] & bits[e[1]]).bit_count() > 2),
+            (e for e in map(divmod, self._boundary, repeat(n))
+             if (bits[e[0]] & bits[e[1]]).bit_count() > 1),
+        ))
 
     @cached_property
     def chords(self) -> frozenset[Edge]:
         """Interior edges with both ends on the boundary."""
         ends = self.boundary_vertices
         return frozenset(
-            (u, v) for (u, v), inc in self.edge_faces.items()
-            if len(inc) == 2 and u in ends and v in ends
+            e for e in map(divmod, self._cross, repeat(self.order))
+            if e[0] in ends and e[1] in ends
         )
 
     @cached_property
@@ -241,7 +280,7 @@ class Triangulation:
         """Every edge of a closed complex on 4 vertices, the tetrahedron:
         no closed surface has fewer, so no collapse of it is one."""
         if self.order == 4 and self.is_closed:
-            return frozenset(self.edge_faces)
+            return frozenset(self.edges)
         return frozenset()
 
     @cached_property
@@ -257,14 +296,16 @@ class Triangulation:
     def cables(self) -> frozenset[Edge]:
         """The shrinkable edges: those in none of the four impediment
         sets."""
-        return frozenset(self.edge_faces).difference(
+        return frozenset(
+            map(divmod, chain(self._cross, self._boundary), repeat(self.order))
+        ).difference(
             self.nonfacial_edges, self.chords, self.boundary_triangle_edges,
             self.minimal_edges,
         )
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
-        return frozenset(e for e, inc in self.edge_faces.items() if len(inc) == 1)
+        return frozenset(map(divmod, self._boundary, repeat(self.order)))
 
     @property
     def is_closed(self) -> bool:
@@ -308,7 +349,7 @@ class Triangulation:
 
     @cached_property
     def euler_characteristic(self) -> int:
-        return self.order - len(self.edges) + len(self.faces)
+        return self.order - len(self._cross) - len(self._boundary) + len(self.faces)
 
     @cached_property
     def surface_kind(self) -> SurfaceKind:
@@ -348,10 +389,11 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
     its three edges and, per vertex, joins the face's link edge to the
     partial link paths seen so far, counting the cycles it closes.  Then
     every edge must lie in at most two faces, every link must be one piece
-    (a single path or cycle), and the graph, whose sorted neighbour lists
-    come from the sorted edges, must be connected.  Edges, edge faces, neighbours,
-    degrees and boundary vertices (those whose link is a path) stay cached
-    on the result; vertex links are built on first use.
+    (a single path or cycle), and the graph must be connected.  The cross
+    map of the interior edges, the boundary edges, the degrees and the
+    boundary vertices (those whose link is a path) stay cached on the
+    result; edges, edge faces, neighbours and vertex links are derived on
+    first use.
 
     Raises :class:`InvalidFace`, :class:`EmptyComplex`,
     :class:`DuplicateFace`, :class:`NonSurfaceEdge` (on the smallest bad
@@ -405,22 +447,50 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
     :class:`PinchedVertex` or :class:`Disconnected` as :func:`build`
     documents, and the ``_SEEDED`` fields are stored on the result.
     """
-    # Each face is filed under its three edges and gives each of its
-    # vertices one link edge.  ``ends[v]`` maps each end of an open path
-    # piece of v's partial link to the path's other end; a link vertex not
-    # yet seen is a path with both ends on itself.  A link edge joins two
-    # pieces into one unless it closes a path into a cycle.  (A vertex that
-    # has had both its link edges is no end; a third would put an edge in
-    # three faces, which is reported first.)
-    edge_map: dict[Edge, tuple[Face, ...]] = {}
-    get = edge_map.get
-    ends: list[dict[int, int]] = [{} for _ in range(order)]
+    # Each face is filed under its three edges, the edge u-v (u < v) keyed
+    # by the int ``u * order + v``: an edge seen once sits in ``boundary``
+    # with (apex, face index) of its face, and its second face moves it to
+    # ``cross`` with (apex, face index) of both.  The first sighting of an
+    # edge also joins its ends in ``adjacency``.  Each face also gives each
+    # of its vertices one link edge.  ``ends[v]`` maps each end of an open
+    # path piece of v's partial link to the path's other end; a link vertex
+    # not yet seen is a path with both ends on itself.  A link edge joins
+    # two pieces into one unless it closes a path into a cycle.  (A vertex
+    # that has had both its link edges is no end; a third would put an edge
+    # in three faces, which is reported first.)
+    n = order
+    boundary: dict[int, tuple[int, int]] = {}
+    cross: dict[int, tuple[int, int, int, int]] = {}
+    pop = boundary.pop
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    ends: list[dict[int, int]] = [{} for _ in range(n)]
     cycles = 0
-    for face in faces:
+    for i, face in enumerate(faces):
         a, b, c = face
-        edge_map[a, b] = get((a, b), ()) + (face,)
-        edge_map[a, c] = get((a, c), ()) + (face,)
-        edge_map[b, c] = get((b, c), ()) + (face,)
+        k = a * n + b
+        seen = pop(k, None)
+        if seen is None:
+            boundary[k] = (c, i)
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        else:
+            cross[k] = seen + (c, i)
+        k = a * n + c
+        seen = pop(k, None)
+        if seen is None:
+            boundary[k] = (b, i)
+            adjacency[a].append(c)
+            adjacency[c].append(a)
+        else:
+            cross[k] = seen + (b, i)
+        k = b * n + c
+        seen = pop(k, None)
+        if seen is None:
+            boundary[k] = (a, i)
+            adjacency[b].append(c)
+            adjacency[c].append(b)
+        else:
+            cross[k] = seen + (a, i)
         link = ends[a]
         x = link.pop(b, b)
         y = link.pop(c, c)
@@ -443,48 +513,43 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
         else:
             link[x], link[y] = y, x
 
-    if max(map(len, edge_map.values())) > 2:
-        u, v = min(e for e, inc in edge_map.items() if len(inc) > 2)
-        raise NonSurfaceEdge(f"edge {u}-{v} lies in {len(edge_map[u, v])} faces")
+    # An edge on k faces alternates between the two maps: it ends in
+    # ``boundary`` when k is odd and in ``cross`` when k >= 2, so it counts
+    # 1, 2, 3, 2, 3, ... towards the 3F faces' edges.  Every edge lies in at
+    # most two faces exactly when the counts add up to 3F (no edge on four
+    # or more) and no edge is in both maps (none on three).
+    if (len(boundary) + 2 * len(cross) != 3 * len(faces)
+            or not boundary.keys().isdisjoint(cross)):
+        counts = Counter(edge for face in faces for edge in combinations(face, 2))
+        u, v = min(e for e, k in counts.items() if k > 2)
+        raise NonSurfaceEdge(f"edge {u}-{v} lies in {counts[u, v]} faces")
     # A vertex's link starts as one piece per link vertex, its degree, and
     # each of its link edges, one per face at the vertex, joins two pieces
     # unless it closes a cycle: over all links, 2E - 3F + cycles pieces.
     # No link is empty, so every link is one piece exactly when that count
     # is the order.
-    if 2 * len(edge_map) - 3 * len(faces) + cycles != order:
+    if 2 * (len(boundary) + len(cross)) - 3 * len(faces) + cycles != order:
         # The lowest vertex whose link is not one piece raises.
         for v in range(order):
             _vertex_link(v, [face for face in faces if v in face])
         raise AssertionError("a vertex link is in more than one piece")
 
-    # Sorting on the edge alone keeps the comparisons off the face tuples.
-    edge_faces = dict(sorted(edge_map.items(), key=itemgetter(0)))
-    edges = tuple(edge_faces)
-    # Edges are sorted, so each list gets its smaller neighbours in order,
-    # then its larger ones: sorted without a sort.
-    adjacency: list[list[int]] = [[] for _ in range(order)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     reached = bytearray(order)
     reached[0] = 1
     stack = [0]
-    count = 1
-    while stack:
-        for w in adjacency[stack.pop()]:
+    for x in stack:
+        for w in adjacency[x]:
             if not reached[w]:
                 reached[w] = 1
-                count += 1
                 stack.append(w)
-    if count != order:
-        raise Disconnected(f"complex has {order - count} unreachable vertices")
+    if len(stack) != order:
+        raise Disconnected(f"complex has {order - len(stack)} unreachable vertices")
 
     tri = Triangulation(faces, order)
     # Seed the ``_SEEDED`` fields with what validation already computed.
     cache = tri.__dict__
-    cache["edge_faces"] = edge_faces
-    cache["edges"] = edges
-    cache["neighbors"] = tuple(map(tuple, adjacency))
+    cache["_cross"] = cross
+    cache["_boundary"] = boundary
     cache["degrees"] = tuple(map(len, adjacency))
     # A link with open ends left after the sweep is a path: its vertex is
     # on the boundary.
@@ -542,17 +607,16 @@ def _is_orientable(tri: Triangulation) -> bool:
     forward (smaller end first) except ``(a, c)``.  Two faces that share an
     edge must run it in opposite directions.
     """
-    index = {face: i for i, face in enumerate(tri.faces)}
     # Per face, (neighbour, r): the neighbour's sign must be r times ours.
     across: list[list[tuple[int, int]]] = [[] for _ in tri.faces]
-    for (u, v), incident in tri.edge_faces.items():
-        if len(incident) == 2:
-            f, g = incident
-            i, j = index[f], index[g]
-            # A face runs the edge backward iff it is its (a, c) edge.
-            r = -1 if (f[0] == u and f[2] == v) == (g[0] == u and g[2] == v) else 1
-            across[i].append((j, r))
-            across[j].append((i, r))
+    n = tri.order
+    for k, (p, i, q, j) in tri._cross.items():
+        u, v = divmod(k, n)
+        # A face runs the edge backward iff it is its (a, c) edge, that is
+        # iff its apex lies between the ends.
+        r = -1 if (u < p < v) == (u < q < v) else 1
+        across[i].append((j, r))
+        across[j].append((i, r))
     sign = [0] * len(tri.faces)
     sign[0] = 1
     stack = [0]

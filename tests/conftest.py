@@ -161,6 +161,8 @@ def reference_build(faces) -> Triangulation:
         adjacency[v].add(u)
     neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
     vars(tri).update(
+        _cross=_reference_key_map(tri, edge_faces, 2),
+        _boundary=_reference_key_map(tri, edge_faces, 1),
         edge_faces=edge_faces,
         edges=tuple(edge_faces),
         neighbors=neighbors,
@@ -189,6 +191,20 @@ def reference_build(faces) -> Triangulation:
             f"complex has {tri.order - len(reached)} unreachable vertices"
         )
     return tri
+
+
+def _reference_key_map(tri: Triangulation, edge_faces, count: int) -> dict[int, tuple[int, ...]]:
+    """The edges on ``count`` faces, edge u-v keyed ``u * order + v``, each
+    mapped to (apex, face index) of its faces in face order: with
+    ``count`` 2 the seeded ``_cross``, with ``count`` 1 ``_boundary``."""
+    index = {face: i for i, face in enumerate(tri.faces)}
+    return {
+        u * tri.order + v: tuple(chain.from_iterable(
+            (sum(face) - u - v, index[face]) for face in sorted(incident, key=index.get)
+        ))
+        for (u, v), incident in edge_faces.items()
+        if len(incident) == count
+    }
 
 
 def _reference_cross_map(tri: Triangulation) -> dict[tuple[int, int, int], tuple[int, int]]:

@@ -131,6 +131,35 @@ class TestBuild:
         with pytest.raises(errors.NonSurfaceEdge):
             ts.build([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
+    # The sweep files an edge on k faces as a boundary edge for odd k and
+    # as an interior edge for k >= 2: an edge on 3 faces is both, and one
+    # on 4 is only interior but makes the edge counts fall short.
+    @pytest.mark.parametrize("soup, message", [
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], "edge 0-1 lies in 3 faces"),
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)], "edge 0-1 lies in 4 faces"),
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6)], "edge 0-1 lies in 5 faces"),
+        # Two bad edges, the smaller one on 3 faces or on 4.
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5), (2, 3, 6), (2, 3, 7), (2, 3, 8)],
+         "edge 0-1 lies in 3 faces"),
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (2, 3, 6), (2, 3, 7), (2, 3, 8)],
+         "edge 0-1 lies in 4 faces"),
+        # A bad edge and a pinched vertex: vertex 2's link is edge 0-1 and
+        # edge 5-6.
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5, 6)], "edge 0-1 lies in 3 faces"),
+        # Or vertex 0's link is the cycles 3-7-8 and 9-10-11.
+        ([(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (0, 3, 7), (0, 7, 8), (0, 3, 8),
+          (0, 9, 10), (0, 10, 11), (0, 9, 11)], "edge 1-2 lies in 4 faces"),
+        # A bad edge and a disconnected part.
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (5, 6, 7)], "edge 0-1 lies in 3 faces"),
+        # Labels are remapped first: 5 and 6 become 3 and 4.
+        ([(5, 6, 7), (5, 6, 8), (5, 6, 9), (5, 6, 10), (0, 1, 2)], "edge 3-4 lies in 4 faces"),
+    ])
+    def test_a_bad_edge_is_named_before_any_other_fault(self, soup, message):
+        assert _outcome(reference_build, soup) == f"NonSurfaceEdge: {message}"
+        with pytest.raises(errors.NonSurfaceEdge) as raised:
+            ts.build(soup)
+        assert str(raised.value) == message
+
     def test_pinched_vertex_rejected(self):
         # Two triangles joined at a single vertex (bowtie).
         with pytest.raises(errors.PinchedVertex):
@@ -305,12 +334,13 @@ class TestDerivedDataLifetime:
         assert ref() is None
 
     def test_coding_a_split_child_reads_neither_boundary_edges_nor_links(self, proj_plane):
-        # The code's header counts the boundary edges as 2E - 3F and the
-        # candidate flags read the degrees and boundary vertices build stored.
+        # The code's header counts the boundary key map, the sweep reads the
+        # cross map, and the candidate flags read the degrees and boundary
+        # vertices: all four are seeded, so no edge list is derived.
         for _, child in split_children(proj_plane):
             ts.canonical_code(child)
-            assert "boundary_edges" not in vars(child)
-            assert "links" not in vars(child)
+            for name in ("boundary_edges", "links", "edge_faces", "edges", "neighbors"):
+                assert name not in vars(child), name
 
     def test_links_read_after_build_match_the_reference(self, proj_plane):
         children = [child for _, child in split_children(proj_plane)]
@@ -321,9 +351,11 @@ class TestDerivedDataLifetime:
 
 class TestSeededFields:
     """The fields ``_validate`` seeds have no other definition: a bare value
-    re-runs it on its first read of any of them."""
+    re-runs it on its first read of any of them, and the edges, the edge
+    faces and the neighbours are derived from them."""
 
-    NAMES = sorted(_SEEDED)
+    PUBLIC = ("boundary_vertices", "degrees", "edge_faces", "edges", "neighbors")
+    NAMES = sorted({*_SEEDED, *PUBLIC})
 
     def test_the_fallback_serves_exactly_what_validate_seeds(self, proj_plane):
         seeded = vars(_validate(proj_plane.faces, proj_plane.order))
@@ -355,15 +387,25 @@ class TestSeededFields:
 
     @classmethod
     def fields(cls, tri) -> str:
-        return repr([getattr(tri, name) for name in cls.NAMES])
+        """The public fields, and the two key maps in key order."""
+        return repr([
+            *(getattr(tri, name) for name in cls.PUBLIC),
+            sorted(tri._cross.items()), sorted(tri._boundary.items()),
+        ])
 
     @pytest.mark.parametrize("name", NAMES)
     def test_a_first_read_of_any_field_fills_all_of_them(self, name, expected):
         for tri, fields in expected:
             bare = ts.Triangulation(tri.faces, tri.order)
             getattr(bare, name)
-            assert set(vars(bare)) == {"faces", "order", *_SEEDED}
+            assert _SEEDED <= set(vars(bare))
             assert self.fields(bare) == fields
+
+    def test_the_derived_fields_are_computed_on_first_read(self, proj_plane):
+        child = ts.split_corner(proj_plane, ts.corners(proj_plane)[0])
+        assert set(vars(child)) == {"faces", "order", *_SEEDED}
+        assert child.edge_faces == reference_build(child.faces).edge_faces
+        assert set(vars(child)) == {"faces", "order", *_SEEDED, "edge_faces"}
 
 
 class TestFaceSoupProperty:
@@ -385,6 +427,13 @@ class TestReferenceBuild:
     @given(soup=st.one_of(FACE_SOUPS, relabelled_children(), mixed_label_soups()))
     def test_build_matches_the_reference_pipeline(self, soup):
         assert _outcome(ts.build, soup) == _outcome(reference_build, soup)
+        try:
+            built = ts.build(soup)
+        except errors.TriangulationError:
+            return
+        reference = reference_build(soup)
+        assert built._cross == reference._cross
+        assert built._boundary == reference._boundary
 
     @pytest.mark.parametrize("soup", [
         [(0, 1, 2), (True, 2, 3)],
@@ -427,6 +476,20 @@ class TestReferenceOrientability:
         answers = [_is_orientable(tri) for tri in closure_members]
         assert answers == [reference_is_orientable(tri) for tri in closure_members]
         assert set(answers) == {True, False}
+
+    def test_closed_surfaces_of_euler_characteristic_zero(self, search):
+        # The torus and the Klein bottle share chi = 0 and no boundary, so
+        # only orientability tells them apart.
+        torus, klein = ts.SurfaceKind(0, True, 0), ts.SurfaceKind(0, False, 0)
+        members = [
+            (entry.triangulation, kind.orientable)
+            for kind, order in ((torus, 7), (torus, 8), (klein, 8))
+            for entry in search(order, kind)
+        ]
+        assert len(members) == 1 + 7 + 6
+        for tri, orientable in members:
+            assert _is_orientable(tri) is orientable
+            assert reference_is_orientable(reference_build(tri.faces)) is orientable
 
 
 class TestFaceListFormat:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import trisurf as ts
 from trisurf import errors, moves
 from trisurf.moves import Corner, TruncatedCorner
-from tests.conftest import split_children
+from tests.conftest import reference_build, split_children
 
 
 def _clique_triangles(tri):
@@ -132,6 +132,30 @@ class TestCableRule:
             _assert_cable_rule_holds(entry.triangulation)
             for _, child in split_children(entry.triangulation):
                 _assert_cable_rule_holds(child)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("name", ["projective-6..8", "disk-3..6"])
+    def test_cable_sets_of_split_children_match_the_reference(self, catalogs, name):
+        # The certificate's split scans read the cable sets of fresh split
+        # children: read first, they derive no edge list, and they equal
+        # the definitions on the reference pipeline's own edge faces.  The
+        # projective plane's children are the scans' own; the disk's have
+        # a boundary, so chords and boundary edges occur.
+        checked = 0
+        for entry in catalogs[name].entries:
+            for _, child in split_children(entry.triangulation):
+                found = (child.nonfacial_edges, child.chords, child.boundary_edges, child.cables)
+                assert not {"edge_faces", "edges", "neighbors"} & set(vars(child))
+                reference = reference_build(child.faces)
+                incident = reference.edge_faces
+                ends = reference.boundary_vertices
+                assert found == (
+                    {e for t in reference.nonfacial_triangles for e in combinations(t, 2)},
+                    {e for e, faces in incident.items() if len(faces) == 2 and ends.issuperset(e)},
+                    {e for e, faces in incident.items() if len(faces) == 1},
+                    {e for e, rods in _reference_impediments(reference).items() if not rods},
+                )
                 checked += 1
         assert checked > 100
 
