@@ -24,8 +24,8 @@ index) of its one face; the degrees; and the boundary vertices.
 incidences.  The edges, their faces and the sorted neighbour lists are
 plain derivations of the two key maps, computed on first read, so a
 split child or search leaf that is only validated and coded never builds
-them.  The canonical form, orientability and the cable sets read the key
-maps themselves.  The splitting moves (:mod:`trisurf.moves`) call
+them.  The canonical form, orientability, the cable sets and
+``has_edge`` read the key maps themselves.  The splitting moves (:mod:`trisurf.moves`) call
 ``_validate`` directly: they write a child's faces already in normalised
 form, so normalising them again would check nothing, while the surface
 conditions are still checked on every child.  Vertex links are built on
@@ -280,7 +280,8 @@ class Triangulation:
         """Every edge of a closed complex on 4 vertices, the tetrahedron:
         no closed surface has fewer, so no collapse of it is one."""
         if self.order == 4 and self.is_closed:
-            return frozenset(self.edges)
+            # Closed: every edge is interior.
+            return frozenset(map(divmod, self._cross, repeat(4)))
         return frozenset()
 
     @cached_property
@@ -369,7 +370,14 @@ class Triangulation:
         return tuple(sorted(self.degrees))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_faces
+        u, v = min(u, v), max(u, v)
+        # Both ends must be vertices: an out-of-range label could give the
+        # key of another edge.
+        n = self.order
+        if u not in range(n) or v not in range(n):
+            return False
+        k = u * n + v
+        return k in self._cross or k in self._boundary
 
     def __repr__(self) -> str:
         return f"Triangulation(order={self.order}, faces={len(self.faces)})"

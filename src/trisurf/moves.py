@@ -112,7 +112,7 @@ def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
     never disagree.
     """
     e = (min(edge), max(edge))
-    if e not in tri.edge_faces:
+    if not tri.has_edge(*e):
         raise UnknownEdge(f"{e[0]}-{e[1]} is not an edge")
     rods = (
         (Impediment.NONFACIAL_TRIANGLE, tri.nonfacial_edges),

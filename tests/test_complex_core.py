@@ -393,12 +393,16 @@ class TestSeededFields:
             sorted(tri._cross.items()), sorted(tri._boundary.items()),
         ])
 
+    # What a first read of each name stores on a bare value: the seeded
+    # fields, and a derived field with the derivations it reads.
+    STORED = {"edge_faces": {"edge_faces"}, "edges": {"edges"}, "neighbors": {"edges", "neighbors"}}
+
     @pytest.mark.parametrize("name", NAMES)
     def test_a_first_read_of_any_field_fills_all_of_them(self, name, expected):
         for tri, fields in expected:
             bare = ts.Triangulation(tri.faces, tri.order)
             getattr(bare, name)
-            assert _SEEDED <= set(vars(bare))
+            assert set(vars(bare)) == {"faces", "order", *_SEEDED, *self.STORED.get(name, ())}
             assert self.fields(bare) == fields
 
     def test_the_derived_fields_are_computed_on_first_read(self, proj_plane):
