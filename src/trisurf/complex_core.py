@@ -45,10 +45,10 @@ later reader's first read of a seeded field, directly or through a
 derivation, re-runs ``_validate`` on the stored faces, and the other
 derived data is recomputed on first use.
 
-The cables of a value are set algebra on its edges: the edges minus the
-four impediment sets ``nonfacial_edges``, ``chords``,
-``boundary_triangle_edges`` and ``minimal_edges``, each at most one pass
-over the key maps or the faces (see :mod:`trisurf.moves` for the rule).
+The first read of any of ``nonfacial_edges``, ``chords`` and ``cables``
+runs one sweep over the key maps, ``_classify_edges``, that files every
+edge and stores all three; it reads the other two rod rules,
+``boundary_triangle_edges`` and ``minimal_edges`` (see :mod:`trisurf.moves`).
 Vertex ids are always the dense range ``0..order-1``: :func:`build`
 remaps arbitrary input labels to it.
 """
@@ -133,6 +133,8 @@ _set_field = object.__setattr__
 
 # The derived fields that ``_validate`` alone computes, seeded on its values.
 _SEEDED = frozenset(("_cross", "_boundary", "degrees", "boundary_vertices"))
+# The edge sets that ``_classify_edges`` alone computes, in its result order.
+_CLASSIFIED = ("nonfacial_edges", "chords", "cables")
 
 
 class Triangulation:
@@ -149,9 +151,11 @@ class Triangulation:
     instance ``__dict__``.  The two edge key maps ``_cross`` and
     ``_boundary``, the degrees and the boundary vertices come from
     ``_validate`` alone: it seeds them on every value it returns, and a
-    bare value re-runs it on the first read of any of them.  The rest is
-    ``cached_property``; the edges, the edge faces and the neighbour lists
-    are derived from the key maps.
+    bare value re-runs it on the first read of any of them.  Likewise the
+    nonfacial edges, the chords and the cables come from
+    ``_classify_edges`` alone, all three stored on the first read of one.
+    The rest is ``cached_property``; the edges, the edge faces and the
+    neighbour lists are derived from the key maps.
     """
 
     faces: tuple[Face, ...]
@@ -160,20 +164,25 @@ class Triangulation:
     _boundary: dict[int, tuple[int, int]]
     degrees: tuple[int, ...]
     boundary_vertices: frozenset[int]
+    nonfacial_edges: frozenset[Edge]
+    chords: frozenset[Edge]
+    cables: frozenset[Edge]
 
     def __init__(self, faces: tuple[Face, ...], order: int) -> None:
         _set_field(self, "faces", faces)
         _set_field(self, "order", order)
 
     def __getattr__(self, name: str) -> object:
-        # Reached only when the instance ``__dict__`` misses: on a bare
-        # value, the first read of a seeded field.  Its faces came from a
-        # validated value, so the sweep cannot raise; the swept value holds
-        # this value's own faces and order, and the seeded fields.
-        if name not in _SEEDED:
-            raise AttributeError(f"'Triangulation' object has no attribute {name!r}")
+        # Reached only when the instance ``__dict__`` misses.  A bare
+        # value's faces came from a validated value, so ``_validate`` cannot
+        # raise; its value holds these faces and order and the seeded fields.
         cache = self.__dict__
-        cache.update(_validate(self.faces, self.order).__dict__)
+        if name in _SEEDED:
+            cache.update(_validate(self.faces, self.order).__dict__)
+        elif name in _CLASSIFIED:
+            cache.update(zip(_CLASSIFIED, _classify_edges(self)))
+        else:
+            raise AttributeError(f"'Triangulation' object has no attribute {name!r}")
         return cache[name]
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -221,11 +230,8 @@ class Triangulation:
 
     @cached_property
     def nonfacial_triangles(self) -> frozenset[Face]:
-        """All 3-cliques of the graph that are not faces.
-
-        The definition itself, off every hot path; the tests check
-        ``nonfacial_edges`` against it.
-        """
+        """All 3-cliques of the graph that are not faces: the definition,
+        off every hot path, that the tests check ``nonfacial_edges`` against."""
         cliques = {
             tuple(sorted((u, v, w)))
             for u, v in self.edges
@@ -234,53 +240,17 @@ class Triangulation:
         return frozenset(cliques.difference(self.faces))
 
     @cached_property
-    def nonfacial_edges(self) -> frozenset[Edge]:
-        """The edges that lie in a nonfacial 3-cycle.
-
-        Edge ``uv`` lies in one exactly when ``u`` and ``v`` have more
-        common neighbours than ``uv`` has faces: each face ``uvw`` gives
-        one common neighbour ``w``, and a common neighbour ``w`` closes a
-        facial 3-cycle exactly when ``uvw`` is one of those faces.
-        Neighbourhoods are bit sets, so a count is one popcount.
-        """
-        n = self.order
-        bits = [0] * n
-        for a, b, c in self.faces:
-            bits[a] |= (1 << b) | (1 << c)
-            bits[b] |= (1 << a) | (1 << c)
-            bits[c] |= (1 << a) | (1 << b)
-        return frozenset(chain(
-            (e for e in map(divmod, self._cross, repeat(n))
-             if (bits[e[0]] & bits[e[1]]).bit_count() > 2),
-            (e for e in map(divmod, self._boundary, repeat(n))
-             if (bits[e[0]] & bits[e[1]]).bit_count() > 1),
-        ))
-
-    @cached_property
-    def chords(self) -> frozenset[Edge]:
-        """Interior edges with both ends on the boundary."""
-        ends = self.boundary_vertices
-        return frozenset(
-            e for e in map(divmod, self._cross, repeat(self.order))
-            if e[0] in ends and e[1] in ends
-        )
-
-    @cached_property
     def boundary_triangle_edges(self) -> frozenset[Edge]:
         """The edges of every boundary cycle of length 3."""
-        found: list[Edge] = []
-        for cycle in self.boundary_cycles:
-            if len(cycle) == 3:
-                a, b, c = sorted(cycle)
-                found += ((a, b), (a, c), (b, c))
-        return frozenset(found)
+        return frozenset(chain.from_iterable(
+            combinations(sorted(c), 2) for c in self.boundary_cycles if len(c) == 3
+        ))
 
     @cached_property
     def minimal_edges(self) -> frozenset[Edge]:
         """Every edge of a closed complex on 4 vertices, the tetrahedron:
         no closed surface has fewer, so no collapse of it is one."""
-        if self.order == 4 and self.is_closed:
-            # Closed: every edge is interior.
+        if self.order == 4 and not self._boundary:
             return frozenset(map(divmod, self._cross, repeat(4)))
         return frozenset()
 
@@ -292,17 +262,6 @@ class Triangulation:
         from .canon import _canonical_form
 
         return _canonical_form(self)
-
-    @cached_property
-    def cables(self) -> frozenset[Edge]:
-        """The shrinkable edges: those in none of the four impediment
-        sets."""
-        return frozenset(
-            map(divmod, chain(self._cross, self._boundary), repeat(self.order))
-        ).difference(
-            self.nonfacial_edges, self.chords, self.boundary_triangle_edges,
-            self.minimal_edges,
-        )
 
     @cached_property
     def boundary_edges(self) -> frozenset[Edge]:
@@ -328,7 +287,7 @@ class Triangulation:
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Boundary cycles, each rotated/oriented to a deterministic form."""
         succ: dict[int, list[int]] = {}
-        for u, v in self.boundary_edges:
+        for u, v in map(divmod, self._boundary, repeat(self.order)):
             succ.setdefault(u, []).append(v)
             succ.setdefault(v, []).append(u)
         cycles = []
@@ -343,8 +302,7 @@ class Triangulation:
                 cycle.append(current)
                 seen.add(current)
                 a, b = succ[current]
-                nxt = b if a == cycle[-2] else a
-                current = nxt
+                current = b if a == cycle[-2] else a
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
@@ -563,6 +521,43 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
     # on the boundary.
     cache["boundary_vertices"] = frozenset(compress(range(order), ends))
     return tri
+
+
+def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
+    """The nonfacial edges, the chords and the cables of ``tri``, in the
+    order of ``_CLASSIFIED``, from one sweep over its edge key maps.
+
+    Edge ``uv`` lies in a nonfacial 3-cycle exactly when ``u`` and ``v``
+    have more common neighbours than ``uv`` has faces: each face ``uvw``
+    gives one common neighbour ``w``, and a common neighbour ``w`` closes a
+    facial 3-cycle exactly when ``uvw`` is one of those faces.
+    Neighbourhoods are bit sets, so a count is one popcount.  A chord is an
+    interior edge with both ends on the boundary.  A cable is none of these
+    and in neither ``boundary_triangle_edges`` nor ``minimal_edges``.
+    """
+    n = tri.order
+    bits = [0] * n
+    for a, b, c in tri.faces:
+        bits[a] |= (1 << b) | (1 << c)
+        bits[b] |= (1 << a) | (1 << c)
+        bits[c] |= (1 << a) | (1 << b)
+    ends = tri.boundary_vertices
+    blocked = tri.boundary_triangle_edges | tri.minimal_edges
+    nonfacial, chords, cables = [], [], []
+    # Each key map with the number of faces on each of its edges.
+    for keys, faces in ((tri._cross, 2), (tri._boundary, 1)):
+        for k in keys:
+            u, v = e = divmod(k, n)
+            rod = e in blocked
+            if (bits[u] & bits[v]).bit_count() > faces:
+                nonfacial.append(e)
+                rod = True
+            if faces == 2 and u in ends and v in ends:
+                chords.append(e)
+                rod = True
+            if not rod:
+                cables.append(e)
+    return frozenset(nonfacial), frozenset(chords), frozenset(cables)
 
 
 def _vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:

@@ -13,11 +13,11 @@ Four impediments characterise the rods:
 * ``MINIMAL`` - the complex is closed on 4 vertices, the tetrahedron
   (collapsing would fold both faces of the edge onto the opposite one).
 
-Each impediment is one edge set cached on the ``Triangulation`` value:
+Each impediment is one edge set on the ``Triangulation`` value:
 ``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
-``minimal_edges``.  The cables are the edges outside all four
-(``tri.cables``), and
-:func:`classify_edge` reports an edge's membership in each.  Edge ``uv``
+``minimal_edges``.  One sweep over the edges fills the first two and the
+cables (``tri.cables``), reading the last two, and :func:`classify_edge`
+reports an edge's membership in each set.  Edge ``uv``
 lies in a nonfacial 3-cycle exactly when ``u`` and ``v`` have more common
 neighbours than ``uv`` has faces, since each face ``uvw`` accounts for
 exactly one common neighbour ``w``; on a closed complex this is the link
@@ -105,11 +105,11 @@ class TruncatedCorner(NamedTuple):
 def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
     """The impediments that make one edge a rod (none for a cable).
 
-    Each impediment is a membership test on an edge set cached on the
-    value (``tri.nonfacial_edges``, ``tri.chords``,
-    ``tri.boundary_triangle_edges``, ``tri.minimal_edges``);
-    ``tri.cables`` is the edges outside all four, so this and the cables
-    never disagree.
+    Each impediment is a membership test on an edge set on the value
+    (``tri.nonfacial_edges``, ``tri.chords``,
+    ``tri.boundary_triangle_edges``, ``tri.minimal_edges``); the sweep
+    that files each edge under the first two or ``tri.cables`` reads the
+    last two, so this and the cables never disagree.
     """
     e = (min(edge), max(edge))
     if not tri.has_edge(*e):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
-from trisurf import errors, moves
+from trisurf import complex_core, errors, moves
+from trisurf.complex_core import _CLASSIFIED, _validate
 from trisurf.moves import Corner, TruncatedCorner
 from tests.conftest import reference_build, split_children
 
@@ -115,29 +117,43 @@ def _reference_impediments(tri):
 
 
 def _assert_cable_rule_holds(tri):
-    # The cable sets are read first: they derive no edge list (the
-    # certificate's split scans read them on fresh split children), and
-    # they equal the definitions on the reference pipeline's own fields.
-    lists = {"edge_faces", "edges", "neighbors"}
-    derived = lists & set(vars(tri))
-    found = (tri.nonfacial_edges, tri.chords, tri.boundary_edges, tri.cables)
-    assert lists & set(vars(tri)) == derived
+    # On fresh values, as the certificate's split scans meet split
+    # children, each of the three classified sets is read first in turn.
+    # Whichever comes first, the one sweep runs once and fills all three,
+    # derives no edge list, and the sets equal the definitions on the
+    # reference pipeline's own fields.
     reference = reference_build(tri.faces)
     impediments = _reference_impediments(reference)
     incident = reference.edge_faces
     ends = reference.boundary_vertices
-    assert found == (
-        {e for t in reference.nonfacial_triangles for e in combinations(t, 2)},
-        {e for e, faces in incident.items() if len(faces) == 2 and ends.issuperset(e)},
-        {e for e, faces in incident.items() if len(faces) == 1},
-        {e for e, rods in impediments.items() if not rods},
-    )
+    expected = {
+        "nonfacial_edges": {
+            e for t in reference.nonfacial_triangles for e in combinations(t, 2)
+        },
+        "chords": {
+            e for e, faces in incident.items() if len(faces) == 2 and ends.issuperset(e)
+        },
+        "cables": {e for e, rods in impediments.items() if not rods},
+    }
+    swept, sweep = [], complex_core._classify_edges
+
+    def counted(value):
+        swept.append(value)
+        return sweep(value)
+
+    fresh_values = []
+    with mock.patch.object(complex_core, "_classify_edges", counted):
+        for first in _CLASSIFIED:
+            fresh = _validate(tri.faces, tri.order)
+            fresh_values.append(fresh)
+            getattr(fresh, first)
+            assert not {"edge_faces", "edges", "neighbors"} & set(vars(fresh))
+            assert {name: getattr(fresh, name) for name in _CLASSIFIED} == expected
+    assert list(map(id, swept)) == list(map(id, fresh_values))
+    assert tri.boundary_edges == {e for e, faces in incident.items() if len(faces) == 1}
     for edge, rods in impediments.items():
         assert ts.classify_edge(tri, edge) == rods, edge
     assert tri.cables == {e for e in tri.edges if not ts.classify_edge(tri, e)}
-    assert tri.nonfacial_edges == {
-        e for t in tri.nonfacial_triangles for e in combinations(t, 2)
-    }
 
 
 class TestCableRule:
