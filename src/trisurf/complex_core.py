@@ -533,7 +533,8 @@ def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
     facial 3-cycle exactly when ``uvw`` is one of those faces.
     Neighbourhoods are bit sets, so a count is one popcount.  A chord is an
     interior edge with both ends on the boundary.  A cable is none of these
-    and in neither ``boundary_triangle_edges`` nor ``minimal_edges``.
+    and in neither ``boundary_triangle_edges`` nor ``minimal_edges``; the
+    sweep reads each of the two only on a value it can apply to.
     """
     n = tri.order
     bits = [0] * n
@@ -542,7 +543,10 @@ def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
         bits[b] |= (1 << a) | (1 << c)
         bits[c] |= (1 << a) | (1 << b)
     ends = tri.boundary_vertices
-    blocked = tri.boundary_triangle_edges | tri.minimal_edges
+    # The other two rules apply only to bordered values and to closed ones
+    # on 4 vertices.
+    blocked = (tri.boundary_triangle_edges if tri._boundary
+               else tri.minimal_edges if n == 4 else frozenset())
     nonfacial, chords, cables = [], [], []
     # Each key map with the number of faces on each of its edges.
     for keys, faces in ((tri._cross, 2), (tri._boundary, 1)):

@@ -52,14 +52,17 @@ onto an open edge, so that complex is the root, and its repeat of
 (0, 1, 2) on edge 0-1 is the one candidate refused as a repeat.
 
 That filter rejects every labelling in which some vertex has a smaller
-(degree, on-boundary) key than vertex 0, and vertex 0's key only grows
-along a branch.  So the search cuts a branch as soon as a vertex other
-than 0 is finished (its link, the apex included, is a closed cycle) with
-a key below vertex 0's: every leaf below would fail the filter.  The cut
-removes only such leaves and subtrees that hold no leaf at all, and it
-leaves the traversal order alone, so the first copy reached of each
-class, and with it every catalog, ``BASES`` and the certificate, stays
-the same.
+(degree, on-boundary) key than vertex 0, or some face at vertex 0 has a
+sorted key triple below the root's (key 0, key 1, key 2), and the keys of
+vertices 0 and 1 only grow along a branch.  A vertex is finished when its
+link, the apex included, is a closed cycle; its key is then final.  So
+the search cuts a branch as soon as a finished vertex has a key below
+vertex 0's, or is a neighbour of 0 with a key below vertex 1's (the face
+on that edge sorts below the root's): every leaf below would fail the
+filter.  The cut removes only such leaves and subtrees that hold no leaf
+at all, and it leaves the traversal order alone, so the first copy
+reached of each class, and with it every catalog, ``BASES`` and the
+certificate, stays the same.
 
 A query is a surface kind and an order n.  Euler's formula
 V - E + F = chi with 3F + b = 2E, where b counts the boundary edges,
@@ -484,19 +487,19 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         if eq >= 0 and eq != p:
             lend[(x << 4) | eq] = q
 
-    def beats_root(x: int) -> bool:
-        """Is the key of ``x`` final and smaller than vertex 0's?
-
-        ``x`` is on a face, so its link is not empty.  A vertex is
-        finished when its link, the apex included, is a closed cycle: no
-        face or boundary edge is added at it again.  Vertex 0's key never
-        shrinks, so then ``leaf`` rejects every leaf below this node.  For
-        ``x == 0`` the answer is always False.
+    def dooms_leaves(x: int) -> bool:
+        """Is ``x`` finished with a key that makes ``leaf`` reject every
+        leaf below this node: below vertex 0's, or below vertex 1's with
+        ``x`` in the link of 0 (slot ``lend[x]``)?  The module docstring
+        gives the reasons.  A key (degree, on-boundary) orders as
+        ``2 * degree + on-boundary``.  ``x`` is on a face, so its link is
+        not empty; for ``x`` 0 or 1 the answer is always False.
         """
         if lcomp[x]:
             return False
-        d, d0 = vdeg[x], vdeg[0]
-        return d < d0 or (d == d0 and lend[apex | x] == -1 and lend[apex] != -1)
+        key = 2 * vdeg[x] + (lend[apex | x] != -1)
+        return key < 2 * vdeg[0] + (lend[apex] != -1) or (
+            lend[x] != -1 and key < 2 * vdeg[1] + (lend[apex | 1] != -1))
 
     def leaf(spent: int) -> None:
         # The degree-sum test this leaf passed leaves only spent to check.
@@ -608,7 +611,8 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             if vdeg[0] != d0:
                 child = degree_sum()
 
-            if child <= cap and not (beats_root(u) or beats_root(v) or beats_root(w)):
+            if child <= cap and not (
+                    dooms_leaves(u) or dooms_leaves(v) or dooms_leaves(w)):
                 rec(spent + 1, child)
 
             if oriented:
@@ -639,7 +643,7 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             ends_u = link_commit(u, v, n)
             ends_v = link_commit(v, u, n)
             open_set.discard(e)
-            if dsum <= degree_cap(spent + 1) and not (beats_root(u) or beats_root(v)):
+            if dsum <= degree_cap(spent + 1) and not (dooms_leaves(u) or dooms_leaves(v)):
                 rec(spent + 1, dsum)
             open_set.add(e)
             link_undo(v, u, n, ends_v)

@@ -109,7 +109,7 @@ N3, N4 = ts.SurfaceKind(-1, False, 0), ts.SurfaceKind(-2, False, 0)
 # ``build``.  link_commit runs three times per face committed, the cone
 # face of a boundary declaration included.  The degree-sum exit before
 # link_ok cuts no node that the test after the commit would not, so only
-# that count shows it: without it Moebius 7 makes 16,584 calls.  The
+# that count shows it: without it Moebius 7 makes 11,547 calls.  The
 # torus query builds fewer leaves than the Klein bottle query of its
 # order: the orientation cut removes the non-orientable ones before
 # ``build``.  The chi = -1 bordered rows are where refusing a face or a
@@ -120,33 +120,33 @@ N3, N4 = ts.SurfaceKind(-1, False, 0), ts.SurfaceKind(-2, False, 0)
 SEARCH_PINS = [
     (4, ts.PROJECTIVE_PLANE, 4, 12, 0, 0, EMPTY),
     (5, ts.PROJECTIVE_PLANE, 9, 33, 0, 0, EMPTY),
-    (6, ts.PROJECTIVE_PLANE, 29, 108, 1, 1, "8f6ff8e9c1716f6b90740b685ec7b4b64a34423faa6d1a0e491d110bd7448547"),
-    (7, ts.PROJECTIVE_PLANE, 113, 396, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
-    (8, ts.PROJECTIVE_PLANE, 787, 2586, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
+    (6, ts.PROJECTIVE_PLANE, 25, 102, 1, 1, "8f6ff8e9c1716f6b90740b685ec7b4b64a34423faa6d1a0e491d110bd7448547"),
+    (7, ts.PROJECTIVE_PLANE, 82, 327, 3, 3, "061f1ca223daab37827e419808834ad14951fa37804e2e94ad5ea90c5147e714"),
+    (8, ts.PROJECTIVE_PLANE, 477, 1764, 23, 16, "0385f5ef602f98ed0ce6d6b8b52a85fb47c63d18652a0cad5b43f0b40cd17260"),
     (3, ts.MOEBIUS_BAND, 4, 12, 0, 0, EMPTY),
     (4, ts.MOEBIUS_BAND, 17, 63, 0, 0, EMPTY),
-    (5, ts.MOEBIUS_BAND, 78, 306, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
-    (6, ts.MOEBIUS_BAND, 476, 1917, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
-    (7, ts.MOEBIUS_BAND, 3953, 15180, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
+    (5, ts.MOEBIUS_BAND, 68, 288, 3, 1, "74a06a91e40e6f3d675452270f8c9b2be916ce447b629c33759513a500496a9f"),
+    (6, ts.MOEBIUS_BAND, 356, 1599, 15, 9, "00a9baa72b8338f960929f23e2b91ad15728c1ee1eb78d45d1854e4473842e44"),
+    (7, ts.MOEBIUS_BAND, 2418, 10497, 109, 83, "3806ac1f124dac0e69387a5856b553a8f295136dfbeb529b68eecd7801e9bc87"),
     (4, ts.SPHERE, 4, 12, 1, 1, "4f013a0695f091151527e221de763947cb2cc3157f8aa1970ce36b6cac893858"),
     (5, ts.SPHERE, 7, 24, 1, 1, "035ae4b3c1971d9b2fd1520ec58c562f59302462e8513e6e2e213f761cf00b6f"),
-    (6, ts.SPHERE, 22, 72, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
-    (7, ts.SPHERE, 71, 228, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
-    (8, ts.SPHERE, 323, 1014, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
+    (6, ts.SPHERE, 18, 66, 2, 2, "3e87516a3096039c0d3caaf81d275dd8fe73e2412e36610c8aa8eb637a16e594"),
+    (7, ts.SPHERE, 46, 171, 5, 5, "4ebb7ba4352d04adf2f40c83847d9bc92ac37d235fa7bfc5f30e2564e1be705a"),
+    (8, ts.SPHERE, 171, 612, 14, 14, "fb5cea67b342dfd00f68a08d617a96398c25b72577bbbd7c36b7cf7783ac235f"),
     (3, ts.DISK, 4, 12, 1, 1, "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640"),
     (4, ts.DISK, 17, 63, 2, 2, "c2e6ff8412fe68bf69f5bdc2feb2596c129fd41400e34ea2bd745619efea34aa"),
-    (5, ts.DISK, 51, 195, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
-    (6, ts.DISK, 251, 969, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
-    (7, ts.DISK, 1341, 5091, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
-    (7, TORUS, 113, 411, 2, 1, "5627ba84f03c802fb1d422eee055af0424c8a76f00990ea7a9776aa37be113a7"),
-    (8, TORUS, 724, 2436, 15, 7, "0b7dac3a2b7d3472642ae7912a927262eddcb681c9264406f9414dda2a5e0b75"),
-    (9, TORUS, 8858, 28209, 232, 112, "e886eaa95b9bded09def74ae176029e32cadaf47433c1eedefc6cbd2a0031c27"),
-    (7, KLEIN_BOTTLE, 166, 630, 2, 0, EMPTY),
-    (8, KLEIN_BOTTLE, 1682, 5931, 27, 6, "a3a1bef4db8bca8e08929f6d071a5a9cc415fb255b37926f8c340f91a25a72d3"),
-    (7, PUNCTURED_TORUS, 4771, 17736, 68, 25, "5d92afc3d6d5a1251329118c8ef1e57df063d49880980a8644586563eec65fbc"),
-    (7, PUNCTURED_KLEIN_BOTTLE, 8504, 32607, 135, 29, "d985ea35b7cc1b1fec516596d188afcaba360b01ff06aff78dc78f5775b33067"),
-    (9, N3, 56570, 198018, 415, 133, "9e857ad081a96a216d50c3dccd7e755f8a13074903aeac49bc9448a948982c91"),
-    (9, N4, 78044, 280416, 203, 37, "523a74264887e10b4e98f7c925a56efc06cce8f98508267cee630283a85091ea"),
+    (5, ts.DISK, 43, 183, 4, 4, "c18e7859d895de9d6b0710fbaf8c288afcc145f843d535e9ea0e3b1edd8b018d"),
+    (6, ts.DISK, 173, 762, 16, 16, "740dfc75a681dd44ed44cc9d8a9001c0927c1aae58c7433875b6cf8ccf1cdf1b"),
+    (7, ts.DISK, 751, 3186, 66, 63, "f7ac15a376c7b96bd139c88fa86c2b6dce24b118044fc80998d842f81842704f"),
+    (7, TORUS, 87, 348, 2, 1, "5627ba84f03c802fb1d422eee055af0424c8a76f00990ea7a9776aa37be113a7"),
+    (8, TORUS, 484, 1818, 15, 7, "0b7dac3a2b7d3472642ae7912a927262eddcb681c9264406f9414dda2a5e0b75"),
+    (9, TORUS, 4778, 16929, 232, 112, "e886eaa95b9bded09def74ae176029e32cadaf47433c1eedefc6cbd2a0031c27"),
+    (7, KLEIN_BOTTLE, 129, 531, 2, 0, EMPTY),
+    (8, KLEIN_BOTTLE, 1051, 4131, 27, 6, "a3a1bef4db8bca8e08929f6d071a5a9cc415fb255b37926f8c340f91a25a72d3"),
+    (7, PUNCTURED_TORUS, 3356, 13950, 68, 25, "5d92afc3d6d5a1251329118c8ef1e57df063d49880980a8644586563eec65fbc"),
+    (7, PUNCTURED_KLEIN_BOTTLE, 5489, 23694, 135, 29, "d985ea35b7cc1b1fec516596d188afcaba360b01ff06aff78dc78f5775b33067"),
+    (9, N3, 29520, 115398, 415, 133, "9e857ad081a96a216d50c3dccd7e755f8a13074903aeac49bc9448a948982c91"),
+    (9, N4, 44093, 175842, 203, 37, "523a74264887e10b4e98f7c925a56efc06cce8f98508267cee630283a85091ea"),
 ]
 NAMED_KINDS = (ts.SPHERE, ts.PROJECTIVE_PLANE, ts.DISK, ts.MOEBIUS_BAND)
 
@@ -245,6 +245,21 @@ class TestSearchContract:
             assert degrees[0] == min(degrees)
             assert sum(degrees) == 3 * budget - 2 * b
             assert b >= 3 if kind.boundary_components else b == 0
+
+    @pytest.mark.parametrize(
+        "n, kind", [pytest.param(*pin[:2], id=_pin_id(*pin[:2])) for pin in SEARCH_PINS]
+    )
+    def test_representatives_meet_the_finished_vertex_premises(self, search, n, kind):
+        # The finished-vertex cut assumes of every leaf it may keep: vertex 0
+        # has the least (degree, on-boundary) key, the root face's keys are
+        # in order, and no neighbour of 0 has a key below vertex 1's.  Read
+        # from build's own values.
+        for entry in search(n, kind):
+            tri = entry.triangulation
+            key = [(d, x in tri.boundary_vertices) for x, d in enumerate(tri.degrees)]
+            assert key[0] == min(key)
+            assert key[0] <= key[1] <= key[2]
+            assert all(key[y] >= key[1] for y in tri.neighbors[0])
 
     @pytest.mark.parametrize(
         "n", sorted({pin[0] for pin in SEARCH_PINS if pin[1] in NAMED_KINDS})

@@ -148,6 +148,14 @@ def _assert_cable_rule_holds(tri):
             fresh_values.append(fresh)
             getattr(fresh, first)
             assert not {"edge_faces", "edges", "neighbors"} & set(vars(fresh))
+            # A rod rule is read only where it can apply: the boundary
+            # triangles on a bordered value, the tetrahedron on a closed
+            # value of order 4.
+            rules = {"boundary_triangle_edges", "minimal_edges"} & set(vars(fresh))
+            assert rules == (
+                {"boundary_triangle_edges"} if reference.boundary_edges
+                else {"minimal_edges"} if tri.order == 4 else set()
+            )
             assert {name: getattr(fresh, name) for name in _CLASSIFIED} == expected
     assert list(map(id, swept)) == list(map(id, fresh_values))
     assert tri.boundary_edges == {e for e, faces in incident.items() if len(faces) == 1}
