@@ -493,7 +493,7 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         ``x`` in the link of 0 (slot ``lend[x]``)?  The module docstring
         gives the reasons.  A key (degree, on-boundary) orders as
         ``2 * degree + on-boundary``.  ``x`` is on a face, so its link is
-        not empty; for ``x`` 0 or 1 the answer is always False.
+        not empty; for ``x == 0`` the answer is always False.
         """
         if lcomp[x]:
             return False
