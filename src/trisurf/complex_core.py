@@ -32,7 +32,8 @@ conditions are still checked on every child.  Vertex links are built on
 first use, since only complexes that are split further need them;
 ``links[v]`` is the tuple of the neighbours of ``v`` in star order, a
 cycle for an interior vertex and a path between its two boundary
-neighbours for a boundary vertex.
+neighbours for a boundary vertex.  One walk over the key maps, ``_link``,
+builds them and names the lowest vertex whose link is not one piece.
 
 Instances are immutable and hashable; all operations return new values.
 Derived data, the canonical code and the cables included, is cached on
@@ -273,15 +274,17 @@ class Triangulation:
 
     @cached_property
     def links(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in star order: a cycle for an interior
-        vertex, a path between its two boundary neighbours for a boundary
-        vertex.  Consecutive entries span the faces of the star."""
+        """Each vertex's neighbours in star order: for a boundary vertex a
+        path from its smaller boundary neighbour, for an interior vertex a
+        cycle from its least neighbour, the second entry being the apex of
+        the first edge's face (the smaller apex of two).  Consecutive entries
+        span the faces of the star.  The splits cut stars by position in
+        this order, so split children and catalog bytes depend on it."""
         # Built on first use: build checks the links without them.
-        stars: list[list[Face]] = [[] for _ in range(self.order)]
-        for face in self.faces:
-            for v in face:
-                stars[v].append(face)
-        return tuple(_vertex_link(v, star) for v, star in enumerate(stars))
+        n, cross, boundary = self.order, self._cross, self._boundary
+        return tuple(
+            _link(v, nbrs, n, cross, boundary) for v, nbrs in enumerate(self.neighbors)
+        )
 
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -363,7 +366,8 @@ def build(faces: Iterable[Sequence[int]]) -> Triangulation:
 
     Raises :class:`InvalidFace`, :class:`EmptyComplex`,
     :class:`DuplicateFace`, :class:`NonSurfaceEdge` (on the smallest bad
-    edge), :class:`PinchedVertex` (on the lowest bad vertex) or
+    edge), :class:`PinchedVertex` (on the lowest vertex whose link walk,
+    ``_link``, finds loose ends or misses a neighbour) or
     :class:`Disconnected`, checked in that order, when the input is not a
     surface complex.
     """
@@ -497,7 +501,7 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
     if 2 * (len(boundary) + len(cross)) - 3 * len(faces) + cycles != order:
         # The lowest vertex whose link is not one piece raises.
         for v in range(order):
-            _vertex_link(v, [face for face in faces if v in face])
+            _link(v, sorted(adjacency[v]), n, cross, boundary)
         raise AssertionError("a vertex link is in more than one piece")
 
     reached = bytearray(order)
@@ -564,46 +568,38 @@ def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
     return frozenset(nonfacial), frozenset(chords), frozenset(cables)
 
 
-def _vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:
-    """Assemble the link of ``v`` from the faces of its star and verify it
-    is one path or one cycle; return its vertices in walking order.
-
-    A path starts at its smaller end; a cycle starts at its smallest vertex
-    and continues to the smaller of that vertex's two neighbours.
-
-    ``star`` is non-empty (every label comes from a face) and no link
-    vertex has a third neighbour (that edge would lie in three faces,
-    which :func:`build` rejects before any link is checked).
-    """
-    # A link vertex's first and second neighbour.
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for a, b, c in star:
-        x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-        for p, q in ((x, y), (y, x)):
-            (second if p in first else first)[p] = q
-
-    endpoints = sorted(x for x in first if x not in second)
-    if endpoints:
-        if len(endpoints) != 2:
-            raise PinchedVertex(f"link of vertex {v} has {len(endpoints)} loose ends")
-        start = endpoints[0]
-        current = first[start]
+def _link(v: int, nbrs: Sequence[int], n: int, cross: dict[int, tuple[int, int, int, int]],
+          boundary: dict[int, tuple[int, int]]) -> tuple[int, ...]:
+    """The link of ``v``, ordered as ``links`` documents, walked over the
+    key maps of a complex on ``n`` vertices with no edge on three faces;
+    ``nbrs`` are ``v``'s neighbours, sorted.  Each step crosses edge
+    ``v-y`` into its other face, whose apex is next.  Raises
+    :class:`PinchedVertex` when ``v`` has other than 0 or 2 boundary
+    edges (its link's loose ends) or the walk misses a neighbour."""
+    key = {y: v * n + y if v < y else y * n + v for y in nbrs}
+    ends = [y for y in nbrs if key[y] in boundary]
+    if len(ends) not in (0, 2):
+        raise PinchedVertex(f"link of vertex {v} has {len(ends)} loose ends")
+    if ends:
+        start = ends[0]
+        current = boundary[key[start]][0]
     else:
-        # Both neighbours of a cycle's start are open; take the smaller
-        # one so the stored orientation is deterministic.
-        start = min(first)
-        current = min(first[start], second[start])
-
-    sequence = [start]
+        start = nbrs[0]
+        p, _, q, _ = cross[key[start]]
+        current = min(p, q)
+    link = [start]
     previous = start
-    while current is not None and current != start:
-        sequence.append(current)
-        nxt = first[current]
-        previous, current = current, second.get(current) if nxt == previous else nxt
-    if len(sequence) != len(first):
+    while current != start:
+        link.append(current)
+        faces = cross.get(key[current])
+        if faces is None:
+            # A path's other end.
+            break
+        p, _, q, _ = faces
+        previous, current = current, q if p == previous else p
+    if len(link) != len(nbrs):
         raise PinchedVertex(f"link of vertex {v} is not a single path or cycle")
-    return tuple(sequence)
+    return tuple(link)
 
 
 def _is_orientable(tri: Triangulation) -> bool:

@@ -29,6 +29,7 @@ from trisurf.errors import (
     EmptyComplex,
     InvalidFace,
     NonSurfaceEdge,
+    PinchedVertex,
 )
 
 # A standard combinatorial icosahedron: apex 0, upper ring 1..5, lower
@@ -126,9 +127,10 @@ def reference_build(faces) -> Triangulation:
     It normalises every face, always remaps the labels, derives the fields
     that ``build``'s sweep stores, each by its own definition, and then
     validates through them, one after another: edge faces, every vertex
-    link (built eagerly) and a breadth-first connectivity sweep over the
-    neighbours.  ``build`` must agree with it on every field and on every
-    error type and message.
+    link (built eagerly from its star of faces by
+    :func:`reference_vertex_link`, and stored as ``links``) and a
+    breadth-first connectivity sweep over the neighbours.  ``build`` must
+    agree with it on every field and on every error type and message.
     """
     normalised = [_reference_normalise_face(face) for face in faces]
     if not normalised:
@@ -176,8 +178,14 @@ def reference_build(faces) -> Triangulation:
             raise NonSurfaceEdge(
                 f"edge {edge[0]}-{edge[1]} lies in {len(incident)} faces"
             )
-    # Computing every link performs the pinched-vertex check.
-    _ = tri.links
+    stars: list[list[Face]] = [[] for _ in labels]
+    for face in dense:
+        for v in face:
+            stars[v].append(face)
+    # Building every link performs the pinched-vertex check.
+    vars(tri)["links"] = tuple(
+        reference_vertex_link(v, star) for v, star in enumerate(stars)
+    )
     reached = {0}
     queue = deque([0])
     while queue:
@@ -191,6 +199,49 @@ def reference_build(faces) -> Triangulation:
             f"complex has {tri.order - len(reached)} unreachable vertices"
         )
     return tri
+
+
+def reference_vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:
+    """Independent oracle for a vertex link: assemble the link of ``v``
+    from the faces of its star and verify it is one path or one cycle;
+    return its vertices in walking order.
+
+    A path starts at its smaller end; a cycle starts at its smallest vertex
+    and continues to the smaller of that vertex's two neighbours.
+
+    ``star`` is non-empty (every label comes from a face) and no link
+    vertex has a third neighbour (that edge would lie in three faces,
+    which is rejected before any link is checked).
+    """
+    # A link vertex's first and second neighbour.
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for a, b, c in star:
+        x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+        for p, q in ((x, y), (y, x)):
+            (second if p in first else first)[p] = q
+
+    endpoints = sorted(x for x in first if x not in second)
+    if endpoints:
+        if len(endpoints) != 2:
+            raise PinchedVertex(f"link of vertex {v} has {len(endpoints)} loose ends")
+        start = endpoints[0]
+        current = first[start]
+    else:
+        # Both neighbours of a cycle's start are open; take the smaller
+        # one so the stored orientation is deterministic.
+        start = min(first)
+        current = min(first[start], second[start])
+
+    sequence = [start]
+    previous = start
+    while current is not None and current != start:
+        sequence.append(current)
+        nxt = first[current]
+        previous, current = current, second.get(current) if nxt == previous else nxt
+    if len(sequence) != len(first):
+        raise PinchedVertex(f"link of vertex {v} is not a single path or cycle")
+    return tuple(sequence)
 
 
 def _reference_key_map(tri: Triangulation, edge_faces, count: int) -> dict[int, tuple[int, ...]]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisurf as ts
-from trisurf import canon, complex_core, enumeration, moves
+from trisurf import canon, complex_core, moves
 
 from conftest import brute_force_isomorphic, group_orbits, reference_canonical_form
 

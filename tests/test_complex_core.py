@@ -439,18 +439,34 @@ class TestReferenceBuild:
         assert built._cross == reference._cross
         assert built._boundary == reference._boundary
 
-    @pytest.mark.parametrize("soup", [
-        [(0, 1, 2), (True, 2, 3)],
-        [(1, 0.0, 2), (1, 2, 3)],
-        [(0, 1, 2), (1, 2.0, 3)],
-        [(0, 1, 2), (1, 2, 3), (1, 2, 4)],
+    # Each soup with the error ``build`` must raise, or None when it builds.
+    NAMED = [
+        ([(0, 1, 2), (True, 2, 3)], None),
+        ([(1, 0.0, 2), (1, 2, 3)], None),
+        ([(0, 1, 2), (1, 2.0, 3)], None),
+        ([(0, 1, 2), (1, 2, 3), (1, 2, 4)], "NonSurfaceEdge: edge 1-2 lies in 3 faces"),
         # Vertex 0's link: two cycles, then a cycle and a path.
-        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5), (0, 5, 6), (0, 6, 4)],
-        [(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5)],
-        [(0, 1, 2), (3, 4, 5)],
-    ])
-    def test_named_corner_cases(self, soup):
-        assert _outcome(ts.build, soup) == _outcome(reference_build, soup)
+        ([(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5), (0, 5, 6), (0, 6, 4)],
+         "PinchedVertex: link of vertex 0 is not a single path or cycle"),
+        ([(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4, 5)],
+         "PinchedVertex: link of vertex 0 is not a single path or cycle"),
+        ([(0, 1, 2), (3, 4, 5)], "Disconnected: complex has 3 unreachable vertices"),
+        # Two tetrahedra sharing vertex 3.
+        ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5), (3, 4, 6), (3, 5, 6),
+          (4, 5, 6)], "PinchedVertex: link of vertex 3 is not a single path or cycle"),
+        # A bowtie at 2, then bowties at 2 and 4: the lower vertex is named.
+        ([(0, 1, 2), (2, 3, 4)], "PinchedVertex: link of vertex 2 has 4 loose ends"),
+        ([(0, 1, 2), (2, 3, 4), (4, 5, 6)], "PinchedVertex: link of vertex 2 has 4 loose ends"),
+    ]
+
+    @pytest.mark.parametrize(
+        "soup, error", NAMED, ids=[f"soup{i}" for i in range(len(NAMED))]
+    )
+    def test_named_corner_cases(self, soup, error):
+        outcome = _outcome(ts.build, soup)
+        assert outcome == _outcome(reference_build, soup)
+        if error is not None:
+            assert outcome == error
 
 
 @pytest.fixture(scope="module")
