@@ -46,10 +46,9 @@ later reader's first read of a seeded field, directly or through a
 derivation, re-runs ``_validate`` on the stored faces, and the other
 derived data is recomputed on first use.
 
-The first read of any of ``nonfacial_edges``, ``chords`` and ``cables``
-runs one sweep over the key maps, ``_classify_edges``, that files every
-edge and stores all three; it reads the other two rod rules,
-``boundary_triangle_edges`` and ``minimal_edges`` (see :mod:`trisurf.moves`).
+The first read of any of the four rod rules' edge sets (see
+:mod:`trisurf.moves`) or ``cables`` runs one sweep over the key maps,
+``_classify_edges``, that files every edge and stores all five sets.
 Vertex ids are always the dense range ``0..order-1``: :func:`build`
 remaps arbitrary input labels to it.
 """
@@ -135,7 +134,7 @@ _set_field = object.__setattr__
 # The derived fields that ``_validate`` alone computes, seeded on its values.
 _SEEDED = frozenset(("_cross", "_boundary", "degrees", "boundary_vertices"))
 # The edge sets that ``_classify_edges`` alone computes, in its result order.
-_CLASSIFIED = ("nonfacial_edges", "chords", "cables")
+_CLASSIFIED = ("nonfacial_edges", "chords", "boundary_triangle_edges", "minimal_edges", "cables")
 
 
 class Triangulation:
@@ -153,8 +152,8 @@ class Triangulation:
     ``_boundary``, the degrees and the boundary vertices come from
     ``_validate`` alone: it seeds them on every value it returns, and a
     bare value re-runs it on the first read of any of them.  Likewise the
-    nonfacial edges, the chords and the cables come from
-    ``_classify_edges`` alone, all three stored on the first read of one.
+    four rod rules' edge sets and the cables come from ``_classify_edges``
+    alone, all five stored on the first read of one.
     The rest is ``cached_property``; the edges, the edge faces and the
     neighbour lists are derived from the key maps.
     """
@@ -167,6 +166,8 @@ class Triangulation:
     boundary_vertices: frozenset[int]
     nonfacial_edges: frozenset[Edge]
     chords: frozenset[Edge]
+    boundary_triangle_edges: frozenset[Edge]
+    minimal_edges: frozenset[Edge]
     cables: frozenset[Edge]
 
     def __init__(self, faces: tuple[Face, ...], order: int) -> None:
@@ -228,32 +229,6 @@ class Triangulation:
             adjacency[u].append(v)
             adjacency[v].append(u)
         return tuple(map(tuple, adjacency))
-
-    @cached_property
-    def nonfacial_triangles(self) -> frozenset[Face]:
-        """All 3-cliques of the graph that are not faces: the definition,
-        off every hot path, that the tests check ``nonfacial_edges`` against."""
-        cliques = {
-            tuple(sorted((u, v, w)))
-            for u, v in self.edges
-            for w in set(self.neighbors[u]).intersection(self.neighbors[v])
-        }
-        return frozenset(cliques.difference(self.faces))
-
-    @cached_property
-    def boundary_triangle_edges(self) -> frozenset[Edge]:
-        """The edges of every boundary cycle of length 3."""
-        return frozenset(chain.from_iterable(
-            combinations(sorted(c), 2) for c in self.boundary_cycles if len(c) == 3
-        ))
-
-    @cached_property
-    def minimal_edges(self) -> frozenset[Edge]:
-        """Every edge of a closed complex on 4 vertices, the tetrahedron:
-        no closed surface has fewer, so no collapse of it is one."""
-        if self.order == 4 and not self._boundary:
-            return frozenset(map(divmod, self._cross, repeat(4)))
-        return frozenset()
 
     @cached_property
     def _canonical(self) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -528,17 +503,18 @@ def _validate(faces: tuple[Face, ...], order: int) -> Triangulation:
 
 
 def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
-    """The nonfacial edges, the chords and the cables of ``tri``, in the
-    order of ``_CLASSIFIED``, from one sweep over its edge key maps.
+    """The edge sets of the four rod rules and the cables of ``tri``, in
+    the order of ``_CLASSIFIED``, from one sweep over its edge key maps.
 
     Edge ``uv`` lies in a nonfacial 3-cycle exactly when ``u`` and ``v``
     have more common neighbours than ``uv`` has faces: each face ``uvw``
     gives one common neighbour ``w``, and a common neighbour ``w`` closes a
     facial 3-cycle exactly when ``uvw`` is one of those faces.
     Neighbourhoods are bit sets, so a count is one popcount.  A chord is an
-    interior edge with both ends on the boundary.  A cable is none of these
-    and in neither ``boundary_triangle_edges`` nor ``minimal_edges``; the
-    sweep reads each of the two only on a value it can apply to.
+    interior edge with both ends on the boundary.  Each boundary vertex has
+    two boundary neighbours, so a boundary edge lies on a boundary 3-cycle
+    exactly when its ends share one.  Every edge of the tetrahedron is a
+    rod: no closed surface has fewer vertices.  A cable is in no rod set.
     """
     n = tri.order
     bits = [0] * n
@@ -546,26 +522,33 @@ def _classify_edges(tri: Triangulation) -> tuple[frozenset[Edge], ...]:
         bits[a] |= (1 << b) | (1 << c)
         bits[b] |= (1 << a) | (1 << c)
         bits[c] |= (1 << a) | (1 << b)
+    rim = [0] * n
+    for u, v in map(divmod, tri._boundary, repeat(n)):
+        rim[u] |= 1 << v
+        rim[v] |= 1 << u
     ends = tri.boundary_vertices
-    # The other two rules apply only to bordered values and to closed ones
-    # on 4 vertices.
-    blocked = (tri.boundary_triangle_edges if tri._boundary
-               else tri.minimal_edges if n == 4 else frozenset())
-    nonfacial, chords, cables = [], [], []
+    tetrahedron = n == 4 and not tri._boundary
+    nonfacial, chords, triangles, cables = [], [], [], []
     # Each key map with the number of faces on each of its edges.
     for keys, faces in ((tri._cross, 2), (tri._boundary, 1)):
         for k in keys:
             u, v = e = divmod(k, n)
-            rod = e in blocked
+            rod = tetrahedron
             if (bits[u] & bits[v]).bit_count() > faces:
                 nonfacial.append(e)
                 rod = True
-            if faces == 2 and u in ends and v in ends:
+            if faces == 1:
+                if rim[u] & rim[v]:
+                    triangles.append(e)
+                    rod = True
+            elif u in ends and v in ends:
                 chords.append(e)
                 rod = True
             if not rod:
                 cables.append(e)
-    return frozenset(nonfacial), frozenset(chords), frozenset(cables)
+    minimal = map(divmod, tri._cross, repeat(n)) if tetrahedron else ()
+    return (frozenset(nonfacial), frozenset(chords), frozenset(triangles),
+            frozenset(minimal), frozenset(cables))
 
 
 def _link(v: int, nbrs: Sequence[int], n: int, cross: dict[int, tuple[int, int, int, int]],

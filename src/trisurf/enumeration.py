@@ -505,7 +505,7 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
         # The degree-sum test this leaf passed leaves only spent to check.
         if spent != budget:
             return
-        key = [(vdeg[x], lend[apex | x] != -1) for x in range(n)]
+        key = [2 * vdeg[x] + (lend[apex | x] != -1) for x in range(n)]
         identity = [key[0], key[1], key[2]]
         # Of a face's six key orders the sorted one is the smallest.
         for a, b, c in faces:

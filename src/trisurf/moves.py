@@ -15,9 +15,9 @@ Four impediments characterise the rods:
 
 Each impediment is one edge set on the ``Triangulation`` value:
 ``nonfacial_edges``, ``chords``, ``boundary_triangle_edges`` and
-``minimal_edges``.  One sweep over the edges fills the first two and the
-cables (``tri.cables``), reading the last two, and :func:`classify_edge`
-reports an edge's membership in each set.  Edge ``uv``
+``minimal_edges``.  One sweep over the edges fills all four and the
+cables (``tri.cables``), and :func:`classify_edge` reports an edge's
+membership in each set.  Edge ``uv``
 lies in a nonfacial 3-cycle exactly when ``u`` and ``v`` have more common
 neighbours than ``uv`` has faces, since each face ``uvw`` accounts for
 exactly one common neighbour ``w``; on a closed complex this is the link
@@ -107,9 +107,9 @@ def classify_edge(tri: Triangulation, edge: Edge) -> frozenset[Impediment]:
 
     Each impediment is a membership test on an edge set on the value
     (``tri.nonfacial_edges``, ``tri.chords``,
-    ``tri.boundary_triangle_edges``, ``tri.minimal_edges``); the sweep
-    that files each edge under the first two or ``tri.cables`` reads the
-    last two, so this and the cables never disagree.
+    ``tri.boundary_triangle_edges``, ``tri.minimal_edges``); one sweep
+    files each edge under these or ``tri.cables``, so this and the cables
+    never disagree.
     """
     e = (min(edge), max(edge))
     if not tri.has_edge(*e):

@@ -1,6 +1,6 @@
 """Shared fixtures, the brute-force isomorphism oracle, the reference
-build, the reference canonical form, the reference vertex orbits and the
-reference orientability test.
+build, the reference nonfacial 3-cycles, the reference canonical form,
+the reference vertex orbits and the reference orientability test.
 
 The heavyweight catalogs, the certificates and the split scans are
 session-scoped.  The package caches no search, so tests that only read a
@@ -199,6 +199,20 @@ def reference_build(faces) -> Triangulation:
             f"complex has {tri.order - len(reached)} unreachable vertices"
         )
     return tri
+
+
+def reference_nonfacial_triangles(reference: Triangulation) -> frozenset[Face]:
+    """Independent oracle for the nonfacial 3-cycles of a value that
+    :func:`reference_build` returned: every 3-clique of the graph of its
+    ``edge_faces`` that is not a face, each as a sorted triple."""
+    edges = reference.edge_faces
+    cliques = {
+        (a, b, c)
+        for a, b in edges
+        for c in range(b + 1, reference.order)
+        if (a, c) in edges and (b, c) in edges
+    }
+    return frozenset(cliques.difference(reference.faces))
 
 
 def reference_vertex_link(v: int, star: list[Face]) -> tuple[int, ...]:

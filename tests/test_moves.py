@@ -13,32 +13,26 @@ import trisurf as ts
 from trisurf import complex_core, errors, moves
 from trisurf.complex_core import _CLASSIFIED, _validate
 from trisurf.moves import Corner, TruncatedCorner
-from tests.conftest import reference_build, split_children
-
-
-def _clique_triangles(tri):
-    """Independent 3-clique scan used as the oracle for nonfacial counts."""
-    return {
-        (a, b, c)
-        for a, b, c in combinations(range(tri.order), 3)
-        if tri.has_edge(a, b) and tri.has_edge(a, c) and tri.has_edge(b, c)
-    }
+from tests.conftest import reference_build, reference_nonfacial_triangles, split_children
 
 
 class TestNonfacialTriangles:
     def test_triangle_has_none(self, triangle):
-        assert triangle.nonfacial_triangles == frozenset()
+        assert reference_nonfacial_triangles(reference_build(triangle.faces)) == frozenset()
+        assert triangle.nonfacial_edges == frozenset()
 
     def test_octahedron_has_none(self, octahedron):
-        expected = _clique_triangles(octahedron) - set(octahedron.faces)
-        assert expected == set()
-        assert octahedron.nonfacial_triangles == frozenset()
+        assert reference_nonfacial_triangles(reference_build(octahedron.faces)) == frozenset()
+        assert octahedron.nonfacial_edges == frozenset()
 
     def test_quotient_has_ten(self, proj_plane):
-        # K6 carries C(6,3) = 20 triangles and the complex uses 10 as faces.
-        expected = _clique_triangles(proj_plane) - set(proj_plane.faces)
-        assert len(expected) == 10
-        assert proj_plane.nonfacial_triangles == frozenset(expected)
+        # K6 carries C(6,3) = 20 triangles and the complex uses 10 as faces;
+        # each of its 15 edges lies in one of the other 10.
+        nonfacial = reference_nonfacial_triangles(reference_build(proj_plane.faces))
+        assert len(nonfacial) == 10
+        assert proj_plane.nonfacial_edges == {
+            e for t in nonfacial for e in combinations(t, 2)
+        } == set(proj_plane.edges)
 
 
 class TestClassifyEdge:
@@ -98,7 +92,7 @@ def _reference_impediments(tri):
     from the clique scan, a chord from the boundary vertices, a boundary
     triangle from the boundary cycle through the edge, and every edge of
     a closed complex on 4 vertices."""
-    nonfacial = {e for t in tri.nonfacial_triangles for e in combinations(t, 2)}
+    nonfacial = {e for t in reference_nonfacial_triangles(tri) for e in combinations(t, 2)}
     result = {}
     for a, b in tri.edges:
         found = set()
@@ -118,20 +112,26 @@ def _reference_impediments(tri):
 
 def _assert_cable_rule_holds(tri):
     # On fresh values, as the certificate's split scans meet split
-    # children, each of the three classified sets is read first in turn.
-    # Whichever comes first, the one sweep runs once and fills all three,
-    # derives no edge list, and the sets equal the definitions on the
-    # reference pipeline's own fields.
+    # children, each of the five classified sets is read first in turn.
+    # Whichever comes first, the one sweep runs once and fills all five,
+    # derives no edge list and no boundary cycle, and the sets equal the
+    # definitions on the reference pipeline's own fields.
     reference = reference_build(tri.faces)
     impediments = _reference_impediments(reference)
     incident = reference.edge_faces
     ends = reference.boundary_vertices
     expected = {
         "nonfacial_edges": {
-            e for t in reference.nonfacial_triangles for e in combinations(t, 2)
+            e for e, rods in impediments.items() if ts.Impediment.NONFACIAL_TRIANGLE in rods
         },
         "chords": {
             e for e, faces in incident.items() if len(faces) == 2 and ends.issuperset(e)
+        },
+        "boundary_triangle_edges": {
+            e for e, rods in impediments.items() if ts.Impediment.BOUNDARY_TRIANGLE in rods
+        },
+        "minimal_edges": {
+            e for e, rods in impediments.items() if ts.Impediment.MINIMAL in rods
         },
         "cables": {e for e, rods in impediments.items() if not rods},
     }
@@ -147,15 +147,8 @@ def _assert_cable_rule_holds(tri):
             fresh = _validate(tri.faces, tri.order)
             fresh_values.append(fresh)
             getattr(fresh, first)
-            assert not {"edge_faces", "edges", "neighbors"} & set(vars(fresh))
-            # A rod rule is read only where it can apply: the boundary
-            # triangles on a bordered value, the tetrahedron on a closed
-            # value of order 4.
-            rules = {"boundary_triangle_edges", "minimal_edges"} & set(vars(fresh))
-            assert rules == (
-                {"boundary_triangle_edges"} if reference.boundary_edges
-                else {"minimal_edges"} if tri.order == 4 else set()
-            )
+            assert set(_CLASSIFIED) <= set(vars(fresh))
+            assert not {"boundary_cycles", "edge_faces", "edges", "neighbors"} & set(vars(fresh))
             assert {name: getattr(fresh, name) for name in _CLASSIFIED} == expected
     assert list(map(id, swept)) == list(map(id, fresh_values))
     assert tri.boundary_edges == {e for e, faces in incident.items() if len(faces) == 1}
@@ -501,7 +494,7 @@ class TestBoundaryTriangleSubsumption:
         for tri in corpus:
             coned = ts.cone_boundary(tri)
             assert coned.surface_kind != ts.SPHERE
-            nonfacial = coned.nonfacial_triangles
+            nonfacial = reference_nonfacial_triangles(reference_build(coned.faces))
             for edge in tri.boundary_edges:
                 assert any(
                     edge[0] in triple and edge[1] in triple for triple in nonfacial
