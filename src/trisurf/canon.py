@@ -7,8 +7,10 @@ breadth-first sweep over the faces relabels the vertices in discovery
 order; the sorted, relabelled face list depends only on the starting flag
 and the isomorphism class.  A key prefilter keeps only the flags whose
 vertices have the smallest (degree, on-boundary) keys, computed once per
-vertex.  The code is the lexicographic minimum over those flags, which
-makes it a complete isomorphism invariant.
+vertex; each face's vertices are ordered by key with three
+compare-and-swaps, so only its ascending flags are formed.  The code is
+the lexicographic minimum over those flags, which makes it a complete
+isomorphism invariant.
 
 The same sweep gives the automorphism group.  Two flags f and g whose
 sweeps give the same face list differ by exactly one automorphism,
@@ -48,7 +50,8 @@ edges on one face, so the face list determines them.  The code header
 records order, face count and boundary length (the size of the seeded
 boundary-edge map) in one byte each; at 256 or more of any of them the
 code is wide: a 0 byte, then the header and the labels as 2-byte
-big-endian numbers.
+big-endian numbers.  The labels after the header are the canonical
+faces, sorted, so ``canonical_faces`` decodes them and relabels nothing.
 
 All functions are pure; the code, the canonical labelling and the
 generators are cached on the value.
@@ -110,23 +113,40 @@ def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
     A flag's key lists its vertices' (degree, on-boundary) keys, which are
     computed once per vertex.  The canonical code is the minimum over
     exactly these flags, and automorphisms map them onto one another.
+    Each face's vertices are ordered by key, stably, by three
+    compare-and-swaps; its ascending flags are that order with each tie
+    permuted, listed as the face's six permutations would list them.
     """
     boundary = tri.boundary_vertices
     key = [2 * d + (v in boundary) for v, d in enumerate(tri.degrees)]
     # The least face key starts with the least vertex key, so only faces
     # at a vertex of that key can hold it.
     least = min(key)
-    best: list[int] | None = None
+    best: tuple[int, int, int] | None = None
     found: list[tuple[int, Flag]] = []
     for i, (a, b, c) in enumerate(tri.faces):
-        if key[a] != least and key[b] != least and key[c] != least:
+        ka, kb, kc = key[a], key[b], key[c]
+        if ka != least and kb != least and kc != least:
             continue
-        face_key = sorted((key[a], key[b], key[c]))
+        if ka > kb:
+            a, b, ka, kb = b, a, kb, ka
+        if kb > kc:
+            b, c, kb, kc = c, b, kc, kb
+            if ka > kb:
+                a, b, ka, kb = b, a, kb, ka
+        face_key = (ka, kb, kc)
         if best is None or face_key < best:
             best, found = face_key, []
         if face_key == best:
-            flags = ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-            found.extend((i, f) for f in flags if key[f[0]] <= key[f[1]] <= key[f[2]])
+            if ka != kb:
+                found.append((i, (a, b, c)))
+                if kb == kc:
+                    found.append((i, (a, c, b)))
+            elif kb != kc:
+                found += ((i, (a, b, c)), (i, (b, a, c)))
+            else:
+                found += ((i, (a, b, c)), (i, (a, c, b)), (i, (b, a, c)),
+                          (i, (b, c, a)), (i, (c, a, b)), (i, (c, b, a)))
     return found
 
 
@@ -214,11 +234,11 @@ def canonical_labeling(tri: Triangulation) -> tuple[int, ...]:
 
 
 def canonical_faces(tri: Triangulation) -> tuple[tuple[int, int, int], ...]:
-    """The face list of the canonical representative."""
-    label = canonical_labeling(tri)
-    return tuple(sorted(
-        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tri.faces
-    ))
+    """The face list of the canonical representative, read off the code."""
+    code = tri._canonical[0]
+    labels = code[3:] if code[0] else struct.unpack(f">{len(code) // 2 - 3}H", code[7:])
+    triples = iter(labels)
+    return tuple(zip(triples, triples, triples))
 
 
 def isomorphic(t1: Triangulation, t2: Triangulation) -> bool:

@@ -723,9 +723,7 @@ def serialize_catalog(catalog: Catalog) -> str:
         "---",
     ]
     for entry in catalog.entries:
-        face_text = ";".join(
-            ",".join(str(v) for v in face) for face in entry.triangulation.faces
-        )
+        face_text = ";".join(["%d,%d,%d" % face for face in entry.triangulation.faces])
         lines.append(
             f"{entry.code.hex()} {entry.order} {face_text} {entry.provenance}"
         )

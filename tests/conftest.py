@@ -1,6 +1,7 @@
 """Shared fixtures, the brute-force isomorphism oracle, the reference
-build, the reference nonfacial 3-cycles, the reference canonical form,
-the reference vertex orbits and the reference orientability test.
+build, the reference nonfacial 3-cycles, the reference canonical form
+and canonical faces, the reference vertex orbits and the reference
+orientability test.
 
 The heavyweight catalogs, the certificates and the split scans are
 session-scoped.  The package caches no search, so tests that only read a
@@ -356,6 +357,15 @@ def reference_canonical_form(
     if max(values[:3]) < 256:
         return bytes(values), tuple(labellings)
     return b"\0" + struct.pack(f">{len(values)}H", *values), tuple(labellings)
+
+
+def reference_canonical_faces(tri: Triangulation) -> tuple[Face, ...]:
+    """Oracle for :func:`trisurf.canonical_faces`: every face relabelled by
+    the canonical labelling and sorted, then the face list sorted."""
+    label = ts.canonical_labeling(tri)
+    return tuple(sorted(
+        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tri.faces
+    ))
 
 
 def reference_is_orientable(tri: Triangulation) -> bool:

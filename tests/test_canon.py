@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 import trisurf as ts
 from trisurf import canon, complex_core, moves
 
-from conftest import brute_force_isomorphic, group_orbits, reference_canonical_form
+from conftest import (
+    _reference_candidate_flags,
+    brute_force_isomorphic,
+    group_orbits,
+    reference_canonical_faces,
+    reference_canonical_form,
+)
 
 
 def _shuffled(tri, rng):
@@ -324,6 +330,31 @@ class TestAutomorphismPruning:
         assert len(sweeps) == MEMBER_SWEEPS[surface]
 
 
+class TestFlagsAndFaces:
+    """The candidate flags come in the reference's order, since the first
+    minimal flag fixes the canonical labelling, and the faces decoded from
+    the code are the canonical labelling's relabelled, sorted faces."""
+
+    def test_candidate_flags_and_faces_equal_the_reference(self, oracle_pool):
+        # A punctured grid's boundary is the removed vertex's six neighbours,
+        # of key 2 * 5 + 1; each least face holds two, so gives two flags.
+        punctured = ts.remove_vertex_star(_shuffled(_torus_grid(12), random.Random(3)), 0)
+        assert len(canon._candidate_flags(punctured)) == 12
+        for tri in (*oracle_pool, punctured):
+            assert canon._candidate_flags(tri) == _reference_candidate_flags(tri)
+            assert ts.canonical_faces(tri) == reference_canonical_faces(tri)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_candidate_flags_and_faces_under_relabelling(self, oracle_pool, data):
+        tri = data.draw(st.sampled_from(oracle_pool))
+        perm = tuple(data.draw(st.permutations(list(tri.vertices))))
+        other = ts.relabel(tri, perm)
+        assert canon._candidate_flags(other) == _reference_candidate_flags(other)
+        assert ts.canonical_faces(other) == reference_canonical_faces(other)
+        assert ts.canonical_faces(other) == ts.canonical_faces(tri)
+
+
 class TestBruteForceOracle:
     def test_accepts_relabelings(self, proj_plane):
         rng = random.Random(3)
@@ -352,6 +383,7 @@ class TestWideCode:
         assert code[0] == 0
         assert code[1:7] == bytes((0, 144, 1, 32, 0, 0))
         assert len(code) == 1 + 2 * (3 + 3 * 288)
+        assert ts.canonical_faces(tri) == reference_canonical_faces(tri)
         assert len(ts.automorphisms(tri)) == 1728
 
     def test_sphere_with_exactly_256_faces_gets_the_wide_code(self):
@@ -367,6 +399,7 @@ class TestWideCode:
         assert code[0] == 0
         assert code[1:7] == bytes((0, 130, 1, 0, 0, 0))
         assert len(code) == 1 + 2 * (3 + 3 * 256)
+        assert ts.canonical_faces(tri) == reference_canonical_faces(tri)
 
     def test_torus_grid_with_256_vertices_needs_the_wide_order_field(self):
         tri = _torus_grid(16)
@@ -375,6 +408,7 @@ class TestWideCode:
         assert code[0] == 0
         assert code[1:7] == bytes((1, 0, 2, 0, 0, 0))
         assert len(code) == 1 + 2 * (3 + 3 * 512)
+        assert ts.canonical_faces(tri) == reference_canonical_faces(tri)
         assert len(ts.automorphisms(tri)) == 3072
 
 
