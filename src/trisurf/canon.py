@@ -37,20 +37,16 @@ every flag ties, costs about 1 + log2 |Aut| sweeps.  The group and the
 vertex orbits are generated from the generators, which is how nauty
 returns a group (McKay & Piperno, 2014).
 
-The sweep reads one cross map, the one that validation seeds on the value
-(``tri._cross``): each interior edge ``x-y`` with ``x < y`` is keyed by the
-int ``x * order + y`` and maps to (apex, face index) of both its faces, so
-the sweep keys an edge by its smaller end.  The face the sweep stands in
-is always seen, so it enters whichever face of the pair is unseen, and
-skips the edge when both are.  Each swept face is relabelled and sorted
-by three compare-and-swaps, with no sort call per face.
+The sweep is ``complex_core._traverse``; besides it this module reads a
+value's public fields only, not the edge key maps.  Each swept face is
+relabelled and sorted by three compare-and-swaps, with no sort call.
 
 Boundary participates automatically: boundary edges are exactly the
 edges on one face, so the face list determines them.  The code header
-records order, face count and boundary length (the size of the seeded
-boundary-edge map) in one byte each; at 256 or more of any of them the
-code is wide: a 0 byte, then the header and the labels as 2-byte
-big-endian numbers.  The labels after the header are the canonical
+records order, face count and boundary length (the number of boundary
+vertices, which on a surface is the number of boundary edges) in one
+byte each; at 256 or more of any of them the code is wide: a 0 byte,
+then the header and the labels as 2-byte big-endian numbers.  The labels after the header are the canonical
 faces, sorted, so ``canonical_faces`` decodes them and relabels nothing.
 
 All functions are pure; the code, the canonical labelling and the
@@ -63,48 +59,11 @@ import struct
 from collections.abc import Sequence
 from itertools import chain
 
-from .complex_core import Triangulation, build
+from .complex_core import Triangulation, _traverse, build
 
 CanonicalCode = bytes
 Flag = tuple[int, int, int]
 Permutation = tuple[int, ...]
-
-
-def _traverse(tri: Triangulation, flag: Flag, start: int):
-    """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
-    them as oriented triples in sweep order, and the old->new labeling."""
-    n = tri.order
-    get = tri._cross.get
-    label = [-1] * n
-    a, b, c = flag
-    label[a], label[b], label[c] = 0, 1, 2
-    next_label = 3
-    seen = bytearray(len(tri.faces))
-    seen[start] = 1
-    queue = [flag]
-    for u, v, w in queue:
-        for x, y in ((u, v), (v, w), (w, u)):
-            across = get(x * n + y if x < y else y * n + x)
-            if across is None:
-                continue
-            # The face the sweep stands in is seen, so the unseen face of
-            # the pair, if any, is the one across the edge.
-            p, i, q, j = across
-            if not seen[i]:
-                t = p
-                seen[i] = 1
-            elif not seen[j]:
-                t = q
-                seen[j] = 1
-            else:
-                continue
-            if label[t] < 0:
-                label[t] = next_label
-                next_label += 1
-            # Enter the neighbour with the shared edge reversed so the
-            # traversal keeps a consistent local orientation.
-            queue.append((y, x, t))
-    return queue, label
 
 
 def _candidate_flags(tri: Triangulation) -> list[tuple[int, Flag]]:
@@ -213,7 +172,7 @@ def _canonical_form(
         elif best is None or faces < best:
             best, first_label, orbit = faces, label, {flag}
             _close(orbit, generators, generators)
-    values = (tri.order, len(tri.faces), len(tri._boundary), *chain.from_iterable(best))
+    values = (tri.order, len(tri.faces), len(tri.boundary_vertices), *chain.from_iterable(best))
     if max(values[:3]) < 256:
         code = bytes(values)
     else:

@@ -24,8 +24,12 @@ index) of its one face; the degrees; and the boundary vertices.
 incidences.  The edges, their faces and the sorted neighbour lists are
 plain derivations of the two key maps, computed on first read, so a
 split child or search leaf that is only validated and coded never builds
-them.  The canonical form, orientability, the cable sets and
-``has_edge`` read the key maps themselves.  The splitting moves (:mod:`trisurf.moves`) call
+them.  The cable sets, ``has_edge`` and the face sweep read the key maps
+themselves, and no other module reads them.  The sweep, ``_traverse``,
+walks the faces breadth first from a flag over the cross map, entering
+the unseen face of each edge's pair with the shared edge reversed; the
+canonical form (:mod:`trisurf.canon`) runs it from each candidate flag,
+orientability once.  The splitting moves (:mod:`trisurf.moves`) call
 ``_validate`` directly: they write a child's faces already in normalised
 form, so normalising them again would check nothing, while the surface
 conditions are still checked on every child.  Vertex links are built on
@@ -585,37 +589,52 @@ def _link(v: int, nbrs: Sequence[int], n: int, cross: dict[int, tuple[int, int, 
     return tuple(link)
 
 
-def _is_orientable(tri: Triangulation) -> bool:
-    """Propagate a sign per face index across interior edges; true iff
-    consistent.
-
-    Sign 1 runs a sorted face ``(a, b, c)`` as a -> b -> c -> a: every edge
-    forward (smaller end first) except ``(a, c)``.  Two faces that share an
-    edge must run it in opposite directions.
-    """
-    # Per face, (neighbour, r): the neighbour's sign must be r times ours.
-    across: list[list[tuple[int, int]]] = [[] for _ in tri.faces]
+def _traverse(tri: Triangulation, flag: Face, start: int):
+    """Sweep the faces breadth-first from ``flag`` (in face ``start``); return
+    them as oriented triples in sweep order, and the old->new labeling."""
     n = tri.order
-    for k, (p, i, q, j) in tri._cross.items():
-        u, v = divmod(k, n)
-        # A face runs the edge backward iff it is its (a, c) edge, that is
-        # iff its apex lies between the ends.
-        r = -1 if (u < p < v) == (u < q < v) else 1
-        across[i].append((j, r))
-        across[j].append((i, r))
-    sign = [0] * len(tri.faces)
-    sign[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        s = sign[i]
-        for j, r in across[i]:
-            if not sign[j]:
-                sign[j] = r * s
-                stack.append(j)
-            elif sign[j] != r * s:
-                return False
-    return True
+    get = tri._cross.get
+    label = [-1] * n
+    a, b, c = flag
+    label[a], label[b], label[c] = 0, 1, 2
+    next_label = 3
+    seen = bytearray(len(tri.faces))
+    seen[start] = 1
+    queue = [flag]
+    for u, v, w in queue:
+        for x, y in ((u, v), (v, w), (w, u)):
+            across = get(x * n + y if x < y else y * n + x)
+            if across is None:
+                continue
+            # The face the sweep stands in is seen, so the unseen face of
+            # the pair, if any, is the one across the edge.
+            p, i, q, j = across
+            if not seen[i]:
+                t = p
+                seen[i] = 1
+            elif not seen[j]:
+                t = q
+                seen[j] = 1
+            else:
+                continue
+            if label[t] < 0:
+                label[t] = next_label
+                next_label += 1
+            # Enter the neighbour with the shared edge reversed so the
+            # traversal keeps a consistent local orientation.
+            queue.append((y, x, t))
+    return queue, label
+
+
+def _is_orientable(tri: Triangulation) -> bool:
+    """Whether the faces orient consistently: the sweep from face 0 enters
+    each face across an edge it runs the other way and, a valid value being
+    face-connected, orients every face, running no directed edge twice iff
+    the orientation is consistent."""
+    queue, _ = _traverse(tri, tri.faces[0], 0)
+    n = tri.order
+    runs = set(chain.from_iterable((u * n + v, v * n + w, w * n + u) for u, v, w in queue))
+    return len(runs) == 3 * len(queue)
 
 
 def cone_boundary(tri: Triangulation) -> Triangulation:

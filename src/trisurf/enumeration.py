@@ -478,13 +478,14 @@ def _search(n: int, kind: SurfaceKind) -> tuple[CatalogEntry, ...]:
             lcomp[x] += 1
         # Endpoints always point back at each other, so the far ends can
         # be restored from the recorded opposite endpoints alone.  A far
-        # end is never vertex 0, so ``>= 0`` could be ``> 0``: 0 is a path
-        # end in a link only while an edge at 0 is open, so only while
-        # ``rec`` extends one (its key is the least), and then 0 is this
-        # call's x, whose link lacks 0, or its p or q, excluded below.
-        if ep >= 0 and ep != q:
+        # end is p or q only if the commit closed the one path p ... q, and
+        # then the writes store what the slots hold.  So ``>= 0`` could be
+        # ``> 0``: 0 is a path end in a link only while an edge at 0 is
+        # open, so only while ``rec`` extends one (its key is the least),
+        # and then 0 is this call's x, whose link lacks 0, or its p or q.
+        if ep >= 0:
             lend[(x << 4) | ep] = p
-        if eq >= 0 and eq != p:
+        if eq >= 0:
             lend[(x << 4) | eq] = q
 
     def dooms_leaves(x: int) -> bool:

@@ -1,7 +1,7 @@
 """Shared fixtures, the brute-force isomorphism oracle, the reference
 build, the reference nonfacial 3-cycles, the reference canonical form
-and canonical faces, the reference vertex orbits and the reference
-orientability test.
+and canonical faces, the reference vertex orbits, the reference
+orientability test, and the torus grids with their relabelling.
 
 The heavyweight catalogs, the certificates and the split scans are
 session-scoped.  The package caches no search, so tests that only read a
@@ -398,6 +398,27 @@ def reference_is_orientable(tri: Triangulation) -> bool:
             elif orientation[j] != required:
                 return False
     return True
+
+
+def _shuffled(tri: Triangulation, rng) -> Triangulation:
+    """``tri`` under a vertex permutation drawn from ``rng``."""
+    perm = list(tri.vertices)
+    rng.shuffle(perm)
+    return ts.relabel(tri, tuple(perm))
+
+
+def _torus_grid(k: int) -> Triangulation:
+    """The k x k grid on the torus, each square cut by the same diagonal."""
+    def v(i, j):
+        return (i % k) * k + j % k
+
+    return ts.build([
+        face
+        for i in range(k)
+        for j in range(k)
+        for face in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                     (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    ])
 
 
 def split_children(

@@ -15,31 +15,13 @@ from trisurf import canon, complex_core, moves
 
 from conftest import (
     _reference_candidate_flags,
+    _shuffled,
+    _torus_grid,
     brute_force_isomorphic,
     group_orbits,
     reference_canonical_faces,
     reference_canonical_form,
 )
-
-
-def _shuffled(tri, rng):
-    perm = list(tri.vertices)
-    rng.shuffle(perm)
-    return ts.relabel(tri, tuple(perm))
-
-
-def _torus_grid(k):
-    """The k x k grid on the torus, each square cut by the same diagonal."""
-    def v(i, j):
-        return (i % k) * k + j % k
-
-    return ts.build([
-        face
-        for i in range(k)
-        for j in range(k)
-        for face in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                     (v(i, j), v(i, j + 1), v(i + 1, j + 1)))
-    ])
 
 
 def _count_sweeps(monkeypatch):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import gc
 import importlib
+import pathlib
 import pkgutil
 import random
 import weakref
@@ -19,6 +21,8 @@ from trisurf.enumeration import BASES
 from tests.conftest import (
     ANTIPODAL,
     ICOSAHEDRON_FACES,
+    _shuffled,
+    _torus_grid,
     reference_build,
     reference_is_orientable,
     split_children,
@@ -411,6 +415,18 @@ class TestSeededFields:
         assert child.edge_faces == reference_build(child.faces).edge_faces
         assert set(vars(child)) == {"faces", "order", *_SEEDED, "edge_faces"}
 
+    def test_no_other_module_reads_the_edge_key_maps(self):
+        # Their layout is known in one module: every other one reads the
+        # public fields derived from them.
+        readers = [
+            (path.name, node.lineno)
+            for path in sorted(pathlib.Path(ts.__file__).parent.glob("*.py"))
+            if path.name != "complex_core.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("_cross", "_boundary")
+        ]
+        assert not readers
+
 
 class TestFaceSoupProperty:
     @settings(max_examples=300, deadline=None)
@@ -510,6 +526,31 @@ class TestReferenceOrientability:
         for tri, orientable in members:
             assert _is_orientable(tri) is orientable
             assert reference_is_orientable(reference_build(tri.faces)) is orientable
+
+    def test_long_and_wide_sweeps_match_the_directed_edge_search(self):
+        # Torus grids, each also punctured; the 16x16 torus (256 vertices);
+        # the bipyramid over a 128-cycle; and chains of 30 corner splits
+        # from the projective plane and from the Moebius band.
+        rng = random.Random(40)
+        tori = [_shuffled(_torus_grid(k), rng) for k in range(3, 9)]
+        ring = 128
+        bipyramid = ts.build(
+            (i, (i + 1) % ring, apex) for i in range(ring) for apex in (ring, ring + 1)
+        )
+        chains = []
+        for kind in (ts.PROJECTIVE_PLANE, ts.MOEBIUS_BAND):
+            tri = ts.build(BASES[kind][0])
+            for _ in range(30):
+                tri = ts.split_corner(tri, rng.choice(ts.corners(tri)))
+            assert tri.order >= 35 and tri.surface_kind == kind
+            chains.append(tri)
+        values = [
+            *tori, *(ts.remove_vertex_star(tri, 0) for tri in tori),
+            _torus_grid(16), bipyramid, *chains,
+        ]
+        answers = [_is_orientable(tri) for tri in values]
+        assert answers == [reference_is_orientable(tri) for tri in values]
+        assert answers == [True] * 14 + [False] * 2
 
 
 class TestFaceListFormat:
